@@ -1,12 +1,38 @@
 //! Shared machinery for the worker-pool baselines: round-robin slot
 //! delivery and the backend scaffold (pool + queues + stop flag).
 
+use dlb_codec::jpeg::decoder::DecodeStats;
+use dlb_codec::{ColorSpace, DecodeScratch, JpegDecoder};
 use dlb_membridge::{BatchUnit, BlockingQueue, MemManager, PoolConfig};
 use dlbooster_core::HostBatch;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Decodes `jpeg` to `dims` RGB straight into `window` (one item's slot of a
+/// batch unit, or a staging buffer of that size) with the worker's scratch.
+/// A missing or undecodable source leaves the whole window zero-filled and
+/// returns `None`, so a failed item never shows pixels of whatever the
+/// memory held before.
+pub fn decode_rgb_into(
+    decoder: &JpegDecoder,
+    scratch: &mut DecodeScratch,
+    jpeg: Option<&[u8]>,
+    dims: (u32, u32),
+    window: &mut [u8],
+) -> Option<DecodeStats> {
+    let stats = jpeg.and_then(|bytes| {
+        decoder
+            .decode_into(bytes, scratch, Some(dims), ColorSpace::Rgb, window)
+            .ok()
+            .map(|decoded| decoded.stats)
+    });
+    if stats.is_none() {
+        window.fill(0);
+    }
+    stats
+}
 
 /// Round-robin delivery of finished batches to per-engine slot queues,
 /// with globally ordered sequence numbers.

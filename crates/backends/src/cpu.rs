@@ -7,10 +7,9 @@
 //! them (Figs. 6/9). The decode here is our real JPEG decoder, so the burn
 //! is genuine CPU time, measured and reported through `cpu_busy_nanos`.
 
-use crate::common::PoolScaffold;
+use crate::common::{decode_rgb_into, PoolScaffold};
 use dlb_cache::{CachedSample, SampleCache};
-use dlb_codec::resize::{resize, ResizeFilter};
-use dlb_codec::JpegDecoder;
+use dlb_codec::{DecodeScratch, JpegDecoder};
 use dlb_fpga::DataSourceResolver;
 use dlb_graph::{
     cpu_training, CompiledPipeline, DecodeDevice, GraphConfig, PipelineGraph, SampleAugmentor,
@@ -131,8 +130,7 @@ impl CpuBackend {
 
     /// [`CpuBackend::start`] with the per-stage `codec.*` timers exported
     /// into `telemetry` (`codec.huffman_ns` / `codec.idct_ns` /
-    /// `codec.color_ns` / `codec.resize_ns`), at the cost of per-block
-    /// timestamp reads in the decoder.
+    /// `codec.color_ns` / `codec.resize_ns`).
     pub fn start_with_telemetry(
         collector: Arc<DataCollector>,
         resolver: Arc<dyn DataSourceResolver>,
@@ -306,11 +304,16 @@ fn cpu_worker(
     augmentor: Option<SampleAugmentor>,
     telemetry: Option<Arc<Telemetry>>,
 ) {
-    // Stage timing costs per-block timestamp reads; only pay for it when
-    // somebody is collecting the counters — or when the cache needs the
-    // per-image decode cost as its eviction signal.
+    // Stage timers are read only when somebody collects the counters — or
+    // when the cache needs the per-image decode cost as its eviction signal.
     let decoder =
         JpegDecoder::new().with_stage_timing(telemetry.is_some() || config.sample_cache.is_some());
+    let mut scratch = DecodeScratch::new();
+    let dims = (config.target_w, config.target_h);
+    let item_bytes = dims.0 as usize * dims.1 as usize * 3;
+    // With an augmentor the decoded item is rewritten on its way into the
+    // unit, so it is decoded into this buffer first.
+    let mut staging = vec![0u8; if augmentor.is_some() { item_bytes } else { 0 }];
     'produce: while !scaffold.stop.load(Ordering::SeqCst) {
         // Resolved per batch so a tracer installed after worker start is
         // still picked up; one `OnceLock::get` branch when disabled.
@@ -412,10 +415,7 @@ fn cpu_worker(
             }
         }
         let mut arrivals = Vec::with_capacity(metas.len());
-        // Fetch the whole batch, then decode it as one pool submission —
-        // images in a batch decode concurrently on the work-stealing pool
-        // (each image itself sequential: throughput-shaped parallelism).
-        let fetched: Vec<Option<Vec<u8>>> = metas
+        let fetched: Vec<Option<Arc<Vec<u8>>>> = metas
             .iter()
             .map(|meta| {
                 arrivals.push(meta.arrival_nanos.unwrap_or(0));
@@ -431,133 +431,115 @@ fn cpu_worker(
                 Instant::now(),
             );
         }
-        let payloads: Vec<&[u8]> = fetched
-            .iter()
-            .map(|b| b.as_deref().unwrap_or(&[]))
-            .collect();
         let decode_t0 = tr.map(|_| Instant::now());
-        let decoded = decoder.decode_batch_with_stats(&payloads);
+        let mut huffman_ns = 0u64;
+        let mut idct_ns = 0u64;
+        let mut color_ns = 0u64;
+        let mut resize_ns = 0u64;
+        // One item after the other through the streaming kernel, each
+        // decoded, resized and written straight into its slot of the unit
+        // (or, under augmentation, into the staging buffer the augmentor
+        // reads). The per-datum small copy of §5.2 is gone; what is left of
+        // it is the cache's own copy at admission.
+        for (meta, jpeg) in metas.iter().zip(&fetched) {
+            let jpeg = jpeg.as_deref().map(Vec::as_slice);
+            let key = config
+                .sample_cache
+                .as_ref()
+                .and_then(|cache| sample_key(&meta.src).map(|key| (cache, key)));
+            // Admission: pre-augmentation pixels, with the measured decode
+            // cost as the eviction signal.
+            let admit = |pixels: &[u8], cost: u64| {
+                if let Some((cache, key)) = key {
+                    cache.insert(
+                        key,
+                        CachedSample {
+                            data: Arc::new(pixels.to_vec()),
+                            label: meta.label,
+                            width: dims.0,
+                            height: dims.1,
+                            channels: 3,
+                        },
+                        cost,
+                    );
+                }
+            };
+            let stats = match &augmentor {
+                None => {
+                    let Some(offset) = unit.reserve(item_bytes, meta.label, dims.0, dims.1, 3)
+                    else {
+                        continue;
+                    };
+                    let slot = &mut unit.storage_mut()[offset..offset + item_bytes];
+                    let stats = decode_rgb_into(&decoder, &mut scratch, jpeg, dims, slot);
+                    if let Some(s) = &stats {
+                        admit(slot, s.huffman_ns + s.idct_ns);
+                    }
+                    stats
+                }
+                Some(aug) => {
+                    let stats = decode_rgb_into(&decoder, &mut scratch, jpeg, dims, &mut staging);
+                    if let Some(s) = &stats {
+                        // Augmentation runs after the cache insert, so
+                        // cached pixels stay pre-augmentation and every
+                        // epoch redraws.
+                        admit(&staging, s.huffman_ns + s.idct_ns);
+                        let aug_t0 = tr.map(|_| Instant::now());
+                        let out = aug.apply(
+                            meta.epoch,
+                            augment_identity(&meta.src),
+                            &staging,
+                            dims.0,
+                            dims.1,
+                            3,
+                        );
+                        if let (Some(t), Some(a0)) = (tr, aug_t0) {
+                            t.span(
+                                trace_id,
+                                stages::AUGMENT,
+                                SpanKind::Service,
+                                a0,
+                                Instant::now(),
+                            );
+                        }
+                        unit.append(&out.data, meta.label, out.width, out.height, out.channels);
+                    } else {
+                        // A zeroed slot of the augmented geometry keeps the
+                        // batch layout rectangular.
+                        let (w, h) = aug.output_dims(dims.0, dims.1);
+                        let bytes = aug.output_bytes(dims.0, dims.1);
+                        if let Some(offset) = unit.reserve(bytes, meta.label, w, h, 3) {
+                            unit.storage_mut()[offset..offset + bytes].fill(0);
+                        }
+                    }
+                    stats
+                }
+            };
+            match stats {
+                Some(s) => {
+                    huffman_ns += s.huffman_ns;
+                    idct_ns += s.idct_ns;
+                    color_ns += s.color_ns;
+                    resize_ns += s.resize_ns;
+                }
+                // Failed fetch or decode: quarantine the key so the sample
+                // can never be admitted.
+                None => {
+                    if let Some((cache, key)) = key {
+                        cache.poison(key);
+                    }
+                }
+            }
+        }
         if let (Some(t), Some(d0)) = (tr, decode_t0) {
+            // Resize is fused into the decode kernel; per-image augment
+            // spans recorded above sit inside this window and win
+            // segmentation.
             t.span(
                 trace_id,
                 stages::CPU_DECODE,
                 SpanKind::Service,
                 d0,
-                Instant::now(),
-            );
-        }
-        let assemble_t0 = tr.map(|_| Instant::now());
-        let mut huffman_ns = 0u64;
-        let mut idct_ns = 0u64;
-        let mut color_ns = 0u64;
-        let mut resize_ns = 0u64;
-        for (meta, result) in metas.iter().zip(decoded) {
-            let mut image_cost = 0u64;
-            let resized = result.ok().and_then(|(img, stats)| {
-                image_cost = stats.huffman_ns + stats.idct_ns;
-                huffman_ns += stats.huffman_ns;
-                idct_ns += stats.idct_ns;
-                color_ns += stats.color_ns;
-                let r0 = Instant::now();
-                let out = resize(
-                    &img,
-                    config.target_w,
-                    config.target_h,
-                    ResizeFilter::Bilinear,
-                )
-                .ok()
-                .map(|img| img.to_rgb());
-                resize_ns += r0.elapsed().as_nanos() as u64;
-                out
-            });
-            match resized {
-                Some(img) => {
-                    if let (Some(cache), Some(key)) = (&config.sample_cache, sample_key(&meta.src))
-                    {
-                        cache.insert(
-                            key,
-                            CachedSample {
-                                data: Arc::new(img.data().to_vec()),
-                                label: meta.label,
-                                width: config.target_w,
-                                height: config.target_h,
-                                channels: 3,
-                            },
-                            image_cost,
-                        );
-                    }
-                    // The per-datum small copy of §5.2 — inherent to the
-                    // CPU path: every image is decoded elsewhere and copied
-                    // into the transfer buffer. Augmentation (when a graph
-                    // composes it) runs here, after the cache insert above,
-                    // so cached pixels stay pre-augmentation and every
-                    // epoch redraws.
-                    match &augmentor {
-                        Some(aug) => {
-                            let aug_t0 = tr.map(|_| Instant::now());
-                            let out = aug.apply(
-                                meta.epoch,
-                                augment_identity(&meta.src),
-                                img.data(),
-                                config.target_w,
-                                config.target_h,
-                                3,
-                            );
-                            if let (Some(t), Some(a0)) = (tr, aug_t0) {
-                                t.span(
-                                    trace_id,
-                                    stages::AUGMENT,
-                                    SpanKind::Service,
-                                    a0,
-                                    Instant::now(),
-                                );
-                            }
-                            unit.append(&out.data, meta.label, out.width, out.height, out.channels);
-                        }
-                        None => {
-                            unit.append(
-                                img.data(),
-                                meta.label,
-                                config.target_w,
-                                config.target_h,
-                                3,
-                            );
-                        }
-                    }
-                }
-                None => {
-                    // Failed fetch or decode: quarantine the key so the
-                    // sample can never be admitted, and reserve a zeroed
-                    // slot so the batch layout stays rectangular (sized to
-                    // the augmented geometry when a plan is attached).
-                    if let (Some(cache), Some(key)) = (&config.sample_cache, sample_key(&meta.src))
-                    {
-                        cache.poison(key);
-                    }
-                    let (slot_bytes, slot_w, slot_h) = match &augmentor {
-                        Some(aug) => {
-                            let (w, h) = aug.output_dims(config.target_w, config.target_h);
-                            (aug.output_bytes(config.target_w, config.target_h), w, h)
-                        }
-                        None => (
-                            config.target_w as usize * config.target_h as usize * 3,
-                            config.target_w,
-                            config.target_h,
-                        ),
-                    };
-                    unit.reserve(slot_bytes, meta.label, slot_w, slot_h, 3);
-                }
-            }
-        }
-        if let (Some(t), Some(a0)) = (tr, assemble_t0) {
-            // Resize dominates assembly; per-image augment spans recorded
-            // above sit inside this window and win segmentation, so resize
-            // is charged only what augmentation didn't consume.
-            t.span(
-                trace_id,
-                stages::RESIZE,
-                SpanKind::Service,
-                a0,
                 Instant::now(),
             );
         }
@@ -779,6 +761,61 @@ mod tests {
         let (lookups, hits, misses) = cache.lookup_stats();
         assert_eq!(hits + misses, lookups);
         assert_eq!(hits, 8, "both epoch-2 batches served fully from cache");
+    }
+
+    #[test]
+    fn a_failed_item_leaves_a_zeroed_slot_between_intact_neighbours() {
+        use dlb_codec::resize::{resize, ResizeFilter};
+        use dlb_storage::Record;
+        // One worker, one scratch: A, then a truncated B, then C — over
+        // more batches than the pool has units, so later ones land in
+        // recycled units still holding an earlier batch's pixels.
+        let disk = Arc::new(NvmeDisk::new(NvmeSpec::optane_900p()));
+        let ds = Dataset::build(DatasetSpec::ilsvrc_small(3, 5), &disk).unwrap();
+        let jpegs: Vec<Arc<Vec<u8>>> = ds
+            .records
+            .iter()
+            .map(|r| disk.read(r.disk_offset, r.len).unwrap())
+            .collect();
+        let truncated = jpegs[1][..jpegs[1].len() / 2].to_vec();
+        let (offset, len) = disk.append(truncated).unwrap();
+        let mut records = ds.records.clone();
+        records[1] = Record {
+            disk_offset: offset,
+            len,
+            ..records[1].clone()
+        };
+        let b = CpuBackend::start(
+            Arc::new(DataCollector::load_from_disk(&records, 0)),
+            Arc::new(CombinedResolver::disk_only(disk)),
+            CpuBackendConfig {
+                n_engines: 1,
+                batch_size: 3,
+                target_w: 32,
+                target_h: 32,
+                workers: 1,
+                max_batches: Some(8),
+                sample_cache: None,
+            },
+        )
+        .unwrap();
+        let reference = |jpeg: &[u8]| {
+            let img = JpegDecoder::new().decode(jpeg).unwrap();
+            resize(&img, 32, 32, ResizeFilter::Bilinear)
+                .unwrap()
+                .to_rgb()
+                .into_vec()
+        };
+        let mut seen = 0;
+        while let Ok(batch) = b.next_batch(0) {
+            assert_eq!(batch.len(), 3);
+            assert_eq!(batch.unit.item_bytes(0), reference(&jpegs[0]));
+            assert!(batch.unit.item_bytes(1).iter().all(|&v| v == 0));
+            assert_eq!(batch.unit.item_bytes(2), reference(&jpegs[2]));
+            seen += 1;
+            b.recycle(batch.unit);
+        }
+        assert_eq!(seen, 8);
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! advertises the device steal that compute engines must apply to their
 //! kernel times.
 
-use crate::common::PoolScaffold;
-use dlb_codec::resize::{resize, ResizeFilter};
-use dlb_codec::JpegDecoder;
+use crate::common::{decode_rgb_into, PoolScaffold};
+use dlb_codec::{DecodeScratch, JpegDecoder};
 use dlb_fpga::DataSourceResolver;
 use dlb_gpu::NvJpegModel;
 use dlb_membridge::BatchUnit;
@@ -128,6 +127,7 @@ fn nvjpeg_worker(
     config: NvJpegBackendConfig,
 ) {
     let decoder = JpegDecoder::new();
+    let mut scratch = DecodeScratch::new();
     'produce: while !scaffold.stop.load(Ordering::SeqCst) {
         if !scaffold.router.claim() {
             break;
@@ -148,37 +148,21 @@ fn nvjpeg_worker(
             break;
         };
         let mut arrivals = Vec::with_capacity(metas.len());
+        let dims = (config.target_w, config.target_h);
+        let item_bytes = dims.0 as usize * dims.1 as usize * 3;
         for meta in &metas {
             arrivals.push(meta.arrival_nanos.unwrap_or(0));
             // "GPU decode": the arithmetic runs here (simulation), but the
             // host is only charged the launch overhead below.
-            let decoded = resolver
-                .fetch(&meta.src)
-                .ok()
-                .and_then(|bytes| decoder.decode(&bytes).ok())
-                .and_then(|img| {
-                    resize(
-                        &img,
-                        config.target_w,
-                        config.target_h,
-                        ResizeFilter::Bilinear,
-                    )
-                    .ok()
-                })
-                .map(|img| img.to_rgb());
-            match decoded {
-                Some(img) => {
-                    unit.append(img.data(), meta.label, config.target_w, config.target_h, 3);
-                }
-                None => {
-                    unit.reserve(
-                        config.target_w as usize * config.target_h as usize * 3,
-                        meta.label,
-                        config.target_w,
-                        config.target_h,
-                        3,
-                    );
-                }
+            let jpeg = resolver.fetch(&meta.src).ok();
+            if let Some(offset) = unit.reserve(item_bytes, meta.label, dims.0, dims.1, 3) {
+                decode_rgb_into(
+                    &decoder,
+                    &mut scratch,
+                    jpeg.as_deref().map(Vec::as_slice),
+                    dims,
+                    &mut unit.storage_mut()[offset..offset + item_bytes],
+                );
             }
         }
         // Host cost contract: launch overhead only (the 1–2 cores of §5.3).

@@ -57,7 +57,9 @@ fn report_thread_sweep() -> FigureReport {
     );
     let corpus8 = corpus(CORPUS_RESTART_INTERVAL);
     let fast = JpegDecoder::new();
-    let reference = JpegDecoder::new().with_reference_idct(true);
+    let reference = JpegDecoder::new()
+        .with_reference_entropy(true)
+        .with_reference_idct(true);
     let rounds = 4;
 
     // Baselines: the pre-SIMD decoder (sequential + reference iDCT +
@@ -222,6 +224,7 @@ fn report_stage_timers() -> FigureReport {
             false,
             JpegDecoder::new()
                 .with_stage_timing(true)
+                .with_reference_entropy(true)
                 .with_reference_idct(true),
         ),
     ] {

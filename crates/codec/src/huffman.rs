@@ -7,7 +7,9 @@
 //! * [`BitWriter`] / [`BitReader`] with JPEG `0xFF 0x00` byte stuffing,
 //! * canonical table construction from (BITS, HUFFVAL) per T.81 Annex C,
 //! * the standard Annex K.3 DC/AC tables,
-//! * fast decoding via a first-level lookup table plus canonical fallback.
+//! * the production decode path: a 64-bit [`BitReservoir`] over a per-table
+//!   [`FusedLut`] whose entries carry run, total length and the sign-extended
+//!   coefficient, with the canonical walk as fallback.
 
 use crate::error::{CodecError, CodecResult};
 
@@ -170,41 +172,45 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Width of the primary decode lookup table in bits. Covers every code in the
-/// Annex K tables except the 11..=16-bit AC tail, which falls back to the
-/// canonical walk.
-pub const LOOKUP_BITS: u32 = 10;
+/// Real bits the reservoir holds before a symbol is resolved (unless the
+/// segment is exhausted): one symbol consumes at most a 16-bit code plus 15
+/// magnitude bits, so 33 always covers it.
+const REFILL_BELOW: u32 = 33;
 
-/// Branchless 64-bit bit reservoir over an entropy-coded segment.
+/// 64-bit MSB-aligned bit reservoir over one entropy-coded segment.
 ///
-/// The reservoir is MSB-aligned: bit 63 of `acc` is the next bit of the
-/// stream. [`BitCursor::refill`] tops it up to ≥ 57 real bits (unless the
-/// segment is exhausted) using 4-byte big-endian bulk loads whenever the next
-/// word contains no `0xFF`, falling back to a stuffing/marker-aware byte loop
-/// otherwise. One refill therefore covers a worst-case Huffman code plus its
-/// magnitude bits (16 + 11 = 27), so the hot decode loop refills once per
-/// coefficient and never branches on reservoir depth in between.
+/// Bit 63 of `acc` is the next bit of the stream and the top `nbits` bits
+/// are accounted stream bits. [`BitReservoir::refill`] is called only when
+/// fewer than 33 remain and then loads eight bytes at once: if none of them
+/// is `0xFF` (no stuffing, no marker) the word is OR-ed in below the live
+/// bits and `pos` advances by the whole bytes that fit. The bits of the
+/// partial byte beyond `nbits` are true look-ahead — the next load ORs the
+/// same values over them — so they need no masking. A word containing
+/// `0xFF` takes the byte loop, which undoes stuffing and stops at a marker
+/// or the end of the data; from then on the reservoir is 1-filled below the
+/// real bits, exactly as [`BitReader::peek_bits`] pads, so a final partial
+/// code resolves to the same symbol on both decoders and running out of
+/// real bits is the one end-of-stream test.
 #[derive(Debug)]
-pub struct BitCursor<'a> {
+pub struct BitReservoir<'a> {
     data: &'a [u8],
     /// Next unread input byte (counts stuffed zero bytes).
     pos: usize,
-    /// MSB-aligned reservoir; the top `nbits` bits are real stream bits.
     acc: u64,
     nbits: u32,
-    /// Set once a marker (or end of data) stops the refill.
+    /// Set once a marker (or the end of the data) stopped the refill.
     end: bool,
 }
 
-/// Whether any byte of the big-endian word equals `0xFF` (SWAR zero-byte
-/// test on the complement).
+/// Whether any byte of `w` equals `0xFF` (SWAR zero-byte test on the
+/// complement).
 #[inline]
-fn word_has_ff(w: u32) -> bool {
-    let v = w ^ 0xFFFF_FFFF;
-    v.wrapping_sub(0x0101_0101) & !v & 0x8080_8080 != 0
+fn word_has_ff(w: u64) -> bool {
+    let v = !w;
+    v.wrapping_sub(0x0101_0101_0101_0101) & !v & 0x8080_8080_8080_8080 != 0
 }
 
-impl<'a> BitCursor<'a> {
+impl<'a> BitReservoir<'a> {
     /// Wraps an entropy-coded segment (without the trailing marker).
     pub fn new(data: &'a [u8]) -> Self {
         Self {
@@ -216,27 +222,34 @@ impl<'a> BitCursor<'a> {
         }
     }
 
-    /// Tops the reservoir up to ≥ 57 real bits, or as far as the segment
-    /// allows. After a refill, `bits_left() < 57` implies the segment is
-    /// exhausted (EOF or marker), which is what [`BitCursor::consume`] relies
-    /// on for its end-of-stream check.
-    #[inline]
+    /// Tops the reservoir up when fewer than 33 real bits remain. Afterwards
+    /// either at least 33 real bits are buffered or the segment is exhausted
+    /// and the bits below the real ones are 1s.
+    #[inline(always)]
     pub fn refill(&mut self) {
-        // Bulk path: 4 clean bytes at a time. A word without 0xFF can contain
-        // neither stuffing nor a marker prefix.
-        while self.nbits <= 32 && !self.end {
-            let Some(chunk) = self.data.get(self.pos..self.pos + 4) else {
-                break;
-            };
-            let w = u32::from_be_bytes(chunk.try_into().unwrap());
-            if word_has_ff(w) {
-                break;
-            }
-            self.acc |= (w as u64) << (32 - self.nbits);
-            self.nbits += 32;
-            self.pos += 4;
+        if self.nbits >= REFILL_BELOW {
+            return;
         }
-        // Byte tail: undo stuffing, stop at markers.
+        if let Some(chunk) = self.data.get(self.pos..self.pos + 8) {
+            let w = u64::from_be_bytes(chunk.try_into().expect("8-byte slice"));
+            if !word_has_ff(w) {
+                self.acc |= w >> self.nbits;
+                let take = (63 - self.nbits) >> 3;
+                self.pos += take as usize;
+                self.nbits += take << 3;
+                return;
+            }
+        }
+        self.refill_bytes();
+    }
+
+    /// Stuffing- and marker-aware byte loop; also the only place the end of
+    /// the segment is detected.
+    #[cold]
+    fn refill_bytes(&mut self) {
+        // Drop the bulk path's look-ahead: with a 0xFF ahead, raw bytes and
+        // stream bits no longer line up.
+        self.acc &= !(u64::MAX >> self.nbits);
         while self.nbits <= 56 && !self.end {
             match self.data.get(self.pos) {
                 None => self.end = true,
@@ -256,42 +269,36 @@ impl<'a> BitCursor<'a> {
                 }
             }
         }
-    }
-
-    /// The next 64 bits of the stream, MSB-aligned, with 1-fill past the real
-    /// bits (matching [`BitReader::peek_bits`] semantics so a final partial
-    /// code is rejected by table lookup, not a premature EOF).
-    #[inline]
-    pub fn peek(&self) -> u64 {
-        if self.nbits >= 64 {
-            self.acc
-        } else {
-            self.acc | (u64::MAX >> self.nbits)
+        if self.end {
+            // `end` is only ever set with nbits <= 56, and bits are only
+            // consumed afterwards.
+            self.acc |= u64::MAX >> self.nbits;
         }
     }
 
+    /// The next 64 bits of the stream, MSB-aligned. Valid for one symbol
+    /// (31 bits) after [`BitReservoir::refill`].
+    #[inline(always)]
+    pub fn peek(&self) -> u64 {
+        self.acc
+    }
+
     /// Real bits currently buffered.
-    #[inline]
+    #[inline(always)]
     pub fn bits_left(&self) -> u32 {
         self.nbits
     }
 
-    /// Consumes `n` previously peeked bits (`n < 64`), erroring if fewer real
-    /// bits remain — after [`BitCursor::refill`], that can only happen at the
-    /// true end of the segment.
-    #[inline]
-    pub fn consume(&mut self, n: u32) -> CodecResult<()> {
-        if self.nbits < n {
-            return Err(CodecError::UnexpectedEof {
-                context: "entropy-coded segment",
-            });
-        }
+    /// Drops `n` bits the caller has checked against
+    /// [`BitReservoir::bits_left`].
+    #[inline(always)]
+    pub fn consume(&mut self, n: u32) {
+        debug_assert!(n <= self.nbits && n < 64);
         self.acc <<= n;
         self.nbits -= n;
-        Ok(())
     }
 
-    /// Byte offset of the next unread input byte (for marker resync).
+    /// Byte offset of the next unread input byte.
     pub fn byte_pos(&self) -> usize {
         self.pos - (self.nbits as usize).div_ceil(8)
     }
@@ -317,11 +324,6 @@ pub struct HuffTable {
     /// Decoder acceleration: for each 8-bit prefix, (symbol, code length) if
     /// a code of ≤8 bits matches; length 0 otherwise.
     fast: Box<[(u8, u8); 256]>,
-    /// Primary decode table for the reservoir path: indexed by the next
-    /// [`LOOKUP_BITS`] stream bits; low 8 bits = symbol, bits 8..12 = code
-    /// length. Zero means no code of ≤ `LOOKUP_BITS` bits matches (canonical
-    /// fallback).
-    lut: Box<[u16]>,
     /// Canonical decode bounds per length: min code, max code, index of first
     /// symbol. Entries are valid only where `counts > 0`.
     min_code: [i32; MAX_CODE_LEN + 1],
@@ -402,32 +404,12 @@ impl HuffTable {
             code <<= 1;
         }
 
-        // Primary LOOKUP_BITS-wide decode table. Symbol 0 with length 0 is
-        // the "no short code" sentinel; a real entry always has length ≥ 1 in
-        // bits 8..12, so the sentinel is unambiguous.
-        let mut lut = vec![0u16; 1 << LOOKUP_BITS].into_boxed_slice();
-        let mut k = 0usize;
-        let mut code: u32 = 0;
-        for len in 1..=(LOOKUP_BITS as usize) {
-            let n = counts[len - 1] as usize;
-            for _ in 0..n {
-                let prefix = (code << (LOOKUP_BITS as usize - len)) as usize;
-                let fill = 1usize << (LOOKUP_BITS as usize - len);
-                let entry = ((len as u16) << 8) | symbols[k] as u16;
-                lut[prefix..prefix + fill].fill(entry);
-                code += 1;
-                k += 1;
-            }
-            code <<= 1;
-        }
-
         Ok(Self {
             counts,
             symbols: symbols.to_vec(),
             enc_code,
             enc_len,
             fast,
-            lut,
             min_code,
             max_code,
             val_ptr,
@@ -491,22 +473,15 @@ impl HuffTable {
         Err(CodecError::InvalidHuffmanCode)
     }
 
-    /// Resolves one symbol from a 64-bit MSB-aligned reservoir peek,
-    /// returning `(symbol, code_length)` without consuming anything.
-    ///
-    /// The primary [`LOOKUP_BITS`]-wide table covers every code of
-    /// ≤ `LOOKUP_BITS` bits (including all codes in the standard Annex K
-    /// tables except the long AC tail); the canonical walk handles the rest.
-    /// By canonical-prefix uniqueness this returns exactly what
-    /// [`HuffTable::decode`] would for the same bit pattern.
-    #[inline]
-    pub fn resolve(&self, peeked: u64) -> CodecResult<(u8, u32)> {
-        let entry = self.lut[(peeked >> (64 - LOOKUP_BITS)) as usize];
-        if entry != 0 {
-            return Ok(((entry & 0xFF) as u8, (entry >> 8) as u32));
-        }
+    /// Canonical walk for the codes a [`FusedLut`] does not hold: resolves
+    /// the code of more than [`LUT_BITS`] bits at the top of a 64-bit
+    /// MSB-aligned peek, returning `(symbol, code_length)`. By
+    /// canonical-prefix uniqueness this is what [`HuffTable::decode`] would
+    /// return for the same bit pattern.
+    #[cold]
+    pub fn resolve_long(&self, peeked: u64) -> CodecResult<(u8, u32)> {
         let code = (peeked >> 48) as i32;
-        for len in (LOOKUP_BITS as usize + 1)..=MAX_CODE_LEN {
+        for len in (LUT_BITS as usize + 1)..=MAX_CODE_LEN {
             let c = code >> (MAX_CODE_LEN - len);
             if self.max_code[len] >= 0 && c <= self.max_code[len] && c >= self.min_code[len] {
                 let idx = self.val_ptr[len] + (c - self.min_code[len]) as usize;
@@ -515,6 +490,136 @@ impl HuffTable {
         }
         Err(CodecError::InvalidHuffmanCode)
     }
+}
+
+// ---------------------------------------------------------------------------
+// Fused decode table
+// ---------------------------------------------------------------------------
+
+/// Index width of a [`FusedLut`] in bits.
+///
+/// Measured on the benchmark corpus (≈500×375, q92, standard tables,
+/// ≈72k AC symbols per image): at 9 bits 85.3 % of AC symbols resolve to a
+/// fused entry and 3.6 % miss the table; at 10 bits 89.9 % / 1.8 %; at 11
+/// bits 90.9 % / 0.9 %; at 12 bits 91.4 % / 0.6 % (the rest are EOB/ZRL and
+/// long magnitudes, which resolve in one load but extract their bits
+/// separately). The fused share saturates at 11, the first width that holds
+/// the standard luma ZRL code; entropy time was indistinguishable between
+/// 10, 11 and 12 bits on the development host. A table is 4 · 2^bits bytes
+/// and an image uses four, so 11 bits (32 KiB, mostly cold) still sits in a
+/// 48 KiB L1D beside the MCU-row working set, and 12 would not.
+pub const LUT_BITS: u32 = 11;
+
+/// Which symbols a table carries, which decides how an entry fuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TableClass {
+    /// Symbols are magnitude categories `SSSS` (0..=11).
+    Dc,
+    /// Symbols are `RRRRSSSS` run/size pairs.
+    Ac,
+}
+
+/// One-load decode table over the next [`LUT_BITS`] stream bits.
+///
+/// An entry is one of:
+///
+/// * **fused** — the code *and* its magnitude bits fit the window:
+///   bits 0..5 code length, bits 5..10 total length (code + magnitude, never
+///   0), bits 10..14 zero run, bits 16..32 the sign-extended coefficient
+///   (DC: the difference);
+/// * **code only** — the code fits, the magnitude bits do not (or the symbol
+///   has none: EOB, ZRL, DC category 0, or a DC category above 11 the caller
+///   must reject): bits 0..5 code length, bits 5..10 zero, bits 16..24 the
+///   symbol;
+/// * **miss** (`0`) — the code is longer than the window; fall back to
+///   [`HuffTable::resolve_long`].
+#[derive(Debug, Clone)]
+pub struct FusedLut {
+    entries: Box<[u32; 1 << LUT_BITS]>,
+}
+
+impl FusedLut {
+    /// An all-miss table (every lookup falls back to the canonical walk).
+    pub fn empty() -> Self {
+        Self {
+            entries: Box::new([0; 1 << LUT_BITS]),
+        }
+    }
+
+    /// Refills the table in place from `table`.
+    pub fn rebuild(&mut self, table: &HuffTable, class: TableClass) {
+        let w = LUT_BITS as usize;
+        self.entries.fill(0);
+        let mut k = 0usize;
+        let mut code: usize = 0;
+        for len in 1..=w {
+            for _ in 0..table.counts[len - 1] {
+                let sym = table.symbols[k];
+                let (run, size) = match class {
+                    TableClass::Dc => (0, sym as usize),
+                    TableClass::Ac => ((sym >> 4) as u32, (sym & 0x0F) as usize),
+                };
+                let prefix = code << (w - len);
+                let fusable =
+                    size > 0 && len + size <= w && (class == TableClass::Ac || size <= 11);
+                if fusable {
+                    let total = len + size;
+                    let fill = 1usize << (w - total);
+                    for bits in 0..(1usize << size) {
+                        let value = decode_magnitude(bits as u32, size as u32);
+                        let entry = ((value as i16 as u16 as u32) << 16)
+                            | (run << 10)
+                            | ((total as u32) << 5)
+                            | len as u32;
+                        let at = prefix | (bits << (w - total));
+                        self.entries[at..at + fill].fill(entry);
+                    }
+                } else {
+                    let entry = ((sym as u32) << 16) | len as u32;
+                    self.entries[prefix..prefix + (1usize << (w - len))].fill(entry);
+                }
+                code += 1;
+                k += 1;
+            }
+            code <<= 1;
+        }
+    }
+
+    /// The entry for the [`LUT_BITS`] bits at the top of `peeked`.
+    #[inline(always)]
+    pub fn lookup(&self, peeked: u64) -> u32 {
+        self.entries[(peeked >> (64 - LUT_BITS)) as usize]
+    }
+}
+
+/// Code length of a non-miss [`FusedLut`] entry.
+#[inline(always)]
+pub fn entry_code_len(entry: u32) -> u32 {
+    entry & 0x1F
+}
+
+/// Code + magnitude length of a fused entry; 0 for code-only entries.
+#[inline(always)]
+pub fn entry_total_len(entry: u32) -> u32 {
+    (entry >> 5) & 0x1F
+}
+
+/// Zero run of a fused AC entry.
+#[inline(always)]
+pub fn entry_run(entry: u32) -> usize {
+    ((entry >> 10) & 0x0F) as usize
+}
+
+/// Sign-extended coefficient of a fused entry.
+#[inline(always)]
+pub fn entry_value(entry: u32) -> i32 {
+    entry as i32 >> 16
+}
+
+/// Symbol of a code-only entry.
+#[inline(always)]
+pub fn entry_symbol(entry: u32) -> u8 {
+    (entry >> 16) as u8
 }
 
 // ---------------------------------------------------------------------------
@@ -783,38 +888,92 @@ mod tests {
         }
     }
 
+    /// Resolves the symbol at the top of `peeked` the way the block decoder
+    /// does: fused entry, code-only entry, or canonical walk.
+    fn resolve(table: &HuffTable, lut: &FusedLut, class: TableClass, peeked: u64) -> (u8, u32) {
+        let e = lut.lookup(peeked);
+        if e == 0 {
+            return table.resolve_long(peeked).unwrap();
+        }
+        if entry_total_len(e) == 0 {
+            return (entry_symbol(e), entry_code_len(e));
+        }
+        // Fused: reconstruct the symbol from run and magnitude length.
+        let size = entry_total_len(e) - entry_code_len(e);
+        let sym = match class {
+            TableClass::Dc => size as u8,
+            TableClass::Ac => ((entry_run(e) as u8) << 4) | size as u8,
+        };
+        (sym, entry_code_len(e))
+    }
+
     #[test]
-    fn resolve_matches_decode_for_all_symbols() {
-        for table in [
-            std_dc_luma(),
-            std_dc_chroma(),
-            std_ac_luma(),
-            std_ac_chroma(),
+    fn fused_lut_matches_decode_for_all_symbols_and_magnitudes() {
+        for (table, class) in [
+            (std_dc_luma(), TableClass::Dc),
+            (std_dc_chroma(), TableClass::Dc),
+            (std_ac_luma(), TableClass::Ac),
+            (std_ac_chroma(), TableClass::Ac),
         ] {
+            let mut lut = FusedLut::empty();
+            lut.rebuild(&table, class);
             for &s in table.symbols() {
-                let mut w = BitWriter::new();
-                table.encode(&mut w, s).unwrap();
-                let bytes = w.finish();
-                let mut cur = BitCursor::new(&bytes);
-                cur.refill();
-                let (sym, len) = table.resolve(cur.peek()).unwrap();
-                assert_eq!(sym, s);
-                assert_eq!(len, table.code_len(s).unwrap());
+                let size = match class {
+                    TableClass::Dc => s as u32,
+                    TableClass::Ac => (s & 0x0F) as u32,
+                };
+                // Every magnitude pattern of a short category, the extremes
+                // of a long one.
+                let patterns: Vec<u32> = if size <= 6 {
+                    (0..1u32 << size).collect()
+                } else {
+                    vec![
+                        0,
+                        1,
+                        (1 << (size - 1)) - 1,
+                        1 << (size - 1),
+                        (1 << size) - 1,
+                    ]
+                };
+                for bits in patterns {
+                    let mut w = BitWriter::new();
+                    table.encode(&mut w, s).unwrap();
+                    w.put_bits(bits, size);
+                    let bytes = w.finish();
+                    let mut r = BitReservoir::new(&bytes);
+                    r.refill();
+                    let (sym, len) = resolve(&table, &lut, class, r.peek());
+                    assert_eq!(sym, s);
+                    assert_eq!(len, table.code_len(s).unwrap());
+                    let e = lut.lookup(r.peek());
+                    if e != 0 && entry_total_len(e) != 0 {
+                        assert_eq!(entry_total_len(e), len + size);
+                        assert_eq!(entry_value(e), decode_magnitude(bits, size), "sym {s:#x}");
+                    } else {
+                        assert!(
+                            size == 0 || len + size > LUT_BITS,
+                            "sym {s:#x} len {len} should have fused"
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn resolve_rejects_absent_code() {
+    fn resolve_long_rejects_absent_code() {
         let table = std_dc_luma();
+        let mut lut = FusedLut::empty();
+        lut.rebuild(&table, TableClass::Dc);
+        assert_eq!(lut.lookup(u64::MAX), 0);
         assert!(matches!(
-            table.resolve(u64::MAX),
+            table.resolve_long(u64::MAX),
             Err(CodecError::InvalidHuffmanCode)
         ));
     }
 
     #[test]
-    fn cursor_matches_reader_bit_for_bit() {
+    fn reservoir_matches_reader_bit_for_bit() {
         // A stream with stuffed 0xFF bytes, clean runs, and a trailing marker.
         let mut w = BitWriter::new();
         for i in 0..200u32 {
@@ -826,44 +985,72 @@ mod tests {
         let mut bytes = w.finish();
         bytes.extend_from_slice(&[0xFF, 0xD9]); // terminating marker
         let mut r = BitReader::new(&bytes);
-        let mut c = BitCursor::new(&bytes);
+        let mut c = BitReservoir::new(&bytes);
         let mut drained = 0u32;
         loop {
             c.refill();
             let want = r.peek_bits(16).unwrap();
             let got = (c.peek() >> 48) as u32;
             assert_eq!(got, want, "peek mismatch after {drained} bits");
-            let step = 1 + (drained % 13);
-            if r.get_bits(step).is_err() {
-                assert!(c.consume(step).is_err());
+            let step = 1 + (drained % 31);
+            let mut left = step;
+            let mut reader_ok = true;
+            while left > 0 && reader_ok {
+                let n = left.min(16);
+                reader_ok = r.get_bits(n).is_ok();
+                left -= n;
+            }
+            if !reader_ok {
+                assert!(c.bits_left() < step);
                 break;
             }
-            c.consume(step).unwrap();
+            assert!(c.bits_left() >= step, "after {drained} bits");
+            c.consume(step);
             drained += step;
         }
     }
 
     #[test]
-    fn cursor_bulk_refill_skips_no_stuffing() {
-        // 0xFF 0x00 pairs must decode as single 0xFF bytes through the bulk
-        // word loads as well as the byte tail.
+    fn reservoir_bulk_refill_loads_whole_bytes() {
+        let data = [
+            0x12u8, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66,
+            0x77, 0x88,
+        ];
+        let mut c = BitReservoir::new(&data);
+        c.refill();
+        // Seven whole bytes are accounted; the eighth is look-ahead.
+        assert_eq!(c.bits_left(), 56);
+        assert_eq!(c.peek(), 0x1234_5678_9ABC_DEF0);
+        assert_eq!(c.byte_pos(), 0);
+        c.consume(28);
+        c.refill();
+        // Four more bytes fit; the look-ahead nibble is the stream's next.
+        assert_eq!(c.bits_left(), 28 + 32);
+        assert_eq!(c.peek(), 0x89AB_CDEF_0112_2334);
+        assert_eq!(c.byte_pos(), 3);
+    }
+
+    #[test]
+    fn reservoir_byte_path_undoes_stuffing() {
+        // 0xFF 0x00 pairs must decode as single 0xFF bytes.
         let data = [0x12u8, 0x34, 0x56, 0x78, 0xFF, 0x00, 0x9A, 0xBC, 0xDE];
-        let mut c = BitCursor::new(&data);
+        let mut c = BitReservoir::new(&data);
         c.refill();
         assert_eq!(c.bits_left(), 64);
         assert_eq!(c.peek(), 0x1234_5678_FF9A_BCDE);
     }
 
     #[test]
-    fn cursor_stops_at_marker_and_one_fills() {
+    fn reservoir_stops_at_marker_and_one_fills() {
         let data = [0xA5u8, 0xFF, 0xD0];
-        let mut c = BitCursor::new(&data);
+        let mut c = BitReservoir::new(&data);
         c.refill();
         assert_eq!(c.bits_left(), 8);
-        assert_eq!(c.peek() >> 56, 0xA5);
-        assert_eq!(c.peek() & 0x00FF_FFFF_FFFF_FFFF, 0x00FF_FFFF_FFFF_FFFF);
-        c.consume(8).unwrap();
-        assert!(c.consume(1).is_err());
+        assert_eq!(c.peek(), 0xA5FF_FFFF_FFFF_FFFF);
+        c.consume(8);
+        c.refill();
+        assert_eq!(c.bits_left(), 0);
+        assert_eq!(c.peek(), u64::MAX);
     }
 
     #[test]

@@ -2,22 +2,33 @@
 //!
 //! This is the exact computation DLBooster's FPGA decoder performs (paper
 //! Fig. 4): marker/metadata parsing, Huffman entropy decode, dequantisation,
-//! inverse DCT, chroma upsampling and YCbCr→RGB conversion. The simulated
-//! FPGA lanes in `dlb-fpga` run this code in functional mode; the CPU
-//! baseline backend in `dlb-backends` runs it on worker threads.
+//! inverse DCT, chroma upsampling, YCbCr→RGB conversion and the resizer. The
+//! simulated FPGA lanes in `dlb-fpga` and the CPU baseline workers in
+//! `dlb-backends` both run [`JpegDecoder::decode_into`], the streaming
+//! kernel: one MCU row at a time is entropy-decoded into a coefficient
+//! buffer, transformed into per-component sample strips, and handed to the
+//! row stage (`rows.rs`), which converts, resizes and writes finished rows
+//! straight into the caller's window. All working memory lives in a
+//! [`DecodeScratch`]. [`JpegDecoder::decode`] is the same kernel delivering
+//! at source geometry into a fresh [`Image`].
 //!
-//! Beyond the decoded [`Image`], the decoder reports [`DecodeStats`] — MCU
-//! counts and entropy-bit totals — which the discrete-event timing model uses
-//! to charge cycle-accurate costs to the Huffman / iDCT / resize pipeline
-//! stages without re-running the arithmetic.
+//! Beyond the pixels, the decoder reports [`DecodeStats`] — MCU counts and
+//! entropy-bit totals — which the discrete-event timing model uses to charge
+//! cycle-accurate costs to the Huffman / iDCT / resize pipeline stages
+//! without re-running the arithmetic.
 
+use super::rows::{Planes, RowStage};
+use super::scratch::{grown, CompTables, DecodeScratch, HuffSlot, RowBuffers, TableCache};
 use super::{marker, ComponentSpec, FrameInfo};
-use crate::dct::{idct_8x8, idct_8x8_dequant, idct_8x8_dequant_u8, BLOCK_LEN, ZIGZAG};
+use crate::dct::{idct_8x8, idct_8x8_dequant_u8, BLOCK_LEN, ZIGZAG};
 use crate::error::{CodecError, CodecResult};
-use crate::huffman::{decode_magnitude, extend_magnitude, BitCursor, BitReader, HuffTable};
-use crate::pixel::{clamp_u8, upsample_dup2_row, ycbcr_rows_to_rgb, ColorSpace, Image};
-use crate::quant::QuantTable;
+use crate::huffman::{
+    decode_magnitude, entry_code_len, entry_run, entry_symbol, entry_total_len, entry_value,
+    extend_magnitude, BitReader, BitReservoir, TableClass, MAX_CODE_LEN,
+};
+use crate::pixel::{clamp_u8, ColorSpace, Image};
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::time::Instant;
 
 /// Minimum MCUs a parallel decode task should cover. Streams encoded with a
@@ -28,9 +39,11 @@ use std::time::Instant;
 /// chunk they still decode back-to-back with independent restart state.
 const MIN_PARALLEL_CHUNK_MCUS: u64 = 32;
 
-/// Upper bound on scan components in baseline JPEG as parsed here (1 or 3);
-/// sized to 4 so the DC predictors fit in a stack array.
-const MAX_COMPONENTS: usize = 4;
+/// Most pixels a frame header may declare. A SOF0 is ten bytes of
+/// attacker-controlled input that sizes every buffer downstream; 64 Mpx
+/// (8192×8192) is far beyond any training image and keeps a one-image
+/// [`JpegDecoder::decode`] below 200 MB.
+pub const MAX_PIXELS: u64 = 1 << 26;
 
 /// Work statistics gathered during a decode, consumed by the FPGA timing
 /// model (`dlb-fpga::timing`) and — for the `*_ns` stage timers — by the
@@ -54,9 +67,13 @@ pub struct DecodeStats {
     /// Wall nanoseconds in dequantisation + inverse DCT (same caveats as
     /// [`DecodeStats::huffman_ns`]).
     pub idct_ns: u64,
-    /// Wall nanoseconds in chroma upsampling + YCbCr→RGB conversion (the
-    /// image-assembly stage; same caveats as [`DecodeStats::huffman_ns`]).
+    /// Wall nanoseconds in chroma upsampling + YCbCr→RGB conversion (same
+    /// caveats as [`DecodeStats::huffman_ns`]).
     pub color_ns: u64,
+    /// Wall nanoseconds in the resizer and the output-format step of
+    /// [`JpegDecoder::decode_into`]; zero when rows are delivered at source
+    /// geometry in the source's colour layout.
+    pub resize_ns: u64,
 }
 
 impl DecodeStats {
@@ -74,14 +91,28 @@ impl DecodeStats {
     }
 }
 
+/// What [`JpegDecoder::decode_into`] delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decoded {
+    /// Width of the delivered image in pixels.
+    pub width: u32,
+    /// Height of the delivered image in pixels.
+    pub height: u32,
+    /// Bytes written at the start of the output window.
+    pub bytes: usize,
+    /// Work counters and (when enabled) stage timers.
+    pub stats: DecodeStats,
+}
+
 /// Baseline JPEG decoder.
 ///
 /// The decoder is cheap to construct and `Sync`; one instance can serve
-/// any number of threads. [`JpegDecoder::decode`] walks the scan
-/// sequentially; [`JpegDecoder::decode_parallel`] entropy-decodes
-/// independent restart segments concurrently on the work-stealing pool —
-/// the software mirror of the paper's 4-way parallel Huffman unit
-/// (Fig. 4) — and is bit-exact with the sequential path.
+/// any number of threads. [`JpegDecoder::decode_into`] is the production
+/// kernel; [`JpegDecoder::decode`] and [`JpegDecoder::decode_parallel`] are
+/// one-image conveniences over the same block decoder and row kernels
+/// (the latter entropy-decodes independent restart segments concurrently
+/// on the work-stealing pool — the software mirror of the paper's 4-way
+/// parallel Huffman unit, Fig. 4) and are bit-exact with it.
 #[derive(Debug, Default, Clone)]
 pub struct JpegDecoder {
     collect_timing: bool,
@@ -89,15 +120,19 @@ pub struct JpegDecoder {
     reference_entropy: bool,
 }
 
-/// Everything parsed from the header section (before the entropy scan).
-#[derive(Debug)]
-struct Headers {
-    frame: FrameInfo,
-    qtables: [Option<QuantTable>; 4],
-    dc_tables: [Option<HuffTable>; 4],
-    ac_tables: [Option<HuffTable>; 4],
-    /// Offset of the first entropy-coded byte.
-    scan_start: usize,
+thread_local! {
+    /// Scratch behind the one-image API, so `decode` in a loop reuses its
+    /// tables and row buffers like a lane does.
+    static THREAD_SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::new());
+}
+
+fn with_thread_scratch<T>(f: impl FnOnce(&mut DecodeScratch) -> T) -> T {
+    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        // Re-entered on this thread (a pool task run inline): stay correct
+        // with a temporary.
+        Err(_) => f(&mut DecodeScratch::new()),
+    })
 }
 
 impl JpegDecoder {
@@ -106,9 +141,11 @@ impl JpegDecoder {
         Self::default()
     }
 
-    /// Enables per-stage wall-clock timing: [`DecodeStats::huffman_ns`] /
-    /// [`DecodeStats::idct_ns`] are populated. Off by default — the
-    /// per-block `Instant` reads cost ~1 % of decode time.
+    /// Enables per-stage wall-clock timing: the `*_ns` fields of
+    /// [`DecodeStats`] are populated. Off by default. The clock is read per
+    /// MCU row (three times, ≈70 reads for a 500×375 image) plus, when
+    /// resizing, twice per source row: a few microseconds per image, under
+    /// 1 % of decode time.
     pub fn with_stage_timing(mut self, on: bool) -> Self {
         self.collect_timing = on;
         self
@@ -122,9 +159,10 @@ impl JpegDecoder {
     }
 
     /// Forces the original bit-at-a-time Huffman decoder instead of the
-    /// reservoir + lookup-table fast path. The two are bit-exact on the
-    /// decoded pixels and work counters; this switch exists so equivalence
-    /// tests and benchmarks can compare them.
+    /// reservoir + fused-table path. The two are bit-exact on the decoded
+    /// pixels and work counters and fail with the same error on the same
+    /// malformed stream; this switch exists so equivalence tests and
+    /// benchmarks can compare them.
     pub fn with_reference_entropy(mut self, on: bool) -> Self {
         self.reference_entropy = on;
         self
@@ -134,7 +172,47 @@ impl JpegDecoder {
     /// what DLBooster's `DataCollector` calls to build decode cmds without
     /// touching the entropy-coded payload.
     pub fn decode_header(&self, data: &[u8]) -> CodecResult<FrameInfo> {
-        parse_headers(data).map(|h| h.frame)
+        with_thread_scratch(|s| parse_headers(data, &mut s.tables)).map(|(frame, _)| frame.info())
+    }
+
+    /// Decodes a JFIF stream **into `out`**: `target` = `Some((w, h))`
+    /// resizes to that geometry with the bilinear filter, `None` delivers at
+    /// source geometry; `color` is the layout of the delivered pixels
+    /// (grayscale sources replicate into RGB, colour sources reduce to luma
+    /// after resizing). The image occupies the first [`Decoded::bytes`]
+    /// bytes of `out`, row-major; `out` must be at least that long.
+    ///
+    /// Byte for byte this is [`JpegDecoder::decode`], then
+    /// [`crate::resize::resize`] with [`crate::ResizeFilter::Bilinear`],
+    /// then [`Image::to_rgb`] / [`Image::to_gray`] — without materialising
+    /// any of the intermediate images, and without allocating once
+    /// `scratch` has seen the geometry.
+    ///
+    /// On error the contents of `out` are unspecified (rows of *this* image
+    /// decoded before the fault may have been written; nothing of an earlier
+    /// image ever is).
+    pub fn decode_into(
+        &self,
+        data: &[u8],
+        scratch: &mut DecodeScratch,
+        target: Option<(u32, u32)>,
+        color: ColorSpace,
+        out: &mut [u8],
+    ) -> CodecResult<Decoded> {
+        let result = self
+            .plan(data, scratch, target, Some(color))
+            .and_then(|plan| {
+                let need = plan.stage.out_len();
+                let have = out.len();
+                let window = out
+                    .get_mut(..need)
+                    .ok_or_else(|| CodecError::InvalidArgument {
+                        detail: format!("output window of {have} bytes cannot hold {need}"),
+                    })?;
+                self.run(data, scratch, plan, false, window)
+            });
+        scratch.release_if_oversized();
+        result
     }
 
     /// Decodes a complete JFIF stream to an interleaved [`Image`]
@@ -145,8 +223,7 @@ impl JpegDecoder {
 
     /// Decodes and additionally reports workload statistics.
     pub fn decode_with_stats(&self, data: &[u8]) -> CodecResult<(Image, DecodeStats)> {
-        let headers = parse_headers(data)?;
-        decode_scan(data, &headers, self, false)
+        self.decode_image(data, false)
     }
 
     /// Decodes with restart segments entropy-decoded **in parallel** on
@@ -160,29 +237,135 @@ impl JpegDecoder {
 
     /// [`JpegDecoder::decode_parallel`] plus workload statistics.
     pub fn decode_parallel_with_stats(&self, data: &[u8]) -> CodecResult<(Image, DecodeStats)> {
-        let headers = parse_headers(data)?;
-        decode_scan(data, &headers, self, true)
+        self.decode_image(data, true)
     }
 
     /// Decodes a batch of independent streams concurrently (one pool task
-    /// per image, each image decoded sequentially — the throughput-shaped
-    /// parallelism the CPU backend's worker pool uses). Results keep
-    /// input order; per-image failures do not affect their neighbours.
+    /// per image, each image decoded sequentially). Results keep input
+    /// order; per-image failures do not affect their neighbours.
     pub fn decode_batch(&self, batch: &[&[u8]]) -> Vec<CodecResult<Image>> {
         batch.par_iter().map(|data| self.decode(data)).collect()
     }
 
-    /// [`JpegDecoder::decode_batch`] plus per-image workload statistics,
-    /// for callers that export the `codec.*` stage timers.
-    pub fn decode_batch_with_stats(
-        &self,
-        batch: &[&[u8]],
-    ) -> Vec<CodecResult<(Image, DecodeStats)>> {
-        batch
-            .par_iter()
-            .map(|data| self.decode_with_stats(data))
-            .collect()
+    /// The one-image API: source geometry, source colour layout, fresh
+    /// buffer, thread-local scratch.
+    fn decode_image(&self, data: &[u8], parallel: bool) -> CodecResult<(Image, DecodeStats)> {
+        with_thread_scratch(|scratch| {
+            let result = self.plan(data, scratch, None, None).and_then(|plan| {
+                let color = plan.color;
+                let mut pixels = vec![0u8; plan.stage.out_len()];
+                let decoded = self.run(data, scratch, plan, parallel, &mut pixels)?;
+                let image = Image::from_vec(decoded.width, decoded.height, color, pixels)?;
+                Ok((image, decoded.stats))
+            });
+            scratch.release_if_oversized();
+            result
+        })
     }
+
+    /// Parses the headers into the scratch's table cache and plans the
+    /// delivery. `color` = `None` keeps the source's layout. Touches no
+    /// pixel and, beyond the row buffers, sizes nothing: the caller learns
+    /// the output length before committing memory to it.
+    fn plan(
+        &self,
+        data: &[u8],
+        scratch: &mut DecodeScratch,
+        target: Option<(u32, u32)>,
+        color: Option<ColorSpace>,
+    ) -> CodecResult<Plan> {
+        let (frame, scan_start) = parse_headers(data, &mut scratch.tables)?;
+        let color = color.unwrap_or(if frame.ncomp == 1 {
+            ColorSpace::Gray
+        } else {
+            ColorSpace::Rgb
+        });
+        let stage = RowStage::new(&frame, target, color, &mut scratch.rows)?;
+        Ok(Plan {
+            frame,
+            scan_start,
+            color,
+            stage,
+        })
+    }
+
+    /// Decodes the scan of a planned image into `out` (exactly
+    /// `plan.stage.out_len()` bytes).
+    fn run(
+        &self,
+        data: &[u8],
+        scratch: &mut DecodeScratch,
+        plan: Plan,
+        parallel: bool,
+        out: &mut [u8],
+    ) -> CodecResult<Decoded> {
+        let Plan {
+            frame,
+            scan_start,
+            mut stage,
+            ..
+        } = plan;
+        let DecodeScratch {
+            tables,
+            segments,
+            coeffs,
+            strips,
+            rows,
+        } = scratch;
+        let resolve = |spec: &ComponentSpec| -> CodecResult<Comp<'_>> {
+            Ok(Comp {
+                spec: *spec,
+                tables: tables.resolve(spec)?,
+            })
+        };
+        let mut comps = [resolve(&frame.components()[0])?; 3];
+        for (slot, spec) in comps.iter_mut().zip(frame.components()).skip(1) {
+            *slot = resolve(spec)?;
+        }
+        let scan = Scan::index(data, scan_start, &frame, segments)?;
+        let mut stats = DecodeStats {
+            restart_segments: scan.segments.len() as u32,
+            ..DecodeStats::default()
+        };
+        let ctx = ScanCtx {
+            dec: self,
+            frame: &frame,
+            comps: &comps[..frame.ncomp],
+            scan,
+        };
+        let chunks = if parallel && rayon::current_num_threads() > 1 {
+            ctx.parallel_chunks()
+        } else {
+            Vec::new()
+        };
+        if chunks.len() >= 2 {
+            ctx.run_parallel(&chunks, &mut stage, rows, out, &mut stats)?;
+        } else if self.reference_entropy {
+            ctx.run_streaming::<BitReader<'_>>(coeffs, strips, &mut stage, rows, out, &mut stats)?;
+        } else {
+            ctx.run_streaming::<BitReservoir<'_>>(
+                coeffs, strips, &mut stage, rows, out, &mut stats,
+            )?;
+        }
+        let (w, h) = stage.out_dims();
+        Ok(Decoded {
+            width: w as u32,
+            height: h as u32,
+            bytes: out.len(),
+            stats,
+        })
+    }
+}
+
+/// A parsed image ready to be decoded: what [`JpegDecoder::plan`] hands
+/// [`JpegDecoder::run`].
+struct Plan {
+    frame: Frame,
+    /// Offset of the first entropy-coded byte.
+    scan_start: usize,
+    /// Layout of the delivered pixels.
+    color: ColorSpace,
+    stage: RowStage,
 }
 
 // ---------------------------------------------------------------------------
@@ -195,17 +378,76 @@ fn read_u16(data: &[u8], pos: usize, context: &'static str) -> CodecResult<u16> 
         .ok_or(CodecError::UnexpectedEof { context })
 }
 
-fn parse_headers(data: &[u8]) -> CodecResult<Headers> {
+/// Frame-level metadata as the decoder carries it: [`FrameInfo`] without
+/// the heap (a baseline frame has one or three components).
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Frame {
+    pub(super) width: u32,
+    pub(super) height: u32,
+    pub(super) ncomp: usize,
+    comps: [ComponentSpec; 3],
+    restart_interval: u16,
+}
+
+impl Frame {
+    /// Scan components in order.
+    pub(super) fn components(&self) -> &[ComponentSpec] {
+        &self.comps[..self.ncomp]
+    }
+
+    /// (h_max, v_max) across components.
+    pub(super) fn max_sampling(&self) -> (usize, usize) {
+        let comps = self.components();
+        (
+            comps.iter().map(|c| c.h as usize).max().unwrap_or(1),
+            comps.iter().map(|c| c.v as usize).max().unwrap_or(1),
+        )
+    }
+
+    /// MCU grid dimensions (columns, rows).
+    fn mcu_grid(&self) -> (u32, u32) {
+        let (h, v) = self.max_sampling();
+        (
+            self.width.div_ceil(8 * h as u32),
+            self.height.div_ceil(8 * v as u32),
+        )
+    }
+
+    /// Total number of MCUs in the scan.
+    fn mcu_count(&self) -> u64 {
+        let (c, r) = self.mcu_grid();
+        c as u64 * r as u64
+    }
+
+    /// 8×8 blocks per MCU across all components.
+    fn blocks_per_mcu(&self) -> usize {
+        self.components()
+            .iter()
+            .map(|c| c.h as usize * c.v as usize)
+            .sum()
+    }
+
+    fn info(&self) -> FrameInfo {
+        FrameInfo {
+            width: self.width,
+            height: self.height,
+            components: self.components().to_vec(),
+            restart_interval: self.restart_interval,
+        }
+    }
+}
+
+/// Parses the header section, applying every DHT/DQT to `tables`. Returns
+/// the frame and the offset of the first entropy-coded byte.
+fn parse_headers(data: &[u8], tables: &mut TableCache) -> CodecResult<(Frame, usize)> {
     if data.len() < 4 || data[0] != 0xFF || data[1] != marker::SOI {
         return Err(CodecError::MalformedSegment {
             detail: "missing SOI".into(),
         });
     }
+    tables.begin_image();
     let mut pos = 2usize;
-    let mut qtables: [Option<QuantTable>; 4] = [None, None, None, None];
-    let mut dc_tables: [Option<HuffTable>; 4] = [None, None, None, None];
-    let mut ac_tables: [Option<HuffTable>; 4] = [None, None, None, None];
-    let mut frame: Option<FrameInfo> = None;
+    let mut frame: Option<Frame> = None;
     let mut restart_interval = 0u16;
 
     loop {
@@ -241,13 +483,7 @@ fn parse_headers(data: &[u8]) -> CodecResult<Headers> {
                 })?;
                 parse_sos(seg, &mut frame)?;
                 frame.restart_interval = restart_interval;
-                return Ok(Headers {
-                    frame,
-                    qtables,
-                    dc_tables,
-                    ac_tables,
-                    scan_start: pos + len,
-                });
+                return Ok((frame, pos + len));
             }
             marker::SOF0 => {
                 let len = read_u16(data, pos, "SOF0 length")? as usize;
@@ -271,7 +507,7 @@ fn parse_headers(data: &[u8]) -> CodecResult<Headers> {
                     .ok_or(CodecError::UnexpectedEof {
                         context: "DQT payload",
                     })?;
-                parse_dqt(seg, &mut qtables)?;
+                parse_dqt(seg, tables)?;
                 pos += len;
             }
             marker::DHT => {
@@ -281,7 +517,7 @@ fn parse_headers(data: &[u8]) -> CodecResult<Headers> {
                     .ok_or(CodecError::UnexpectedEof {
                         context: "DHT payload",
                     })?;
-                parse_dht(seg, &mut dc_tables, &mut ac_tables)?;
+                parse_dht(seg, tables)?;
                 pos += len;
             }
             marker::DRI => {
@@ -304,7 +540,7 @@ fn parse_headers(data: &[u8]) -> CodecResult<Headers> {
     }
 }
 
-fn parse_sof0(seg: &[u8]) -> CodecResult<FrameInfo> {
+fn parse_sof0(seg: &[u8]) -> CodecResult<Frame> {
     if seg.len() < 6 {
         return Err(CodecError::MalformedSegment {
             detail: "SOF0 too short".into(),
@@ -332,11 +568,19 @@ fn parse_sof0(seg: &[u8]) -> CodecResult<FrameInfo> {
             detail: "SOF0 component list truncated".into(),
         });
     }
-    if width == 0 || height == 0 {
+    // Checked here, before anything is sized from the header.
+    if width == 0 || height == 0 || width as u64 * height as u64 > MAX_PIXELS {
         return Err(CodecError::UnsupportedDimensions { width, height });
     }
-    let mut components = Vec::with_capacity(ncomp);
-    for i in 0..ncomp {
+    let mut comps = [ComponentSpec {
+        id: 0,
+        h: 1,
+        v: 1,
+        qtable: 0,
+        dc_table: 0,
+        ac_table: 0,
+    }; 3];
+    for (i, comp) in comps.iter_mut().enumerate().take(ncomp) {
         let b = &seg[6 + 3 * i..9 + 3 * i];
         let h = b[1] >> 4;
         let v = b[1] & 0x0F;
@@ -350,36 +594,34 @@ fn parse_sof0(seg: &[u8]) -> CodecResult<FrameInfo> {
                 detail: format!("component quant slot {}", b[2]),
             });
         }
-        components.push(ComponentSpec {
+        *comp = ComponentSpec {
             id: b[0],
             h,
             v,
             qtable: b[2],
             dc_table: 0,
             ac_table: 0,
-        });
+        };
     }
-    Ok(FrameInfo {
+    Ok(Frame {
         width,
         height,
-        components,
+        ncomp,
+        comps,
         restart_interval: 0,
     })
 }
 
-fn parse_sos(seg: &[u8], frame: &mut FrameInfo) -> CodecResult<()> {
+fn parse_sos(seg: &[u8], frame: &mut Frame) -> CodecResult<()> {
     if seg.is_empty() {
         return Err(CodecError::MalformedSegment {
             detail: "empty SOS".into(),
         });
     }
     let ncomp = seg[0] as usize;
-    if ncomp != frame.components.len() {
+    if ncomp != frame.ncomp {
         return Err(CodecError::MalformedSegment {
-            detail: format!(
-                "SOS has {ncomp} components, frame has {}",
-                frame.components.len()
-            ),
+            detail: format!("SOS has {ncomp} components, frame has {}", frame.ncomp),
         });
     }
     if seg.len() < 1 + 2 * ncomp + 3 {
@@ -390,8 +632,7 @@ fn parse_sos(seg: &[u8], frame: &mut FrameInfo) -> CodecResult<()> {
     for i in 0..ncomp {
         let id = seg[1 + 2 * i];
         let tables = seg[2 + 2 * i];
-        let comp = frame
-            .components
+        let comp = frame.comps[..ncomp]
             .iter_mut()
             .find(|c| c.id == id)
             .ok_or_else(|| CodecError::MalformedSegment {
@@ -411,7 +652,7 @@ fn parse_sos(seg: &[u8], frame: &mut FrameInfo) -> CodecResult<()> {
     Ok(())
 }
 
-fn parse_dqt(mut seg: &[u8], qtables: &mut [Option<QuantTable>; 4]) -> CodecResult<()> {
+fn parse_dqt(mut seg: &[u8], tables: &mut TableCache) -> CodecResult<()> {
     while !seg.is_empty() {
         let pq = seg[0] >> 4;
         let tq = (seg[0] & 0x0F) as usize;
@@ -430,22 +671,14 @@ fn parse_dqt(mut seg: &[u8], qtables: &mut [Option<QuantTable>; 4]) -> CodecResu
                 detail: "DQT table truncated".into(),
             });
         }
-        // Values arrive in zigzag order; store raster order.
-        let mut vals = [0u16; BLOCK_LEN];
-        for (zz, &raster) in ZIGZAG.iter().enumerate() {
-            vals[raster] = seg[1 + zz] as u16;
-        }
-        qtables[tq] = Some(QuantTable::new(vals)?);
+        let raw: &[u8; BLOCK_LEN] = seg[1..65].try_into().expect("64-byte slice");
+        tables.define_quant(tq, raw)?;
         seg = &seg[65..];
     }
     Ok(())
 }
 
-fn parse_dht(
-    mut seg: &[u8],
-    dc_tables: &mut [Option<HuffTable>; 4],
-    ac_tables: &mut [Option<HuffTable>; 4],
-) -> CodecResult<()> {
+fn parse_dht(mut seg: &[u8], tables: &mut TableCache) -> CodecResult<()> {
     while !seg.is_empty() {
         if seg.len() < 17 {
             return Err(CodecError::MalformedSegment {
@@ -459,7 +692,7 @@ fn parse_dht(
                 detail: format!("DHT class {class} slot {slot}"),
             });
         }
-        let mut counts = [0u8; 16];
+        let mut counts = [0u8; MAX_CODE_LEN];
         counts.copy_from_slice(&seg[1..17]);
         let total: usize = counts.iter().map(|&c| c as usize).sum();
         if seg.len() < 17 + total {
@@ -467,12 +700,12 @@ fn parse_dht(
                 detail: "DHT symbols truncated".into(),
             });
         }
-        let table = HuffTable::new(counts, &seg[17..17 + total])?;
-        if class == 0 {
-            dc_tables[slot] = Some(table);
+        let class = if class == 0 {
+            TableClass::Dc
         } else {
-            ac_tables[slot] = Some(table);
-        }
+            TableClass::Ac
+        };
+        tables.define_huffman(class, slot, counts, &seg[17..17 + total])?;
         seg = &seg[17 + total..];
     }
     Ok(())
@@ -482,8 +715,8 @@ fn parse_dht(
 // Restart-segment index
 // ---------------------------------------------------------------------------
 
-/// One pre-scan pass over the entropy-coded data, producing the byte
-/// range of every restart segment.
+/// One pre-scan pass over the entropy-coded data, appending the byte
+/// range of every restart segment to `segments`.
 ///
 /// The scan is **stuffing-aware**: a `0xFF 0x00` pair is entropy data
 /// (a stuffed `0xFF` byte), never a marker — so a stuffed byte adjacent
@@ -497,8 +730,8 @@ fn parse_dht(
 fn index_restart_segments(
     scan: &[u8],
     expected_segments: usize,
-) -> CodecResult<Vec<(usize, usize)>> {
-    let mut segments = Vec::with_capacity(expected_segments);
+    segments: &mut Vec<(usize, usize)>,
+) -> CodecResult<()> {
     let mut seg_start = 0usize;
     let mut p = 0usize;
     while segments.len() + 1 < expected_segments {
@@ -537,598 +770,626 @@ fn index_restart_segments(
     // Final segment: everything up to the trailing marker (EOI) or end of
     // data; the bit reader stops at markers on its own.
     segments.push((seg_start, scan.len()));
-    Ok(segments)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Scan decoding
 // ---------------------------------------------------------------------------
 
-/// A component's reconstruction plane (padded to whole MCUs).
-struct OutPlane {
-    data: Vec<u8>,
-    width: usize,
-    height: usize,
+/// One scan component with its resolved tables.
+#[derive(Clone, Copy)]
+struct Comp<'t> {
+    spec: ComponentSpec,
+    tables: CompTables<'t>,
 }
 
-/// Per-component decode context: resolved tables plus the AAN-folded
-/// dequantisation multipliers (computed once per scan).
-struct CompCtx<'t> {
-    spec: ComponentSpec,
-    q: &'t QuantTable,
-    dc: &'t HuffTable,
-    ac: &'t HuffTable,
-    idct_scale: [f32; BLOCK_LEN],
+/// The entropy-coded data of a frame and where its restart segments lie.
+struct Scan<'d> {
+    bytes: &'d [u8],
+    /// Byte range of each restart segment within `bytes` (one trivial
+    /// segment when the stream has no restart interval).
+    segments: &'d [(usize, usize)],
+    /// Restart interval in MCUs (0 = none).
+    ri: u64,
+    total_mcus: u64,
+}
+
+impl<'d> Scan<'d> {
+    /// Locates the restart segments, reusing `index` as storage.
+    fn index(
+        data: &'d [u8],
+        scan_start: usize,
+        frame: &Frame,
+        index: &'d mut Vec<(usize, usize)>,
+    ) -> CodecResult<Self> {
+        let bytes = &data[scan_start..];
+        let ri = frame.restart_interval as u64;
+        let total_mcus = frame.mcu_count();
+        index.clear();
+        if ri > 0 {
+            index_restart_segments(bytes, total_mcus.div_ceil(ri) as usize, index)?;
+        } else {
+            index.push((0, bytes.len()));
+        }
+        Ok(Self {
+            bytes,
+            segments: index,
+            ri,
+            total_mcus,
+        })
+    }
+
+    /// MCUs covered by segment `si`.
+    fn segment_mcus(&self, si: usize) -> u64 {
+        if self.ri == 0 {
+            self.total_mcus
+        } else {
+            self.ri.min(self.total_mcus - si as u64 * self.ri)
+        }
+    }
+}
+
+/// A source of entropy-decoded blocks over one restart segment: the
+/// production reservoir or the bit-at-a-time reference.
+trait BlockReader<'d> {
+    fn over(segment: &'d [u8]) -> Self;
+
+    /// Decodes one 8×8 block into raster-order quantised coefficients
+    /// (`out` arrives zeroed), updating the DC predictor and the non-zero
+    /// count. Both implementations resolve the same symbols, apply the same
+    /// checks in the same order and so fail alike.
+    fn block(
+        &mut self,
+        dc: &HuffSlot,
+        ac: &HuffSlot,
+        dc_pred: &mut i32,
+        out: &mut [i16; BLOCK_LEN],
+        nonzero: &mut u64,
+    ) -> CodecResult<()>;
+
+    /// Byte offset of the next unread input byte.
+    fn position(&self) -> usize;
+}
+
+const EOF_IN_SCAN: CodecError = CodecError::UnexpectedEof {
+    context: "entropy-coded segment",
+};
+
+fn dc_category_error(ssss: u32) -> CodecError {
+    CodecError::MalformedSegment {
+        detail: format!("DC category {ssss}"),
+    }
+}
+
+fn ac_overflow_error(k: usize) -> CodecError {
+    CodecError::MalformedSegment {
+        detail: format!("AC run overflows block at k={k}"),
+    }
+}
+
+impl<'d> BlockReader<'d> for BitReader<'d> {
+    fn over(segment: &'d [u8]) -> Self {
+        BitReader::new(segment)
+    }
+
+    fn block(
+        &mut self,
+        dc: &HuffSlot,
+        ac: &HuffSlot,
+        dc_pred: &mut i32,
+        out: &mut [i16; BLOCK_LEN],
+        nonzero: &mut u64,
+    ) -> CodecResult<()> {
+        // DC.
+        let ssss = dc.table.decode(self)? as u32;
+        if ssss > 11 {
+            return Err(dc_category_error(ssss));
+        }
+        let diff = if ssss > 0 {
+            decode_magnitude(self.get_bits(ssss)?, ssss)
+        } else {
+            0
+        };
+        *dc_pred += diff;
+        out[0] = *dc_pred as i16;
+        if *dc_pred != 0 {
+            *nonzero += 1;
+        }
+
+        // AC.
+        let mut k = 1usize;
+        while k < BLOCK_LEN {
+            let rs = ac.table.decode(self)?;
+            let run = (rs >> 4) as usize;
+            let size = (rs & 0x0F) as u32;
+            if size == 0 {
+                if run == 15 {
+                    k += 16; // ZRL
+                    continue;
+                }
+                break; // EOB
+            }
+            k += run;
+            if k >= BLOCK_LEN {
+                return Err(ac_overflow_error(k));
+            }
+            let v = decode_magnitude(self.get_bits(size)?, size);
+            out[ZIGZAG[k]] = v as i16;
+            *nonzero += 1;
+            k += 1;
+        }
+        Ok(())
+    }
+
+    fn position(&self) -> usize {
+        self.byte_pos()
+    }
+}
+
+impl<'d> BlockReader<'d> for BitReservoir<'d> {
+    fn over(segment: &'d [u8]) -> Self {
+        BitReservoir::new(segment)
+    }
+
+    /// One refill check and one table load per symbol: the fused entry
+    /// yields run, total length and the sign-extended coefficient together.
+    /// Entries that carry only the code (EOB, ZRL, magnitudes too long for
+    /// the window) and table misses (codes longer than the window) take the
+    /// general path, which extracts the magnitude bits from the same peeked
+    /// word. Checks run in the reference decoder's order — end of stream at
+    /// the code, run overflow, end of stream at the magnitude — so a
+    /// malformed stream fails with the same error on both.
+    #[inline]
+    fn block(
+        &mut self,
+        dc: &HuffSlot,
+        ac: &HuffSlot,
+        dc_pred: &mut i32,
+        out: &mut [i16; BLOCK_LEN],
+        nonzero: &mut u64,
+    ) -> CodecResult<()> {
+        // DC.
+        self.refill();
+        let e = dc.lut.lookup(self.peek());
+        let total = entry_total_len(e);
+        let diff = if total != 0 {
+            if total > self.bits_left() {
+                return Err(EOF_IN_SCAN);
+            }
+            self.consume(total);
+            entry_value(e)
+        } else {
+            let (sym, len) = if e != 0 {
+                (entry_symbol(e), entry_code_len(e))
+            } else {
+                dc.table.resolve_long(self.peek())?
+            };
+            if len > self.bits_left() {
+                return Err(EOF_IN_SCAN);
+            }
+            let ssss = sym as u32;
+            if ssss > 11 {
+                return Err(dc_category_error(ssss));
+            }
+            if ssss == 0 {
+                self.consume(len);
+                0
+            } else {
+                if len + ssss > self.bits_left() {
+                    return Err(EOF_IN_SCAN);
+                }
+                let bits = ((self.peek() << len) >> (64 - ssss)) as u32;
+                self.consume(len + ssss);
+                extend_magnitude(bits, ssss)
+            }
+        };
+        *dc_pred += diff;
+        out[0] = *dc_pred as i16;
+        if *dc_pred != 0 {
+            *nonzero += 1;
+        }
+
+        // AC.
+        let mut k = 1usize;
+        while k < BLOCK_LEN {
+            self.refill();
+            let e = ac.lut.lookup(self.peek());
+            let total = entry_total_len(e);
+            if total != 0 {
+                let at = k + entry_run(e);
+                if total > self.bits_left() || at >= BLOCK_LEN {
+                    return Err(if entry_code_len(e) > self.bits_left() {
+                        EOF_IN_SCAN
+                    } else if at >= BLOCK_LEN {
+                        ac_overflow_error(at)
+                    } else {
+                        EOF_IN_SCAN
+                    });
+                }
+                self.consume(total);
+                out[ZIGZAG[at]] = entry_value(e) as i16;
+                *nonzero += 1;
+                k = at + 1;
+                continue;
+            }
+            let (rs, len) = if e != 0 {
+                (entry_symbol(e), entry_code_len(e))
+            } else {
+                ac.table.resolve_long(self.peek())?
+            };
+            if len > self.bits_left() {
+                return Err(EOF_IN_SCAN);
+            }
+            let run = (rs >> 4) as usize;
+            let size = (rs & 0x0F) as u32;
+            if size == 0 {
+                self.consume(len);
+                if run == 15 {
+                    k += 16; // ZRL
+                    continue;
+                }
+                break; // EOB
+            }
+            k += run;
+            if k >= BLOCK_LEN {
+                return Err(ac_overflow_error(k));
+            }
+            if len + size > self.bits_left() {
+                return Err(EOF_IN_SCAN);
+            }
+            let bits = ((self.peek() << len) >> (64 - size)) as u32;
+            self.consume(len + size);
+            out[ZIGZAG[k]] = extend_magnitude(bits, size) as i16;
+            *nonzero += 1;
+            k += 1;
+        }
+        Ok(())
+    }
+
+    fn position(&self) -> usize {
+        self.byte_pos()
+    }
+}
+
+/// Entropy decoding of consecutive MCUs across restart segments: a reader
+/// over the current segment, the DC predictors, and how many MCUs the
+/// segment still holds. Resumable, so the streaming decoder can stop at
+/// every MCU row.
+struct EntropyWalk<'s, 'd, R> {
+    scan: &'s Scan<'d>,
+    /// Segment being read (index into `scan.segments`) and the one past the
+    /// last this walk may enter.
+    segment: usize,
+    reader: R,
+    left_in_segment: u64,
+    dc_pred: [i32; 3],
+}
+
+impl<'s, 'd, R: BlockReader<'d>> EntropyWalk<'s, 'd, R> {
+    /// Starts at the first MCU of segment `first`.
+    fn start(scan: &'s Scan<'d>, first: usize) -> Self {
+        let (s, e) = scan.segments[first];
+        Self {
+            scan,
+            segment: first,
+            reader: R::over(&scan.bytes[s..e]),
+            left_in_segment: scan.segment_mcus(first),
+            dc_pred: [0; 3],
+        }
+    }
+
+    /// Decodes the next `count` MCUs into `coeffs` (block after block, in
+    /// scan order), crossing into following segments as they run out.
+    fn decode(
+        &mut self,
+        comps: &[Comp<'_>],
+        count: u64,
+        coeffs: &mut [i16],
+        stats: &mut DecodeStats,
+    ) -> CodecResult<()> {
+        let mut blocks = coeffs.chunks_exact_mut(BLOCK_LEN);
+        for _ in 0..count {
+            if self.left_in_segment == 0 {
+                self.next_segment(stats);
+            }
+            for (ci, c) in comps.iter().enumerate() {
+                for _ in 0..c.spec.h * c.spec.v {
+                    let block: &mut [i16; BLOCK_LEN] = blocks
+                        .next()
+                        .expect("coefficient buffer sized for the run")
+                        .try_into()
+                        .expect("BLOCK_LEN chunk");
+                    block.fill(0);
+                    self.reader.block(
+                        c.tables.dc,
+                        c.tables.ac,
+                        &mut self.dc_pred[ci],
+                        block,
+                        &mut stats.nonzero_coeffs,
+                    )?;
+                    stats.blocks += 1;
+                }
+            }
+            stats.mcus += 1;
+            self.left_in_segment -= 1;
+        }
+        Ok(())
+    }
+
+    fn next_segment(&mut self, stats: &mut DecodeStats) {
+        stats.entropy_bits += self.reader.position() as u64 * 8;
+        self.segment += 1;
+        let (s, e) = self.scan.segments[self.segment];
+        if let Some(&(next, _)) = self.scan.segments.get(self.segment + 1) {
+            // Overlap the following segment's bytes with this one's work.
+            crate::simd::prefetch_read(self.scan.bytes, next);
+        }
+        self.reader = R::over(&self.scan.bytes[s..e]);
+        self.left_in_segment = self.scan.segment_mcus(self.segment);
+        self.dc_pred = [0; 3];
+    }
+
+    /// Books the last segment's consumption.
+    fn finish(self, stats: &mut DecodeStats) {
+        stats.entropy_bits += self.reader.position() as u64 * 8;
+    }
+}
+
+/// Splits the `spent` nanoseconds of one row-stage push between the colour
+/// and resize timers: a stage that neither resizes nor converts is colour
+/// conversion only; otherwise it reported its colour share itself.
+fn book_row_stage(stats: &mut DecodeStats, stage: &RowStage, spent: u64, color_ns: u64) {
+    if stage.reshapes() {
+        stats.color_ns += color_ns;
+        stats.resize_ns += spent.saturating_sub(color_ns);
+    } else {
+        stats.color_ns += spent;
+    }
 }
 
 /// One decoded 8×8 block parked by a parallel segment task until the
 /// serial scatter writes it into its plane: component index, pixel
 /// coordinates of the block's top-left corner in the (padded) plane, and
 /// the clamped level-shifted samples.
-struct SegBlock {
+struct ParkedBlock {
     ci: u8,
     bx: u32,
     by: u32,
     samples: [u8; BLOCK_LEN],
 }
 
-/// Statistics accumulated while decoding one restart segment.
-#[derive(Default)]
-struct SegStats {
-    mcus: u64,
-    blocks: u64,
-    entropy_bits: u64,
-    nonzero_coeffs: u64,
-    huffman_ns: u64,
-    idct_ns: u64,
-}
-
-impl SegStats {
-    fn merge_into(&self, total: &mut DecodeStats) {
-        total.mcus += self.mcus;
-        total.blocks += self.blocks;
-        total.entropy_bits += self.entropy_bits;
-        total.nonzero_coeffs += self.nonzero_coeffs;
-        total.huffman_ns += self.huffman_ns;
-        total.idct_ns += self.idct_ns;
-    }
-
-    fn add(&mut self, other: &SegStats) {
-        self.mcus += other.mcus;
-        self.blocks += other.blocks;
-        self.entropy_bits += other.entropy_bits;
-        self.nonzero_coeffs += other.nonzero_coeffs;
-        self.huffman_ns += other.huffman_ns;
-        self.idct_ns += other.idct_ns;
-    }
-}
-
-/// Block sink shared by the segment decoders: receives
-/// (component index, block x px, block y px, reconstructed samples).
-type BlockSink<'a> = dyn FnMut(usize, u32, u32, &[u8; BLOCK_LEN]) + 'a;
-
-/// Entropy-decodes the MCUs `[mcu_start, mcu_start + mcu_count)` from one
-/// restart segment's bytes, emitting every reconstructed block through
-/// `sink(ci, bx, by, samples)`. Shared by the sequential path (sink
-/// writes straight into the planes) and the parallel path (sink parks
-/// blocks for the scatter) — which is what makes the two bit-exact.
-/// Dispatches between the reservoir fast path and the reference
-/// bit-at-a-time decoder.
-fn decode_segment(
-    seg: &[u8],
-    ctx: &[CompCtx<'_>],
-    mcu_cols: u64,
-    mcu_start: u64,
-    mcu_count: u64,
-    dec: &JpegDecoder,
-    sink: &mut BlockSink<'_>,
-) -> CodecResult<SegStats> {
-    if dec.reference_entropy || dec.reference_idct {
-        decode_segment_ref(seg, ctx, mcu_cols, mcu_start, mcu_count, dec, sink)
-    } else {
-        decode_segment_fast(seg, ctx, mcu_cols, mcu_start, mcu_count, dec, sink)
-    }
-}
-
-/// Fast path: 64-bit bit reservoir, table-driven Huffman resolution with
-/// fused receive/extend, and the u8-producing iDCT (SIMD when available).
-fn decode_segment_fast(
-    seg: &[u8],
-    ctx: &[CompCtx<'_>],
-    mcu_cols: u64,
-    mcu_start: u64,
-    mcu_count: u64,
-    dec: &JpegDecoder,
-    sink: &mut BlockSink<'_>,
-) -> CodecResult<SegStats> {
-    let mut cursor = BitCursor::new(seg);
-    let mut dc_pred = [0i32; MAX_COMPONENTS];
-    let mut stats = SegStats::default();
-    let mut quantized = [0i16; BLOCK_LEN];
-    let mut out = [0u8; BLOCK_LEN];
-
-    for mcu_index in mcu_start..mcu_start + mcu_count {
-        let my = (mcu_index / mcu_cols) as u32;
-        let mx = (mcu_index % mcu_cols) as u32;
-        for (ci, c) in ctx.iter().enumerate() {
-            for vy in 0..c.spec.v {
-                for hx in 0..c.spec.h {
-                    let t0 = dec.collect_timing.then(Instant::now);
-                    decode_block_fast(
-                        &mut cursor,
-                        c.dc,
-                        c.ac,
-                        &mut dc_pred[ci],
-                        &mut quantized,
-                        &mut stats.nonzero_coeffs,
-                    )?;
-                    let t1 = dec.collect_timing.then(Instant::now);
-                    if let (Some(t0), Some(t1)) = (t0, t1) {
-                        stats.huffman_ns += (t1 - t0).as_nanos() as u64;
-                    }
-                    idct_8x8_dequant_u8(&quantized, &c.idct_scale, &mut out);
-                    if let Some(t1) = t1 {
-                        stats.idct_ns += t1.elapsed().as_nanos() as u64;
-                    }
-                    let bx = (mx * c.spec.h as u32 + hx as u32) * 8;
-                    let by = (my * c.spec.v as u32 + vy as u32) * 8;
-                    sink(ci, bx, by, &out);
-                    stats.blocks += 1;
-                }
-            }
-        }
-        stats.mcus += 1;
-    }
-    stats.entropy_bits = cursor.byte_pos() as u64 * 8;
-    Ok(stats)
-}
-
-/// Reference path: the original bit-at-a-time decoder, also used when the
-/// basis-matrix iDCT is requested.
-fn decode_segment_ref(
-    seg: &[u8],
-    ctx: &[CompCtx<'_>],
-    mcu_cols: u64,
-    mcu_start: u64,
-    mcu_count: u64,
-    dec: &JpegDecoder,
-    sink: &mut BlockSink<'_>,
-) -> CodecResult<SegStats> {
-    let mut reader = BitReader::new(seg);
-    let mut dc_pred = [0i32; MAX_COMPONENTS];
-    let mut stats = SegStats::default();
-    let mut quantized = [0i16; BLOCK_LEN];
-    let mut coeffs = [0f32; BLOCK_LEN];
-    let mut samples = [0f32; BLOCK_LEN];
-    let mut out = [0u8; BLOCK_LEN];
-
-    for mcu_index in mcu_start..mcu_start + mcu_count {
-        let my = (mcu_index / mcu_cols) as u32;
-        let mx = (mcu_index % mcu_cols) as u32;
-        for (ci, c) in ctx.iter().enumerate() {
-            for vy in 0..c.spec.v {
-                for hx in 0..c.spec.h {
-                    let t0 = dec.collect_timing.then(Instant::now);
-                    decode_block(
-                        &mut reader,
-                        c.dc,
-                        c.ac,
-                        &mut dc_pred[ci],
-                        &mut quantized,
-                        &mut stats.nonzero_coeffs,
-                    )?;
-                    let t1 = dec.collect_timing.then(Instant::now);
-                    if let (Some(t0), Some(t1)) = (t0, t1) {
-                        stats.huffman_ns += (t1 - t0).as_nanos() as u64;
-                    }
-                    if dec.reference_idct {
-                        c.q.dequantize(&quantized, &mut coeffs);
-                        idct_8x8(&coeffs, &mut samples);
-                        for (o, &s) in out.iter_mut().zip(samples.iter()) {
-                            *o = clamp_u8(s + 128.0);
-                        }
-                    } else {
-                        idct_8x8_dequant(&quantized, &c.idct_scale, &mut samples);
-                        for (o, &s) in out.iter_mut().zip(samples.iter()) {
-                            *o = clamp_u8(s + 128.0);
-                        }
-                    }
-                    if let Some(t1) = t1 {
-                        stats.idct_ns += t1.elapsed().as_nanos() as u64;
-                    }
-                    let bx = (mx * c.spec.h as u32 + hx as u32) * 8;
-                    let by = (my * c.spec.v as u32 + vy as u32) * 8;
-                    sink(ci, bx, by, &out);
-                    stats.blocks += 1;
-                }
-            }
-        }
-        stats.mcus += 1;
-    }
-    stats.entropy_bits = reader.byte_pos() as u64 * 8;
-    Ok(stats)
-}
-
-/// Writes one reconstructed block into its component plane.
+/// Writes one reconstructed block at (`bx`, `by`) of a plane.
 #[inline]
-fn write_block(plane: &mut OutPlane, bx: u32, by: u32, samples: &[u8; BLOCK_LEN]) {
-    for y in 0..8 {
-        let row = (by as usize + y) * plane.width + bx as usize;
-        plane.data[row..row + 8].copy_from_slice(&samples[y * 8..y * 8 + 8]);
+fn write_block(plane: &mut [u8], stride: usize, bx: usize, by: usize, samples: &[u8; BLOCK_LEN]) {
+    for (y, row) in samples.chunks_exact(8).enumerate() {
+        plane[(by + y) * stride + bx..][..8].copy_from_slice(row);
     }
 }
 
-fn decode_scan(
-    data: &[u8],
-    headers: &Headers,
-    dec: &JpegDecoder,
-    parallel: bool,
-) -> CodecResult<(Image, DecodeStats)> {
-    let frame = &headers.frame;
-    let (grid_cols, grid_rows) = frame.mcu_grid();
-    let mcu_cols = grid_cols as u64;
-    let total_mcus = frame.mcu_count();
-    let ri = frame.restart_interval as u64;
+/// Everything fixed for the duration of one scan.
+struct ScanCtx<'a, 'd> {
+    dec: &'a JpegDecoder,
+    frame: &'a Frame,
+    comps: &'a [Comp<'a>],
+    scan: Scan<'d>,
+}
 
-    // Resolve tables per component once.
-    let mut ctx = Vec::with_capacity(frame.components.len());
-    for c in &frame.components {
-        let q = headers.qtables[c.qtable as usize].as_ref().ok_or_else(|| {
-            CodecError::MalformedSegment {
-                detail: format!("missing DQT slot {}", c.qtable),
+impl<'d> ScanCtx<'_, 'd> {
+    /// Dequantises and inverse-transforms the blocks of `count` MCUs
+    /// starting at MCU `first`, handing each to
+    /// `sink(component, block x px, block y px, samples)`.
+    fn transform(
+        &self,
+        coeffs: &[i16],
+        first: u64,
+        count: u64,
+        sink: &mut impl FnMut(usize, usize, usize, &[u8; BLOCK_LEN]),
+    ) {
+        let mcu_cols = self.frame.mcu_grid().0 as u64;
+        let mut blocks = coeffs.chunks_exact(BLOCK_LEN);
+        let mut samples = [0u8; BLOCK_LEN];
+        for mcu in first..first + count {
+            let (mx, my) = ((mcu % mcu_cols) as usize, (mcu / mcu_cols) as usize);
+            for (ci, c) in self.comps.iter().enumerate() {
+                let (h, v) = (c.spec.h as usize, c.spec.v as usize);
+                for vy in 0..v {
+                    for hx in 0..h {
+                        let block: &[i16; BLOCK_LEN] = blocks
+                            .next()
+                            .expect("coefficient buffer sized for the run")
+                            .try_into()
+                            .expect("BLOCK_LEN chunk");
+                        if self.dec.reference_idct {
+                            let mut dequantized = [0f32; BLOCK_LEN];
+                            let mut spatial = [0f32; BLOCK_LEN];
+                            c.tables.quant.table.dequantize(block, &mut dequantized);
+                            idct_8x8(&dequantized, &mut spatial);
+                            for (o, &s) in samples.iter_mut().zip(&spatial) {
+                                *o = clamp_u8(s + 128.0);
+                            }
+                        } else {
+                            idct_8x8_dequant_u8(block, &c.tables.quant.idct_scale, &mut samples);
+                        }
+                        sink(ci, (mx * h + hx) * 8, (my * v + vy) * 8, &samples);
+                    }
+                }
             }
-        })?;
-        let dc = headers.dc_tables[c.dc_table as usize]
-            .as_ref()
-            .ok_or_else(|| CodecError::MalformedSegment {
-                detail: format!("missing DC DHT slot {}", c.dc_table),
-            })?;
-        let ac = headers.ac_tables[c.ac_table as usize]
-            .as_ref()
-            .ok_or_else(|| CodecError::MalformedSegment {
-                detail: format!("missing AC DHT slot {}", c.ac_table),
-            })?;
-        ctx.push(CompCtx {
-            spec: *c,
-            q,
-            dc,
-            ac,
-            idct_scale: q.idct_scale(),
-        });
+        }
     }
 
-    // Output planes padded to MCU coverage.
-    let mut planes: Vec<OutPlane> = ctx
-        .iter()
-        .map(|c| {
-            let w = grid_cols as usize * c.spec.h as usize * 8;
-            let h = grid_rows as usize * c.spec.v as usize * 8;
-            OutPlane {
-                data: vec![0u8; w * h],
-                width: w,
-                height: h,
-            }
-        })
-        .collect();
-
-    let scan = &data[headers.scan_start..];
-
-    // One-pass restart-segment index (a single trivial segment when the
-    // stream has no restart interval).
-    let segments = if ri > 0 {
-        let expected = total_mcus.div_ceil(ri) as usize;
-        index_restart_segments(scan, expected)?
-    } else {
-        vec![(0usize, scan.len())]
-    };
-    // MCU range covered by segment `si`.
-    let seg_mcus = |si: usize| -> (u64, u64) {
-        if ri == 0 {
-            (0, total_mcus)
-        } else {
-            let start = si as u64 * ri;
-            (start, ri.min(total_mcus - start))
+    /// The streaming kernel: per MCU row, entropy-decode into `coeffs`,
+    /// transform into the per-component `strips`, hand the strips to the row
+    /// stage. The three phases are timed per MCU row when stage timing is
+    /// on.
+    fn run_streaming<R: BlockReader<'d>>(
+        &self,
+        coeffs: &mut Vec<i16>,
+        strips: &mut [Vec<u8>; 3],
+        stage: &mut RowStage,
+        rows: &mut RowBuffers,
+        out: &mut [u8],
+        stats: &mut DecodeStats,
+    ) -> CodecResult<()> {
+        let (mcu_cols, mcu_rows) = self.frame.mcu_grid();
+        let mcu_h = 8 * self.frame.max_sampling().1;
+        let per_row = mcu_cols as u64;
+        let coeffs = grown(
+            coeffs,
+            mcu_cols as usize * self.frame.blocks_per_mcu() * BLOCK_LEN,
+        );
+        let mut stride = [0usize; 3];
+        for ((strip, stride), c) in strips.iter_mut().zip(&mut stride).zip(self.comps) {
+            *stride = mcu_cols as usize * c.spec.h as usize * 8;
+            grown(strip, *stride * c.spec.v as usize * 8);
         }
-    };
+        let timing = self.dec.collect_timing;
+        let mut walk = EntropyWalk::<R>::start(&self.scan, 0);
+        let mut mark = timing.then(Instant::now);
+        // Nanoseconds since `mark`, which advances to now.
+        let lap = |mark: &mut Option<Instant>| -> u64 {
+            mark.as_mut().map_or(0, |m| {
+                let now = Instant::now();
+                let ns = (now - *m).as_nanos() as u64;
+                *m = now;
+                ns
+            })
+        };
+        for my in 0..mcu_rows as usize {
+            walk.decode(self.comps, per_row, coeffs, stats)?;
+            stats.huffman_ns += lap(&mut mark);
+            self.transform(
+                coeffs,
+                my as u64 * per_row,
+                per_row,
+                &mut |ci, bx, by, s| {
+                    // A strip holds one MCU row: 8·v sample rows.
+                    let local = by % (8 * self.comps[ci].spec.v as usize);
+                    write_block(&mut strips[ci], stride[ci], bx, local, s);
+                },
+            );
+            stats.idct_ns += lap(&mut mark);
+            let planes = Planes {
+                data: [&strips[0][..], &strips[1][..], &strips[2][..]],
+                stride,
+                base_y: my * mcu_h,
+            };
+            let color_ns = stage.push(&planes, (my + 1) * mcu_h, rows, out, timing);
+            book_row_stage(stats, stage, lap(&mut mark), color_ns);
+        }
+        walk.finish(stats);
+        Ok(())
+    }
 
-    let mut stats = DecodeStats {
-        restart_segments: segments.len() as u32,
-        ..DecodeStats::default()
-    };
-
-    // Coalesce adjacent segments into chunks of at least
-    // MIN_PARALLEL_CHUNK_MCUS so a tiny restart interval (ri=1: one MCU per
-    // segment) doesn't drown the pool in sub-millisecond tasks. Each chunk
-    // is one pool task with one parked-block list; restart state still
-    // resets per segment inside the chunk, so bit-exactness is untouched.
-    let chunks: Vec<(usize, usize)> = {
+    /// Coalesces adjacent restart segments into chunks of at least
+    /// [`MIN_PARALLEL_CHUNK_MCUS`] so a tiny restart interval (ri=1: one MCU
+    /// per segment) doesn't drown the pool in sub-millisecond tasks. Each
+    /// chunk is one pool task; restart state still resets per segment inside
+    /// it, so bit-exactness is untouched. Returns `(first segment, one past
+    /// the last, first MCU)` per chunk.
+    fn parallel_chunks(&self) -> Vec<(usize, usize, u64)> {
         let mut chunks = Vec::new();
-        let mut start = 0usize;
-        let mut mcus = 0u64;
-        for si in 0..segments.len() {
-            mcus += seg_mcus(si).1;
-            if mcus >= MIN_PARALLEL_CHUNK_MCUS {
-                chunks.push((start, si + 1));
+        let (mut start, mut first_mcu, mut mcus) = (0usize, 0u64, 0u64);
+        for si in 0..self.scan.segments.len() {
+            mcus += self.scan.segment_mcus(si);
+            if mcus >= MIN_PARALLEL_CHUNK_MCUS || si + 1 == self.scan.segments.len() {
+                chunks.push((start, si + 1, first_mcu));
                 start = si + 1;
+                first_mcu += mcus;
                 mcus = 0;
             }
         }
-        if start < segments.len() {
-            chunks.push((start, segments.len()));
-        }
         chunks
-    };
+    }
 
-    let go_parallel = parallel && chunks.len() >= 2 && rayon::current_num_threads() > 1;
-    if go_parallel {
-        // Decode chunks concurrently into parked block lists, then scatter
-        // serially. Collection is index-ordered, so the first failing
-        // segment's error is returned — matching the sequential walk.
-        let ctx = &ctx;
-        let segments = &segments;
-        let results: Vec<CodecResult<(Vec<SegBlock>, SegStats)>> = chunks
-            .into_par_iter()
-            .map(|(cs, ce)| {
-                let chunk_mcus: u64 = (cs..ce).map(|si| seg_mcus(si).1).sum();
-                let mut blocks =
-                    Vec::with_capacity(chunk_mcus as usize * frame.blocks_per_mcu() as usize);
-                let mut chunk_stats = SegStats::default();
-                for si in cs..ce {
-                    let (s, e) = segments[si];
-                    if si + 1 < ce {
-                        // Overlap the next segment's entropy bytes with this
-                        // segment's arithmetic.
-                        crate::simd::prefetch_read(scan, segments[si + 1].0);
-                    }
-                    let (mcu_start, mcu_count) = seg_mcus(si);
-                    let seg_stats = decode_segment(
-                        &scan[s..e],
-                        ctx,
-                        mcu_cols,
-                        mcu_start,
-                        mcu_count,
-                        dec,
-                        &mut |ci, bx, by, samples| {
-                            blocks.push(SegBlock {
-                                ci: ci as u8,
-                                bx,
-                                by,
-                                samples: *samples,
-                            });
-                        },
-                    )?;
-                    chunk_stats.add(&seg_stats);
+    /// The segment-parallel variant: chunks decode concurrently into parked
+    /// block lists, a serial scatter fills whole-image planes, and the row
+    /// stage consumes them in one push. Collection is index-ordered, so the
+    /// first failing segment's error is returned — matching the sequential
+    /// walk.
+    fn run_parallel(
+        &self,
+        chunks: &[(usize, usize, u64)],
+        stage: &mut RowStage,
+        rows: &mut RowBuffers,
+        out: &mut [u8],
+        stats: &mut DecodeStats,
+    ) -> CodecResult<()> {
+        let (mcu_cols, mcu_rows) = self.frame.mcu_grid();
+        let blocks_per_mcu = self.frame.blocks_per_mcu();
+        let timing = self.dec.collect_timing;
+        let results: Vec<CodecResult<(Vec<ParkedBlock>, DecodeStats)>> = chunks
+            .par_iter()
+            .map(|&(first_seg, end_seg, first_mcu)| {
+                let chunk_mcus: u64 = (first_seg..end_seg)
+                    .map(|si| self.scan.segment_mcus(si))
+                    .sum();
+                let mut parked = Vec::with_capacity(chunk_mcus as usize * blocks_per_mcu);
+                let mut coeffs = vec![0i16; chunk_mcus as usize * blocks_per_mcu * BLOCK_LEN];
+                let mut stats = DecodeStats::default();
+                let t0 = timing.then(Instant::now);
+                if self.dec.reference_entropy {
+                    let mut walk = EntropyWalk::<BitReader<'_>>::start(&self.scan, first_seg);
+                    walk.decode(self.comps, chunk_mcus, &mut coeffs, &mut stats)?;
+                    walk.finish(&mut stats);
+                } else {
+                    let mut walk = EntropyWalk::<BitReservoir<'_>>::start(&self.scan, first_seg);
+                    walk.decode(self.comps, chunk_mcus, &mut coeffs, &mut stats)?;
+                    walk.finish(&mut stats);
                 }
-                Ok((blocks, chunk_stats))
+                let t1 = timing.then(Instant::now);
+                self.transform(&coeffs, first_mcu, chunk_mcus, &mut |ci, bx, by, s| {
+                    parked.push(ParkedBlock {
+                        ci: ci as u8,
+                        bx: bx as u32,
+                        by: by as u32,
+                        samples: *s,
+                    });
+                });
+                if let (Some(t0), Some(t1)) = (t0, t1) {
+                    stats.huffman_ns = (t1 - t0).as_nanos() as u64;
+                    stats.idct_ns = t1.elapsed().as_nanos() as u64;
+                }
+                Ok((parked, stats))
             })
             .collect();
+
+        let mut stride = [0usize; 3];
+        let mut planes: [Vec<u8>; 3] = Default::default();
+        for ((plane, stride), c) in planes.iter_mut().zip(&mut stride).zip(self.comps) {
+            *stride = mcu_cols as usize * c.spec.h as usize * 8;
+            *plane = vec![0u8; *stride * mcu_rows as usize * c.spec.v as usize * 8];
+        }
         for result in results {
-            let (blocks, chunk_stats) = result?;
-            chunk_stats.merge_into(&mut stats);
-            for b in &blocks {
-                write_block(&mut planes[b.ci as usize], b.bx, b.by, &b.samples);
+            let (parked, chunk) = result?;
+            stats.mcus += chunk.mcus;
+            stats.blocks += chunk.blocks;
+            stats.entropy_bits += chunk.entropy_bits;
+            stats.nonzero_coeffs += chunk.nonzero_coeffs;
+            stats.huffman_ns += chunk.huffman_ns;
+            stats.idct_ns += chunk.idct_ns;
+            for b in &parked {
+                let ci = b.ci as usize;
+                write_block(
+                    &mut planes[ci],
+                    stride[ci],
+                    b.bx as usize,
+                    b.by as usize,
+                    &b.samples,
+                );
             }
         }
-    } else {
-        for (si, &(s, e)) in segments.iter().enumerate() {
-            if si + 1 < segments.len() {
-                crate::simd::prefetch_read(scan, segments[si + 1].0);
-            }
-            let (mcu_start, mcu_count) = seg_mcus(si);
-            let planes = &mut planes;
-            let seg_stats = decode_segment(
-                &scan[s..e],
-                &ctx,
-                mcu_cols,
-                mcu_start,
-                mcu_count,
-                dec,
-                &mut |ci, bx, by, samples| write_block(&mut planes[ci], bx, by, samples),
-            )?;
-            seg_stats.merge_into(&mut stats);
-        }
-    }
-
-    let t0 = dec.collect_timing.then(Instant::now);
-    let image = assemble_image(
-        frame,
-        &ctx.iter().map(|c| c.spec).collect::<Vec<_>>(),
-        &planes,
-    )?;
-    if let Some(t0) = t0 {
-        stats.color_ns = t0.elapsed().as_nanos() as u64;
-    }
-    Ok((image, stats))
-}
-
-/// Decodes one 8×8 block into raster-order quantized coefficients.
-fn decode_block(
-    r: &mut BitReader<'_>,
-    dc_table: &HuffTable,
-    ac_table: &HuffTable,
-    dc_pred: &mut i32,
-    out: &mut [i16; BLOCK_LEN],
-    nonzero_coeffs: &mut u64,
-) -> CodecResult<()> {
-    out.fill(0);
-    // DC.
-    let ssss = dc_table.decode(r)? as u32;
-    if ssss > 11 {
-        return Err(CodecError::MalformedSegment {
-            detail: format!("DC category {ssss}"),
-        });
-    }
-    let diff = if ssss > 0 {
-        decode_magnitude(r.get_bits(ssss)?, ssss)
-    } else {
-        0
-    };
-    *dc_pred += diff;
-    out[0] = *dc_pred as i16;
-    if *dc_pred != 0 {
-        *nonzero_coeffs += 1;
-    }
-
-    // AC.
-    let mut k = 1usize;
-    while k < BLOCK_LEN {
-        let rs = ac_table.decode(r)?;
-        let run = (rs >> 4) as usize;
-        let size = (rs & 0x0F) as u32;
-        if size == 0 {
-            if run == 15 {
-                k += 16; // ZRL
-                continue;
-            }
-            break; // EOB
-        }
-        k += run;
-        if k >= BLOCK_LEN {
-            return Err(CodecError::MalformedSegment {
-                detail: format!("AC run overflows block at k={k}"),
-            });
-        }
-        let v = decode_magnitude(r.get_bits(size)?, size);
-        out[ZIGZAG[k]] = v as i16;
-        *nonzero_coeffs += 1;
-        k += 1;
-    }
-    Ok(())
-}
-
-/// Fast-path block decode: one [`BitCursor::refill`] per symbol covers the
-/// longest possible code (16 bits) *and* its magnitude bits (≤11 for DC,
-/// ≤10 for AC), so code resolution and receive/extend happen on a single
-/// peeked word with a single bounds check. Produces identical coefficients,
-/// `nonzero_coeffs` accounting and error classes as [`decode_block`].
-fn decode_block_fast(
-    cur: &mut BitCursor<'_>,
-    dc_table: &HuffTable,
-    ac_table: &HuffTable,
-    dc_pred: &mut i32,
-    out: &mut [i16; BLOCK_LEN],
-    nonzero_coeffs: &mut u64,
-) -> CodecResult<()> {
-    out.fill(0);
-    // DC.
-    cur.refill();
-    let peeked = cur.peek();
-    let (sym, len) = dc_table.resolve(peeked)?;
-    let ssss = sym as u32;
-    if ssss > 11 {
-        return Err(CodecError::MalformedSegment {
-            detail: format!("DC category {ssss}"),
-        });
-    }
-    let diff = if ssss > 0 {
-        // Magnitude bits sit right after the code in the same peeked word.
-        let bits = ((peeked << len) >> (64 - ssss)) as u32;
-        cur.consume(len + ssss)?;
-        extend_magnitude(bits, ssss)
-    } else {
-        cur.consume(len)?;
-        0
-    };
-    *dc_pred += diff;
-    out[0] = *dc_pred as i16;
-    if *dc_pred != 0 {
-        *nonzero_coeffs += 1;
-    }
-
-    // AC.
-    let mut k = 1usize;
-    while k < BLOCK_LEN {
-        cur.refill();
-        let peeked = cur.peek();
-        let (rs, len) = ac_table.resolve(peeked)?;
-        let run = (rs >> 4) as usize;
-        let size = (rs & 0x0F) as u32;
-        if size == 0 {
-            cur.consume(len)?;
-            if run == 15 {
-                k += 16; // ZRL
-                continue;
-            }
-            break; // EOB
-        }
-        k += run;
-        if k >= BLOCK_LEN {
-            return Err(CodecError::MalformedSegment {
-                detail: format!("AC run overflows block at k={k}"),
-            });
-        }
-        let bits = ((peeked << len) >> (64 - size)) as u32;
-        cur.consume(len + size)?;
-        out[ZIGZAG[k]] = extend_magnitude(bits, size) as i16;
-        *nonzero_coeffs += 1;
-        k += 1;
-    }
-    Ok(())
-}
-
-/// Upsamples chroma planes and interleaves the final image.
-fn assemble_image(
-    frame: &FrameInfo,
-    specs: &[ComponentSpec],
-    planes: &[OutPlane],
-) -> CodecResult<Image> {
-    let w = frame.width as usize;
-    let h = frame.height as usize;
-    let (h_max, v_max) = frame.max_sampling();
-
-    if specs.len() == 1 {
-        let plane = &planes[0];
-        let mut data = vec![0u8; w * h];
-        for y in 0..h {
-            data[y * w..(y + 1) * w]
-                .copy_from_slice(&plane.data[y * plane.width..y * plane.width + w]);
-        }
-        return Image::from_vec(frame.width, frame.height, ColorSpace::Gray, data);
-    }
-
-    // Row-based assembly: full-resolution components hand their plane rows
-    // to the converter directly; 2×-subsampled ones are expanded once per
-    // row with the duplicating upsampler (`out[x] = src[x/2]`, the same
-    // nearest-neighbour mapping `x·h/h_max` evaluated without a per-pixel
-    // division). Vertical subsampling is just row selection.
-    let mut data = vec![0u8; w * h * 3];
-    let mut upsampled: Vec<Vec<u8>> = specs
-        .iter()
-        .map(|s| {
-            if (s.h as usize) < h_max as usize {
-                vec![0u8; w]
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-    for y in 0..h {
-        for (ci, spec) in specs.iter().enumerate() {
-            if (spec.h as usize) < h_max as usize {
-                let plane = &planes[ci];
-                let sy = (y * spec.v as usize / v_max as usize).min(plane.height - 1);
-                let src = &plane.data[sy * plane.width..(sy + 1) * plane.width];
-                upsample_dup2_row(src, &mut upsampled[ci]);
-            }
-        }
-        let row_of = |ci: usize| -> &[u8] {
-            let spec = &specs[ci];
-            if (spec.h as usize) < h_max as usize {
-                &upsampled[ci]
-            } else {
-                let plane = &planes[ci];
-                let sy = (y * spec.v as usize / v_max as usize).min(plane.height - 1);
-                &plane.data[sy * plane.width..sy * plane.width + w]
-            }
+        let t0 = timing.then(Instant::now);
+        let whole = Planes {
+            data: [&planes[0][..], &planes[1][..], &planes[2][..]],
+            stride,
+            base_y: 0,
         };
-        ycbcr_rows_to_rgb(
-            row_of(0),
-            row_of(1),
-            row_of(2),
-            &mut data[y * w * 3..(y + 1) * w * 3],
-        );
+        let color_ns = stage.push(&whole, self.frame.height as usize, rows, out, timing);
+        let spent = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        book_row_stage(stats, stage, spent, color_ns);
+        Ok(())
     }
-    Image::from_vec(frame.width, frame.height, ColorSpace::Rgb, data)
 }
 
 #[cfg(test)]
@@ -1317,28 +1578,29 @@ mod tests {
             0xFF, 0x00, 0xFF, 0xD1, // segment 1 ends with stuffing, RST1
             0x12, 0x34, // segment 2
         ];
-        let segs = index_restart_segments(&scan, 3).unwrap();
+        let mut segs = Vec::new();
+        index_restart_segments(&scan, 3, &mut segs).unwrap();
         assert_eq!(segs, vec![(0, 4), (6, 8), (10, 12)]);
     }
 
     #[test]
     fn segment_index_rejects_out_of_order_markers() {
         let scan = [0xAB, 0xFF, 0xD3, 0x12]; // RST3 where RST0 is expected
-        let err = index_restart_segments(&scan, 2).unwrap_err();
+        let err = index_restart_segments(&scan, 2, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, CodecError::MalformedSegment { .. }), "{err}");
     }
 
     #[test]
     fn segment_index_rejects_non_restart_marker() {
         let scan = [0xAB, 0xFF, 0xD9, 0x12]; // EOI where a RST is expected
-        let err = index_restart_segments(&scan, 2).unwrap_err();
+        let err = index_restart_segments(&scan, 2, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, CodecError::InvalidMarker { .. }), "{err}");
     }
 
     #[test]
     fn segment_index_eof_when_markers_missing() {
         let scan = [0xAB, 0xCD, 0x12, 0x34]; // no markers at all
-        let err = index_restart_segments(&scan, 2).unwrap_err();
+        let err = index_restart_segments(&scan, 2, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
     }
 
@@ -1395,11 +1657,27 @@ mod tests {
         assert!(stats.huffman_ns > 0);
         assert!(stats.idct_ns > 0);
         assert!(stats.color_ns > 0);
+        assert_eq!(stats.resize_ns, 0, "source geometry: no resize work");
+        // The resizing kernel splits its row stage into colour and resize.
+        let mut out = vec![0u8; 20 * 20 * 3];
+        let timed = JpegDecoder::new()
+            .with_stage_timing(true)
+            .decode_into(
+                &bytes,
+                &mut DecodeScratch::new(),
+                Some((20, 20)),
+                ColorSpace::Rgb,
+                &mut out,
+            )
+            .unwrap()
+            .stats;
+        assert!(timed.color_ns > 0 && timed.resize_ns > 0, "{timed:?}");
         // Untimed decode leaves them zero.
         let (_, bare) = JpegDecoder::new().decode_with_stats(&bytes).unwrap();
         assert_eq!(bare.huffman_ns, 0);
         assert_eq!(bare.idct_ns, 0);
         assert_eq!(bare.color_ns, 0);
+        assert_eq!(bare.resize_ns, 0);
     }
 
     #[test]
@@ -1492,6 +1770,182 @@ mod tests {
         assert_eq!(seq.data(), par.data());
         assert_eq!(ss.restart_segments, 30);
         assert_eq!(ss.work(), ps.work());
+    }
+
+    /// `bytes` without its segments of marker `m`.
+    fn strip_segments(bytes: &[u8], m: u8) -> Vec<u8> {
+        let mut out = bytes[..2].to_vec();
+        let mut pos = 2;
+        while bytes[pos + 1] != marker::SOS {
+            let len = u16::from_be_bytes([bytes[pos + 2], bytes[pos + 3]]) as usize;
+            if bytes[pos + 1] != m {
+                out.extend_from_slice(&bytes[pos..pos + 2 + len]);
+            }
+            pos += 2 + len;
+        }
+        out.extend_from_slice(&bytes[pos..]);
+        out
+    }
+
+    #[test]
+    fn oversized_header_is_refused_before_anything_is_sized() {
+        // A 65535×65535 frame in a stream of a few hundred bytes.
+        let img = test_image(16, 16);
+        let mut bytes = JpegEncoder::new(85).unwrap().encode(&img).unwrap();
+        let sof = bytes
+            .windows(2)
+            .position(|w| w == [0xFF, marker::SOF0])
+            .unwrap();
+        bytes[sof + 5..sof + 9].copy_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF]);
+        let dec = JpegDecoder::new();
+        let mut scratch = DecodeScratch::new();
+        let mut out = [0u8; 16];
+        let err = dec
+            .decode_into(&bytes, &mut scratch, None, ColorSpace::Rgb, &mut out)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CodecError::UnsupportedDimensions {
+                width: 65535,
+                height: 65535
+            }
+        );
+        assert_eq!(scratch.buffer_bytes(), 0);
+        assert!(matches!(
+            dec.decode(&bytes),
+            Err(CodecError::UnsupportedDimensions { .. })
+        ));
+        assert!(matches!(
+            dec.decode_header(&bytes),
+            Err(CodecError::UnsupportedDimensions { .. })
+        ));
+        // The cap itself: 8192×8192 passes the header, one row more does not.
+        bytes[sof + 5..sof + 9].copy_from_slice(&[0x20, 0x00, 0x20, 0x00]);
+        assert_eq!(dec.decode_header(&bytes).unwrap().width, 8192);
+        bytes[sof + 5..sof + 9].copy_from_slice(&[0x20, 0x01, 0x20, 0x00]);
+        assert!(dec.decode_header(&bytes).is_err());
+    }
+
+    #[test]
+    fn scratch_keeps_ordinary_buffers_and_releases_oversized_ones() {
+        let dec = JpegDecoder::new();
+        let mut scratch = DecodeScratch::new();
+        let small = JpegEncoder::new(85)
+            .unwrap()
+            .encode(&test_image(64, 48))
+            .unwrap();
+        let mut out = vec![0u8; 32 * 32 * 3];
+        dec.decode_into(
+            &small,
+            &mut scratch,
+            Some((32, 32)),
+            ColorSpace::Rgb,
+            &mut out,
+        )
+        .unwrap();
+        let held = scratch.buffer_bytes();
+        assert!(held > 0 && held < 64 << 10, "{held}");
+        dec.decode_into(
+            &small,
+            &mut scratch,
+            Some((32, 32)),
+            ColorSpace::Rgb,
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(scratch.buffer_bytes(), held, "same geometry, same buffers");
+
+        // A 24 000-pixel-wide strip needs over a megabyte of row buffers:
+        // they serve the call and are gone after it.
+        let wide = JpegEncoder::new(85)
+            .unwrap()
+            .encode(&test_image(24_000, 8))
+            .unwrap();
+        let reference = dec.decode(&wide).unwrap();
+        let mut big = vec![0u8; 24_000 * 8 * 3];
+        dec.decode_into(&wide, &mut scratch, None, ColorSpace::Rgb, &mut big)
+            .unwrap();
+        assert_eq!(big, reference.data());
+        assert_eq!(scratch.buffer_bytes(), 0);
+        // And the scratch still works.
+        dec.decode_into(
+            &small,
+            &mut scratch,
+            Some((32, 32)),
+            ColorSpace::Rgb,
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(scratch.buffer_bytes(), held);
+    }
+
+    #[test]
+    fn tables_of_an_earlier_image_are_not_visible_to_the_next() {
+        let dec = JpegDecoder::new();
+        let mut scratch = DecodeScratch::new();
+        let full = JpegEncoder::new(85)
+            .unwrap()
+            .encode(&test_image(32, 32))
+            .unwrap();
+        let mut out = vec![0u8; 32 * 32 * 3];
+        dec.decode_into(&full, &mut scratch, None, ColorSpace::Rgb, &mut out)
+            .unwrap();
+        for m in [marker::DHT, marker::DQT] {
+            let err = dec
+                .decode_into(
+                    &strip_segments(&full, m),
+                    &mut scratch,
+                    None,
+                    ColorSpace::Rgb,
+                    &mut out,
+                )
+                .unwrap_err();
+            assert!(
+                matches!(&err, CodecError::MalformedSegment { detail } if detail.contains("missing")),
+                "{err}"
+            );
+        }
+        // The cached tables are intact and serve the next complete image.
+        let mut again = vec![0u8; 32 * 32 * 3];
+        dec.decode_into(&full, &mut scratch, None, ColorSpace::Rgb, &mut again)
+            .unwrap();
+        assert_eq!(out, again);
+    }
+
+    #[test]
+    fn a_failed_image_exposes_nothing_of_the_previous_one() {
+        // Decode A, then a truncated B of the same geometry with the same
+        // scratch into a zeroed window: whatever rows B managed to deliver
+        // are B's own, bit for bit, and everything after them is untouched.
+        let dec = JpegDecoder::new();
+        let mut scratch = DecodeScratch::new();
+        let enc = JpegEncoder::new(90).unwrap();
+        let a = enc.clone().encode(&test_image(96, 80)).unwrap();
+        let mut img_b = test_image(96, 80);
+        for y in 0..80 {
+            for x in 0..96 {
+                img_b.set_pixel(x, y, [(x * 2) as u8, (255 - y * 3) as u8, 77]);
+            }
+        }
+        let b = enc.encode(&img_b).unwrap();
+        let b_pixels = dec.decode(&b).unwrap();
+        let mut window = vec![0u8; 96 * 80 * 3];
+        dec.decode_into(&a, &mut scratch, None, ColorSpace::Rgb, &mut window)
+            .unwrap();
+        for cut in [b.len() / 4, b.len() / 2, b.len() - 3] {
+            window.fill(0);
+            assert!(dec
+                .decode_into(&b[..cut], &mut scratch, None, ColorSpace::Rgb, &mut window)
+                .is_err());
+            let written = window.len() - window.iter().rev().take_while(|&&v| v == 0).count();
+            let rows = written.div_ceil(96 * 3);
+            assert_eq!(
+                window[..rows * 96 * 3],
+                b_pixels.data()[..rows * 96 * 3],
+                "cut {cut}"
+            );
+            assert!(window[rows * 96 * 3..].iter().all(|&v| v == 0));
+        }
     }
 
     #[test]

@@ -11,6 +11,10 @@
 
 pub mod decoder;
 pub mod encoder;
+mod rows;
+mod scratch;
+
+pub use scratch::DecodeScratch;
 
 use crate::error::{CodecError, CodecResult};
 

@@ -44,6 +44,6 @@ pub mod synth;
 pub mod text;
 
 pub use error::{CodecError, CodecResult};
-pub use jpeg::{decoder::JpegDecoder, encoder::JpegEncoder, ChromaMode};
+pub use jpeg::{decoder::JpegDecoder, encoder::JpegEncoder, ChromaMode, DecodeScratch};
 pub use pixel::{ColorSpace, Image};
 pub use resize::ResizeFilter;

@@ -57,17 +57,83 @@ fn resize_nearest(src: &Image, dst_w: u32, dst_h: u32) -> Image {
     Image::from_vec(dst_w, dst_h, src.color(), out).expect("dims validated")
 }
 
-/// One horizontal tap of the separable bilinear filter.
-struct XTap {
-    x0: usize,
-    x1: usize,
-    wx: f32,
+/// One horizontal tap of the separable bilinear filter: byte offsets of the
+/// two source pixels within a row and the weight of the second.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct XTap {
+    pub(crate) o0: u32,
+    pub(crate) o1: u32,
+    pub(crate) wx: f32,
+}
+
+/// The bilinear taps of a `sw` → `dst_w` row of `c`-channel pixels, cached
+/// by geometry so a caller that keeps them (the decode scratch) rebuilds
+/// only when the geometry changes.
+#[derive(Debug, Default)]
+pub(crate) struct XTaps {
+    key: (usize, usize, usize),
+    taps: Vec<XTap>,
+}
+
+impl XTaps {
+    /// Makes the taps those of (`sw`, `dst_w`, `c`).
+    pub(crate) fn prepare(&mut self, sw: usize, dst_w: usize, c: usize) {
+        if self.key == (sw, dst_w, c) {
+            return;
+        }
+        // Pixel-centre mapping: d+0.5 in dst ↔ (d+0.5)·scale in src.
+        let x_scale = sw as f32 / dst_w as f32;
+        self.taps.clear();
+        self.taps.extend((0..dst_w).map(|dx| {
+            let fx = ((dx as f32 + 0.5) * x_scale - 0.5).max(0.0);
+            let x0 = fx as usize;
+            XTap {
+                o0: (x0 * c) as u32,
+                o1: ((x0 + 1).min(sw - 1) * c) as u32,
+                wx: fx - x0 as f32,
+            }
+        }));
+        self.key = (sw, dst_w, c);
+    }
+
+    /// Heap bytes held.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.taps.capacity() * std::mem::size_of::<XTap>()
+    }
+}
+
+/// Horizontal lerp of one `c`-channel source row into f32:
+/// `p0 + (p1 − p0)·wx` per channel. The SIMD kernel evaluates the same
+/// expression four lanes per tap; it reads four bytes at each tap offset and
+/// writes four floats per tap, so it runs on the leading taps for which both
+/// stay inside `src` and `out`, and the scalar loop finishes the row.
+pub(crate) fn hlerp_row(src: &[u8], c: usize, taps: &XTaps, out: &mut [f32]) {
+    let taps = &taps.taps[..];
+    debug_assert!(out.len() >= taps.len() * c);
+    let mut done = 0usize;
+    #[cfg(target_arch = "x86_64")]
+    if c == 3 && crate::simd::simd_active() {
+        // `o1` is nondecreasing, so the taps that may read 4 bytes form a
+        // prefix; the last tap's 4-float store needs one float of slack.
+        let by_src = taps.partition_point(|t| t.o1 as usize + 4 <= src.len());
+        done = by_src.min((out.len().saturating_sub(1)) / 3);
+        // SAFETY: `simd_active` implies AVX2; for every tap in the prefix
+        // `o0 <= o1`, `o1 + 4 <= src.len()` and `3·dx + 4 <= out.len()`.
+        unsafe { crate::simd::hlerp_rgb_taps_avx2(src, &taps[..done], out) };
+    }
+    for (dx, t) in taps.iter().enumerate().skip(done) {
+        for ch in 0..c {
+            let p0 = src[t.o0 as usize + ch] as f32;
+            let p1 = src[t.o1 as usize + ch] as f32;
+            out[dx * c + ch] = p0 + (p1 - p0) * t.wx;
+        }
+    }
 }
 
 /// Vertical bilinear blend of two horizontally-lerped rows into u8 output.
 /// Bit-exact between the AVX2 kernel and the scalar loop.
 #[inline]
-fn lerp_rows_to_u8(top: &[f32], bot: &[f32], wy: f32, out: &mut [u8]) {
+pub(crate) fn lerp_rows_to_u8(top: &[f32], bot: &[f32], wy: f32, out: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
     if crate::simd::simd_active() {
         // SAFETY: `simd_active` returns true only after runtime AVX2
@@ -80,6 +146,68 @@ fn lerp_rows_to_u8(top: &[f32], bot: &[f32], wy: f32, out: &mut [u8]) {
     }
 }
 
+/// The vertical half of the separable bilinear filter, driven by output
+/// rows, over source rows that become available top to bottom.
+///
+/// Output row `dy` blends the horizontally-lerped source rows `y0` and
+/// `y1 = min(y0 + 1, sh − 1)`. They are kept in a two-slot cache keyed by
+/// source-row parity: `y0` and `y1` differ by at most one, so parity
+/// separates them, and because `y0` is nondecreasing in `dy` an evicted row
+/// is never needed again. Upscales lerp each source row once instead of
+/// once per output row; downscales never touch the rows no output samples.
+#[derive(Debug)]
+pub(crate) struct VerticalLerp {
+    sh: usize,
+    dst_h: usize,
+    y_scale: f32,
+    /// Next output row.
+    dy: usize,
+    /// Source row held by each parity slot.
+    held: [usize; 2],
+}
+
+impl VerticalLerp {
+    pub(crate) fn new(sh: usize, dst_h: usize) -> Self {
+        Self {
+            sh,
+            dst_h,
+            y_scale: sh as f32 / dst_h as f32,
+            dy: 0,
+            held: [usize::MAX; 2],
+        }
+    }
+
+    /// Emits every output row whose two source rows lie below `rows_ready`.
+    /// `fill(y, buf)` h-lerps source row `y` (which is `< rows_ready`) into
+    /// `buf`; `emit(dy, top, bot, wy)` receives each finished pair. A row
+    /// pair straddling `rows_ready` has its upper half filled now, so the
+    /// caller may discard every source row below `rows_ready` afterwards.
+    pub(crate) fn advance(
+        &mut self,
+        rows_ready: usize,
+        slots: &mut [Vec<f32>; 2],
+        mut fill: impl FnMut(usize, &mut [f32]),
+        mut emit: impl FnMut(usize, &[f32], &[f32], f32),
+    ) {
+        while self.dy < self.dst_h {
+            let fy = ((self.dy as f32 + 0.5) * self.y_scale - 0.5).max(0.0);
+            let y0 = fy as usize;
+            let y1 = (y0 + 1).min(self.sh - 1);
+            for y in [y0, y1] {
+                if y < rows_ready && self.held[y % 2] != y {
+                    fill(y, &mut slots[y % 2]);
+                    self.held[y % 2] = y;
+                }
+            }
+            if y1 >= rows_ready {
+                return;
+            }
+            emit(self.dy, &slots[y0 % 2], &slots[y1 % 2], fy - y0 as f32);
+            self.dy += 1;
+        }
+    }
+}
+
 fn resize_bilinear(src: &Image, dst_w: u32, dst_h: u32) -> Image {
     let c = src.channels();
     let sw = src.width() as usize;
@@ -87,69 +215,15 @@ fn resize_bilinear(src: &Image, dst_w: u32, dst_h: u32) -> Image {
     let sdata = src.data();
     let row_len = dst_w as usize * c;
     let mut out = vec![0u8; row_len * dst_h as usize];
-    // Pixel-centre mapping: d+0.5 in dst ↔ (d+0.5)·scale in src.
-    let x_scale = sw as f32 / dst_w as f32;
-    let y_scale = sh as f32 / dst_h as f32;
-    let taps: Vec<XTap> = (0..dst_w as usize)
-        .map(|dx| {
-            let fx = ((dx as f32 + 0.5) * x_scale - 0.5).max(0.0);
-            let x0 = fx as usize;
-            XTap {
-                x0,
-                x1: (x0 + 1).min(sw - 1),
-                wx: fx - x0 as f32,
-            }
-        })
-        .collect();
-    // Horizontal lerp of one source row into f32, shared by every output
-    // row that samples it: `p0 + (p1 − p0)·wx` — the same expression the
-    // per-pixel loop evaluated as `top`/`bot`.
-    let fill = |buf: &mut [f32], y: usize| {
-        let base = y * sw * c;
-        for (dx, t) in taps.iter().enumerate() {
-            for ch in 0..c {
-                let p0 = sdata[base + t.x0 * c + ch] as f32;
-                let p1 = sdata[base + t.x1 * c + ch] as f32;
-                buf[dx * c + ch] = p0 + (p1 - p0) * t.wx;
-            }
-        }
-    };
-    // Two-slot row cache keyed by source-row parity: `y0` and `y1` differ
-    // by at most one, so parity separates them, and because `y0` is
-    // nondecreasing in `dy` an evicted row is never needed again. Upscales
-    // lerp each source row once instead of once per output row.
-    let mut row_even = vec![0f32; row_len];
-    let mut row_odd = vec![0f32; row_len];
-    let mut idx_even = usize::MAX;
-    let mut idx_odd = usize::MAX;
-    for dy in 0..dst_h as usize {
-        let fy = ((dy as f32 + 0.5) * y_scale - 0.5).max(0.0);
-        let y0 = fy as usize;
-        let y1 = (y0 + 1).min(sh - 1);
-        let wy = fy - y0 as f32;
-        for y in [y0, y1] {
-            let (buf, idx) = if y.is_multiple_of(2) {
-                (&mut row_even, &mut idx_even)
-            } else {
-                (&mut row_odd, &mut idx_odd)
-            };
-            if *idx != y {
-                fill(buf, y);
-                *idx = y;
-            }
-        }
-        let top = if y0.is_multiple_of(2) {
-            &row_even
-        } else {
-            &row_odd
-        };
-        let bot = if y1.is_multiple_of(2) {
-            &row_even
-        } else {
-            &row_odd
-        };
-        lerp_rows_to_u8(top, bot, wy, &mut out[dy * row_len..][..row_len]);
-    }
+    let mut taps = XTaps::default();
+    taps.prepare(sw, dst_w as usize, c);
+    let mut slots = [vec![0f32; row_len], vec![0f32; row_len]];
+    VerticalLerp::new(sh, dst_h as usize).advance(
+        sh,
+        &mut slots,
+        |y, buf| hlerp_row(&sdata[y * sw * c..][..sw * c], c, &taps, buf),
+        |dy, top, bot, wy| lerp_rows_to_u8(top, bot, wy, &mut out[dy * row_len..][..row_len]),
+    );
     Image::from_vec(dst_w, dst_h, src.color(), out).expect("dims validated")
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The paper attacks JPEG decode with dedicated FPGA units; this module is
 //! the CPU-side analogue: AVX2 implementations of the iDCT, YCbCr→RGB
-//! conversion, chroma upsampling and the bilinear vertical pass, selected at
+//! conversion, chroma upsampling and both bilinear passes, selected at
 //! runtime via `is_x86_feature_detected!` with the scalar code as fallback.
 //!
 //! **Bit-exactness contract.** Every kernel here performs, per lane, the
@@ -101,6 +101,7 @@ pub use x86::*;
 mod x86 {
     use crate::dct::{BLOCK_LEN, C_A, C_B, C_C, SQRT2};
     use crate::pixel::{clamp_u8, ycbcr_to_rgb};
+    use crate::resize::XTap;
     use std::arch::x86_64::*;
 
     /// The AAN 1-D butterfly over 8 vectors (`v[k]` = 1-D index `k`, one
@@ -363,6 +364,35 @@ mod x86 {
         }
     }
 
+    /// Horizontal bilinear taps over an interleaved RGB row: for tap `dx`,
+    /// `out[3·dx + ch] = p0 + (p1 − p0)·wx` with `p0`/`p1` the bytes at
+    /// `o0 + ch`/`o1 + ch`. One tap per iteration in four f32 lanes (R, G, B
+    /// and the byte after them); the fourth lane's store is overwritten by
+    /// the next tap and, after the last, lands in the caller's slack float.
+    /// Plain `sub`/`mul`/`add` per lane — the scalar expression, no FMA.
+    ///
+    /// # Safety
+    /// The host must support AVX2. For every tap, `o0 + 4` and `o1 + 4`
+    /// must not exceed `src.len()`, and `out` must hold `3·taps.len() + 1`
+    /// floats.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn hlerp_rgb_taps_avx2(src: &[u8], taps: &[XTap], out: &mut [f32]) {
+        debug_assert!(taps.is_empty() || out.len() > 3 * taps.len());
+        let sp = src.as_ptr();
+        let op = out.as_mut_ptr();
+        for (dx, t) in taps.iter().enumerate() {
+            debug_assert!(t.o0 <= t.o1 && t.o1 as usize + 4 <= src.len());
+            let load = |o: u32| -> __m128 {
+                let px = (sp.add(o as usize) as *const i32).read_unaligned();
+                _mm_cvtepi32_ps(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(px)))
+            };
+            let p0 = load(t.o0);
+            let p1 = load(t.o1);
+            let v = _mm_add_ps(p0, _mm_mul_ps(_mm_sub_ps(p1, p0), _mm_set1_ps(t.wx)));
+            _mm_storeu_ps(op.add(dx * 3), v);
+        }
+    }
+
     /// Vertical bilinear pass: `out[i] = clamp_u8(top[i] + (bot[i] − top[i])
     /// · wy)`, 8 lanes per iteration with a scalar tail. Bit-exact with the
     /// scalar expression.
@@ -496,6 +526,54 @@ mod tests {
                 unsafe { upsample_dup2_row_avx2(&src, &mut got) };
                 for (i, &v) in got.iter().enumerate() {
                     assert_eq!(v, src[i / 2], "len {len} idx {i}");
+                }
+            }
+        }
+
+        #[test]
+        fn hlerp_kernel_bit_exact_with_scalar() {
+            use crate::resize::{hlerp_row, XTaps};
+            if !have_avx2() {
+                return;
+            }
+            let mut state = 0x7A95u32;
+            // Downscales, upscales (where the last taps clamp x1 to sw − 1)
+            // and 1:1, over rows with and without the pad byte that lets the
+            // kernel cover the last pixel.
+            for (sw, dw) in [
+                (1usize, 1usize),
+                (2, 7),
+                (5, 5),
+                (17, 40),
+                (33, 8),
+                (500, 224),
+            ] {
+                let mut taps = XTaps::default();
+                taps.prepare(sw, dw, 3);
+                for pad in [0usize, 1] {
+                    let src: Vec<u8> = (0..sw * 3 + pad).map(|_| lcg(&mut state) as u8).collect();
+                    let want: Vec<f32> = {
+                        force_scalar(true);
+                        let mut out = vec![0f32; dw * 3 + pad];
+                        hlerp_row(&src, 3, &taps, &mut out);
+                        force_scalar(false);
+                        out
+                    };
+                    let mut got = vec![0f32; dw * 3 + pad];
+                    hlerp_row(&src, 3, &taps, &mut got);
+                    assert_eq!(want[..dw * 3], got[..dw * 3], "{sw} -> {dw}, pad {pad}");
+                    // And against the expression itself, per channel.
+                    let x_scale = sw as f32 / dw as f32;
+                    for dx in 0..dw {
+                        let fx = ((dx as f32 + 0.5) * x_scale - 0.5).max(0.0);
+                        let x0 = fx as usize;
+                        let x1 = (x0 + 1).min(sw - 1);
+                        let wx = fx - x0 as f32;
+                        for ch in 0..3 {
+                            let (p0, p1) = (src[x0 * 3 + ch] as f32, src[x1 * 3 + ch] as f32);
+                            assert_eq!(got[dx * 3 + ch], p0 + (p1 - p0) * wx);
+                        }
+                    }
                 }
             }
         }

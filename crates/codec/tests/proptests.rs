@@ -9,8 +9,95 @@ use dlb_codec::pixel::{rgb_to_ycbcr, ycbcr_to_rgb};
 use dlb_codec::resize::{resize, ResizeFilter};
 use dlb_codec::simd::{force_scalar, simd_active};
 use dlb_codec::synth::{generate, SynthStyle};
-use dlb_codec::{ColorSpace, Image, JpegDecoder, JpegEncoder};
+use dlb_codec::{CodecError, ColorSpace, DecodeScratch, Image, JpegDecoder, JpegEncoder};
 use proptest::prelude::*;
+
+/// One image and one way to ask the kernel for it.
+#[derive(Debug, Clone)]
+struct KernelCase {
+    mode: ChromaMode,
+    interval: u16,
+    w: u32,
+    h: u32,
+    /// 0 = (dw, dh); 1 = identity; 2 = width only; 3 = height only;
+    /// 4 = no target (source geometry).
+    shape: u8,
+    dw: u32,
+    dh: u32,
+    color: ColorSpace,
+    seed: u64,
+}
+
+impl KernelCase {
+    fn target(&self) -> Option<(u32, u32)> {
+        match self.shape {
+            0 => Some((self.dw, self.dh)),
+            1 => Some((self.w, self.h)),
+            2 => Some((self.dw, self.h)),
+            3 => Some((self.w, self.dh)),
+            _ => None,
+        }
+    }
+
+    fn jpeg(&self) -> Vec<u8> {
+        let img = generate(self.w, self.h, SynthStyle::Photo, self.seed);
+        let img = if self.mode == ChromaMode::Grayscale {
+            img.to_gray()
+        } else {
+            img
+        };
+        JpegEncoder::new(88)
+            .unwrap()
+            .with_mode(self.mode)
+            .with_restart_interval(self.interval)
+            .encode(&img)
+            .unwrap()
+    }
+}
+
+fn kernel_case() -> impl Strategy<Value = KernelCase> {
+    (
+        prop::sample::select(vec![
+            ChromaMode::Yuv444,
+            ChromaMode::Yuv422,
+            ChromaMode::Yuv420,
+            ChromaMode::Grayscale,
+        ]),
+        prop::sample::select(vec![0u16, 1, 7, 64]),
+        (1u32..=70, 1u32..=70),
+        0u8..=4,
+        (1u32..=96, 1u32..=96),
+        prop::sample::select(vec![ColorSpace::Rgb, ColorSpace::Gray]),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(mode, interval, (w, h), shape, (dw, dh), color, seed)| KernelCase {
+                mode,
+                interval,
+                // Odd sizes: partial MCUs on both edges.
+                w: w | 1,
+                h: h | 1,
+                shape,
+                dw,
+                dh,
+                color,
+                seed,
+            },
+        )
+}
+
+/// What the kernel must equal byte for byte: the one-image API chained.
+fn decode_resize_convert(bytes: &[u8], target: Option<(u32, u32)>, color: ColorSpace) -> Image {
+    let img = JpegDecoder::new().decode(bytes).unwrap();
+    let img = match target {
+        Some((w, h)) => resize(&img, w, h, ResizeFilter::Bilinear).unwrap(),
+        None => img,
+    };
+    match color {
+        ColorSpace::Rgb => img.to_rgb(),
+        ColorSpace::Gray => img.to_gray(),
+    }
+}
 
 fn psnr(a: &[u8], b: &[u8]) -> f64 {
     let mse: f64 = a
@@ -371,31 +458,131 @@ proptest! {
 
     #[test]
     fn fast_and_reference_entropy_agree_on_malformed_streams(
-        flips in prop::collection::vec((0usize..4096, 0u8..=255), 1..12),
+        flips in prop::collection::vec((0usize..4096, 0u8..=255), 0..12),
+        bit_flips in prop::collection::vec((0usize..4096, 0u8..8), 0..4),
+        // Half the draws leave the length alone.
+        cut in 0usize..8192,
+        interval in prop::sample::select(vec![0u16, 3]),
         seed in any::<u64>(),
     ) {
-        // Corrupted streams: both entropy decoders must agree on
-        // success/failure, and on the pixels when both succeed.
+        // Overwritten bytes, flipped bits and truncation: the fused-table
+        // decoder and the bit-at-a-time reference must agree on
+        // success/failure, on the pixels and work counters when both
+        // succeed, and on the error (same variant, same detail) when both
+        // fail — and neither may panic.
         let img = generate(48, 48, SynthStyle::Photo, seed);
-        let mut bytes = JpegEncoder::new(80).unwrap().encode(&img).unwrap();
+        let mut bytes = JpegEncoder::new(80)
+            .unwrap()
+            .with_restart_interval(interval)
+            .encode(&img)
+            .unwrap();
         for &(pos, val) in &flips {
             let idx = pos % bytes.len();
             bytes[idx] = val;
         }
-        let fast = JpegDecoder::new().decode(&bytes);
+        for &(pos, bit) in &bit_flips {
+            let idx = pos % bytes.len();
+            bytes[idx] ^= 1 << bit;
+        }
+        if cut < 4096 {
+            bytes.truncate(cut % bytes.len());
+        }
+        let fast = JpegDecoder::new().decode_with_stats(&bytes);
         let reference = JpegDecoder::new()
             .with_reference_entropy(true)
-            .decode(&bytes);
+            .decode_with_stats(&bytes);
         match (fast, reference) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a.data(), b.data()),
-            (Err(_), Err(_)) => {}
+            (Ok((a, sa)), Ok((b, sb))) => {
+                prop_assert_eq!(a.data(), b.data());
+                prop_assert_eq!(
+                    (sa.mcus, sa.blocks, sa.nonzero_coeffs, sa.restart_segments),
+                    (sb.mcus, sb.blocks, sb.nonzero_coeffs, sb.restart_segments)
+                );
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(
                 false,
                 "entropy decoder disagreement: fast {:?} reference {:?}",
-                a.is_ok(),
-                b.is_ok()
+                a.map(|_| ()),
+                b.map(|_| ())
             ),
         }
+    }
+
+    #[test]
+    fn kernel_matches_decode_resize_convert(
+        cases in prop::collection::vec(kernel_case(), 1..5),
+    ) {
+        // One scratch across differently sized images, sources and output
+        // layouts, in whatever order the strategy drew them, with the SIMD
+        // kernels and with the scalar fallback: every delivery must equal
+        // the chained one-image API byte for byte, and report its geometry
+        // and work counters.
+        let _guard = SIMD_MODE_LOCK.lock().unwrap();
+        let dec = JpegDecoder::new();
+        for scalar in [false, true] {
+            force_scalar(scalar);
+            let mut scratch = DecodeScratch::new();
+            for case in &cases {
+                let bytes = case.jpeg();
+                let want = decode_resize_convert(&bytes, case.target(), case.color);
+                // A window longer than needed: the tail must stay untouched.
+                let mut out = vec![0xA5u8; want.byte_len() + 7];
+                let got = dec.decode_into(&bytes, &mut scratch, case.target(), case.color, &mut out);
+                force_scalar(false);
+                let got = got.unwrap();
+                force_scalar(scalar);
+                prop_assert_eq!((got.width, got.height), (want.width(), want.height()));
+                prop_assert_eq!(got.bytes, want.byte_len());
+                prop_assert!(&out[..got.bytes] == want.data(), "{:?} scalar={}", case, scalar);
+                prop_assert!(out[got.bytes..].iter().all(|&b| b == 0xA5));
+                let (_, stats) = dec.decode_with_stats(&bytes).unwrap();
+                prop_assert_eq!(got.stats.work(), stats.work());
+            }
+        }
+        force_scalar(false);
+    }
+
+    #[test]
+    fn kernel_with_reference_entropy_and_timing_is_bit_exact(case in kernel_case()) {
+        // The switches change how, never what.
+        let bytes = case.jpeg();
+        let want = decode_resize_convert(&bytes, case.target(), case.color);
+        let mut scratch = DecodeScratch::new();
+        for dec in [
+            JpegDecoder::new().with_reference_entropy(true),
+            JpegDecoder::new().with_stage_timing(true),
+        ] {
+            let mut out = vec![0u8; want.byte_len()];
+            let got = dec
+                .decode_into(&bytes, &mut scratch, case.target(), case.color, &mut out)
+                .unwrap();
+            prop_assert_eq!(got.bytes, want.byte_len());
+            prop_assert!(out == want.data(), "{:?}", case);
+        }
+    }
+
+    #[test]
+    fn kernel_refuses_a_short_window_and_bad_targets(case in kernel_case()) {
+        let bytes = case.jpeg();
+        let mut scratch = DecodeScratch::new();
+        let dec = JpegDecoder::new();
+        let need = decode_resize_convert(&bytes, case.target(), case.color).byte_len();
+        let mut short = vec![0u8; need - 1];
+        let err = dec
+            .decode_into(&bytes, &mut scratch, case.target(), case.color, &mut short)
+            .unwrap_err();
+        prop_assert!(matches!(err, CodecError::InvalidArgument { .. }), "{}", err);
+        prop_assert!(short.iter().all(|&b| b == 0), "refused before any row is written");
+        let mut out = vec![0u8; need];
+        for target in [(0, 5), (5, 0)] {
+            let err = dec
+                .decode_into(&bytes, &mut scratch, Some(target), case.color, &mut out)
+                .unwrap_err();
+            prop_assert!(matches!(err, CodecError::UnsupportedDimensions { .. }), "{}", err);
+        }
+        // The scratch is still good.
+        dec.decode_into(&bytes, &mut scratch, case.target(), case.color, &mut out).unwrap();
     }
 
     #[test]

@@ -182,6 +182,18 @@ struct PendingMeta {
     trace: u64,
 }
 
+impl PendingMeta {
+    fn into_device_batch(self, dev: DeviceBuffer) -> DeviceBatch {
+        DeviceBatch {
+            dev,
+            items: self.items,
+            sequence: self.sequence,
+            ready_at: self.ready_at,
+            arrivals: self.arrivals,
+        }
+    }
+}
+
 fn run_dispatcher(
     backend: Arc<dyn PreprocessBackend>,
     streams: Arc<StreamSet>,
@@ -196,7 +208,7 @@ fn run_dispatcher(
         // Round-robin submission phase (Alg. 3 lines 1–11).
         let mut submitted_any = false;
         for slot in 0..n {
-            let batch: HostBatch = match backend.next_batch(slot) {
+            let mut batch: HostBatch = match backend.next_batch(slot) {
                 Ok(b) => b,
                 Err(BackendError::Exhausted) | Err(BackendError::Stopped) => break 'outer,
                 Err(BackendError::Failed { .. }) => break 'outer,
@@ -211,11 +223,14 @@ fn run_dispatcher(
             };
             let bytes = batch.unit.used();
             let duration = Duration::from_secs_f64(bytes as f64 / pcie_bytes_per_sec);
+            // The metadata leaves the host batch here, once, and rides to
+            // the device batch by move; the unit goes on to the copy engine
+            // with its payload only.
             pending[slot] = Some(PendingMeta {
                 sequence: batch.sequence,
-                items: batch.unit.items().to_vec(),
+                items: batch.unit.take_items(),
                 ready_at: batch.ready_at,
-                arrivals: batch.arrivals.clone(),
+                arrivals: batch.arrivals,
                 submitted_at: t0,
                 trace: batch.trace,
             });
@@ -250,24 +265,22 @@ fn run_dispatcher(
                 }
             }
             let t0 = Instant::now();
+            // One copy was enqueued for this slot, so the metadata has
+            // exactly one taker.
+            let mut meta = Some(meta);
             for op in completed {
                 if let CompletedOp::MemcpyH2D { host, dev, error } = op {
                     backend.recycle(host);
                     if error.is_some() {
                         stats.copy_errors.inc();
+                    }
+                    let Some(meta) = meta.take().filter(|_| error.is_none()) else {
                         // Buffer goes back to the engine's free queue unused.
                         let _ = trans[slot].free.push(dev);
                         continue;
-                    }
-                    let dispatched = DeviceBatch {
-                        dev,
-                        items: meta.items.clone(),
-                        sequence: meta.sequence,
-                        ready_at: meta.ready_at,
-                        arrivals: meta.arrivals.clone(),
                     };
                     stats.batches.inc();
-                    if trans[slot].full.push(dispatched).is_err() {
+                    if trans[slot].full.push(meta.into_device_batch(dev)).is_err() {
                         break 'outer;
                     }
                 }
@@ -282,22 +295,16 @@ fn run_dispatcher(
     // batch totals); synchronize every stream and recycle what remains so
     // no unit or buffer is stranded.
     for slot in 0..n {
-        let meta = pending[slot].take();
+        let mut meta = pending[slot].take();
         for op in streams.stream(slot).synchronize() {
             if let CompletedOp::MemcpyH2D { host, dev, error } = op {
                 backend.recycle(host);
-                match (&meta, error) {
-                    (Some(m), None) => {
-                        let _ = trans[slot].full.push(DeviceBatch {
-                            dev,
-                            items: m.items.clone(),
-                            sequence: m.sequence,
-                            ready_at: m.ready_at,
-                            arrivals: m.arrivals.clone(),
-                        });
+                match meta.take().filter(|_| error.is_none()) {
+                    Some(m) => {
+                        let _ = trans[slot].full.push(m.into_device_batch(dev));
                         stats.batches.inc();
                     }
-                    _ => {
+                    None => {
                         let _ = trans[slot].free.push(dev);
                     }
                 }

@@ -471,7 +471,16 @@ impl ReaderCore<'_> {
         };
         self.next_sequence += 1;
         self.stats.batches_completed.inc();
-        self.full_queue.push(batch).is_ok()
+        match self.full_queue.push_or_return(batch) {
+            Ok(()) => true,
+            // Downstream closed the queue (shutdown, or the router going
+            // cache-only): the unit goes back to the pool, not down with
+            // the batch — the router's replay phase leases from it.
+            Err(batch) => {
+                let _ = self.pool.recycle_item(batch.unit);
+                false
+            }
+        }
     }
 
     /// Timeout watchdog: if the oldest in-flight submission is past the
@@ -745,11 +754,15 @@ fn run_reader(
     }
 
     // Drain everything still in flight, then close (Alg. 1 lines 16–19).
+    // Once the full queue is closed nobody will take the batches, but their
+    // units are still collected here and recycled; they count as lost below.
     while channel.in_flight() > 0 {
         match core.wait_completion() {
             WaitOutcome::Got(done) => {
-                if !core.on_completion(done) {
-                    break;
+                if full_queue.is_closed() {
+                    let _ = pool.recycle_item(done.unit);
+                } else {
+                    core.on_completion(done);
                 }
             }
             WaitOutcome::Idle => {}
@@ -811,6 +824,25 @@ mod tests {
             },
         );
         (reader, pool)
+    }
+
+    #[test]
+    fn closing_the_full_queue_returns_every_unit_to_the_pool() {
+        // What the router does when it goes cache-only: close the reader's
+        // output mid-epoch with batches queued and in flight. None of their
+        // units may leave circulation, or the replay phase starves.
+        for _ in 0..8 {
+            let (reader, pool) = pipeline(64, 4, None);
+            let first = reader.full_queue().pop().unwrap();
+            pool.recycle_item(first.unit).unwrap();
+            let fq = reader.full_queue().clone();
+            fq.close();
+            for stranded in fq.drain() {
+                pool.recycle_item(stranded.unit).unwrap();
+            }
+            drop(reader.stop());
+            assert_eq!(pool.free_count(), pool.unit_count());
+        }
     }
 
     #[test]

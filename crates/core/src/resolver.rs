@@ -39,21 +39,23 @@ impl CombinedResolver {
 }
 
 impl DataSourceResolver for CombinedResolver {
-    fn fetch(&self, src: &DataRef) -> Result<Vec<u8>, String> {
+    fn fetch(&self, src: &DataRef) -> Result<Arc<Vec<u8>>, String> {
         match *src {
             DataRef::Disk { offset, len } => {
                 let disk = self
                     .disk
                     .as_ref()
                     .ok_or_else(|| "no disk attached to this resolver".to_string())?;
-                disk.read(offset, len).map(|arc| arc.as_ref().clone())
+                disk.read(offset, len)
             }
             DataRef::HostMem { phys_addr, len } => {
                 let nic = self
                     .nic
                     .as_ref()
                     .ok_or_else(|| "no NIC attached to this resolver".to_string())?;
-                nic.fetch(phys_addr, len)
+                // The RX buffer stays with the NIC until released, so this
+                // port hands out a copy.
+                nic.fetch(phys_addr, len).map(Arc::new)
             }
         }
     }
@@ -71,7 +73,7 @@ mod tests {
         let (off, len) = disk.append(vec![5, 6, 7]).unwrap();
         let r = CombinedResolver::disk_only(Arc::clone(&disk));
         assert_eq!(
-            r.fetch(&DataRef::Disk { offset: off, len }).unwrap(),
+            *r.fetch(&DataRef::Disk { offset: off, len }).unwrap(),
             vec![5, 6, 7]
         );
         assert!(r
@@ -95,7 +97,7 @@ mod tests {
         let d = nic.deliver(&wire, 0).unwrap();
         let r = CombinedResolver::nic_only(Arc::clone(&nic));
         assert_eq!(
-            r.fetch(&DataRef::HostMem {
+            *r.fetch(&DataRef::HostMem {
                 phys_addr: d.phys_addr,
                 len: d.len
             })

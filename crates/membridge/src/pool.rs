@@ -193,6 +193,13 @@ impl BatchUnit {
         &self.items
     }
 
+    /// Moves the item list out, leaving the unit's payload in place with no
+    /// items. For the consumer that forwards the layout with the bytes (the
+    /// dispatcher's H2D copy) and then recycles the unit.
+    pub fn take_items(&mut self) -> Vec<ItemDesc> {
+        std::mem::take(&mut self.items)
+    }
+
     /// Batch sequence number (set by the producer via [`BatchUnit::seal`]).
     pub fn sequence(&self) -> u64 {
         self.sequence
