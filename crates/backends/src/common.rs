@@ -150,7 +150,7 @@ pub struct PoolScaffold {
 
 impl PoolScaffold {
     /// Builds the scaffold with `pool_units` buffers of `unit_size` bytes
-    /// and the pre-graph slot-queue depth of 8.
+    /// and the default slot-queue depth of 8.
     pub fn new(
         n_slots: usize,
         unit_size: usize,

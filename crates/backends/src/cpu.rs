@@ -51,8 +51,7 @@ impl CpuBackendConfig {
         self.batch_size * self.target_w as usize * self.target_h as usize * 3
     }
 
-    /// The canned graph [`CpuBackend::start`] compiles: the exact chain the
-    /// pre-graph constructor wired by hand.
+    /// The canned graph [`CpuBackend::start`] compiles.
     fn canned_graph(&self) -> PipelineGraph {
         cpu_training(self.target_w, self.target_h, self.workers)
     }
@@ -63,33 +62,6 @@ impl CpuBackendConfig {
             n_engines: self.n_engines,
             default_decode_parallelism: self.workers.max(1),
             seed: 0,
-        }
-    }
-}
-
-/// The wiring a compiled graph (or the hardwired baseline) hands the
-/// scaffold: slot-queue depth and the optional augmentation hop.
-struct CpuWiring {
-    slot_depth: usize,
-    augmentor: Option<SampleAugmentor>,
-}
-
-impl CpuWiring {
-    /// The pre-graph constants: slot queues of 8, no augmentation.
-    /// Preserved verbatim as the differential baseline.
-    fn hardwired() -> Self {
-        CpuWiring {
-            slot_depth: 8,
-            augmentor: None,
-        }
-    }
-
-    /// Wiring derived from a compiled graph. Resolves `DLB_AUG_SEED` here —
-    /// at backend start, never inside `compile`.
-    fn from_compiled(compiled: &CompiledPipeline) -> Self {
-        CpuWiring {
-            slot_depth: compiled.slot_depth,
-            augmentor: compiled.augmentor(),
         }
     }
 }
@@ -108,8 +80,7 @@ impl CpuBackend {
     /// Starts `config.workers` decode threads pulling metadata from
     /// `collector` and bytes from `resolver`. Internally compiles the
     /// canned CPU training graph — see [`CpuBackend::from_graph`] for
-    /// user-composed pipelines and [`CpuBackend::start_hardwired`] for the
-    /// pre-graph wiring.
+    /// user-composed pipelines.
     pub fn start(
         collector: Arc<DataCollector>,
         resolver: Arc<dyn DataSourceResolver>,
@@ -119,13 +90,7 @@ impl CpuBackend {
             .canned_graph()
             .compile(&config.graph_config())
             .map_err(|e| e.to_string())?;
-        Self::start_inner(
-            collector,
-            resolver,
-            config,
-            CpuWiring::from_compiled(&compiled),
-            None,
-        )
+        Self::start_inner(collector, resolver, config, &compiled, None)
     }
 
     /// [`CpuBackend::start`] with the per-stage `codec.*` timers exported
@@ -141,41 +106,7 @@ impl CpuBackend {
             .canned_graph()
             .compile(&config.graph_config())
             .map_err(|e| e.to_string())?;
-        Self::start_inner(
-            collector,
-            resolver,
-            config,
-            CpuWiring::from_compiled(&compiled),
-            Some(telemetry),
-        )
-    }
-
-    /// The pre-refactor constructor: wires the worker pool from hardcoded
-    /// constants without ever building a graph. Kept as the differential
-    /// baseline — `tests/graph_equivalence.rs` holds [`CpuBackend::start`]
-    /// (canned graph) bitwise-equal to this path.
-    pub fn start_hardwired(
-        collector: Arc<DataCollector>,
-        resolver: Arc<dyn DataSourceResolver>,
-        config: CpuBackendConfig,
-    ) -> Result<Self, String> {
-        Self::start_inner(collector, resolver, config, CpuWiring::hardwired(), None)
-    }
-
-    /// [`CpuBackend::start_hardwired`] with a shared telemetry registry.
-    pub fn start_hardwired_with_telemetry(
-        collector: Arc<DataCollector>,
-        resolver: Arc<dyn DataSourceResolver>,
-        config: CpuBackendConfig,
-        telemetry: Arc<Telemetry>,
-    ) -> Result<Self, String> {
-        Self::start_inner(
-            collector,
-            resolver,
-            config,
-            CpuWiring::hardwired(),
-            Some(telemetry),
-        )
+        Self::start_inner(collector, resolver, config, &compiled, Some(telemetry))
     }
 
     /// Builds the backend from a user-composed [`PipelineGraph`]. The graph
@@ -229,28 +160,25 @@ impl CpuBackend {
         config.target_w = compiled.resize.0;
         config.target_h = compiled.resize.1;
         config.workers = compiled.decode_parallelism;
-        Self::start_inner(
-            collector,
-            resolver,
-            config,
-            CpuWiring::from_compiled(&compiled),
-            telemetry,
-        )
+        Self::start_inner(collector, resolver, config, &compiled, telemetry)
     }
 
     fn start_inner(
         collector: Arc<DataCollector>,
         resolver: Arc<dyn DataSourceResolver>,
         config: CpuBackendConfig,
-        wiring: CpuWiring,
+        compiled: &CompiledPipeline,
         telemetry: Option<Arc<Telemetry>>,
     ) -> Result<Self, String> {
         if config.workers == 0 || config.batch_size == 0 || config.n_engines == 0 {
             return Err("workers, batch_size and n_engines must be positive".into());
         }
+        // Resolves `DLB_AUG_SEED` here — at backend start, never inside
+        // `compile`.
+        let augmentor = compiled.augmentor();
         // Units hold the batch both as decoded (resize output) and after
         // augmentation (which may grow items 4x via Normalize).
-        let unit_size = match &wiring.augmentor {
+        let unit_size = match &augmentor {
             Some(aug) => {
                 let out = aug.output_bytes(config.target_w, config.target_h);
                 config.unit_size().max(config.batch_size * out)
@@ -259,12 +187,11 @@ impl CpuBackend {
         };
         let scaffold = Arc::new(PoolScaffold::with_slot_depth(
             config.n_engines,
-            wiring.slot_depth,
+            compiled.slot_depth,
             unit_size,
             (config.n_engines * 3).max(config.workers + 2),
             config.max_batches,
         )?);
-        let augmentor = wiring.augmentor;
         let mut workers = Vec::with_capacity(config.workers);
         for w in 0..config.workers {
             let collector = Arc::clone(&collector);
@@ -314,6 +241,15 @@ fn cpu_worker(
     // With an augmentor the decoded item is rewritten on its way into the
     // unit, so it is decoded into this buffer first.
     let mut staging = vec![0u8; if augmentor.is_some() { item_bytes } else { 0 }];
+    let codec_nanos = telemetry.as_ref().map(|t| {
+        [
+            names::CODEC_HUFFMAN_NANOS,
+            names::CODEC_IDCT_NANOS,
+            names::CODEC_COLOR_NANOS,
+            names::CODEC_RESIZE_NANOS,
+        ]
+        .map(|name| t.registry.counter(name))
+    });
     'produce: while !scaffold.stop.load(Ordering::SeqCst) {
         // Resolved per batch so a tracer installed after worker start is
         // still picked up; one `OnceLock::get` branch when disabled.
@@ -543,13 +479,11 @@ fn cpu_worker(
                 Instant::now(),
             );
         }
-        if let Some(t) = &telemetry {
-            t.registry
-                .counter(names::CODEC_HUFFMAN_NANOS)
-                .add(huffman_ns);
-            t.registry.counter(names::CODEC_IDCT_NANOS).add(idct_ns);
-            t.registry.counter(names::CODEC_COLOR_NANOS).add(color_ns);
-            t.registry.counter(names::CODEC_RESIZE_NANOS).add(resize_ns);
+        if let Some([huffman, idct, color, resize]) = &codec_nanos {
+            huffman.add(huffman_ns);
+            idct.add(idct_ns);
+            color.add(color_ns);
+            resize.add(resize_ns);
         }
         scaffold
             .cpu_busy_nanos

@@ -27,17 +27,8 @@ use crate::huffman::{
     extend_magnitude, BitReader, BitReservoir, TableClass, MAX_CODE_LEN,
 };
 use crate::pixel::{clamp_u8, ColorSpace, Image};
-use rayon::prelude::*;
 use std::cell::RefCell;
 use std::time::Instant;
-
-/// Minimum MCUs a parallel decode task should cover. Streams encoded with a
-/// tiny restart interval (the degenerate case: one MCU per segment) produce
-/// hundreds of segments whose per-task overhead — a `Vec` allocation, pool
-/// hand-off, cold scratch — used to outweigh the entropy work. Adjacent
-/// segments are coalesced into chunks of at least this many MCUs; within a
-/// chunk they still decode back-to-back with independent restart state.
-const MIN_PARALLEL_CHUNK_MCUS: u64 = 32;
 
 /// Most pixels a frame header may declare. A SOF0 is ten bytes of
 /// attacker-controlled input that sizes every buffer downstream; 64 Mpx
@@ -61,8 +52,7 @@ pub struct DecodeStats {
     /// Restart segments encountered (1 if no DRI).
     pub restart_segments: u32,
     /// Wall nanoseconds in Huffman entropy decoding. Only populated when
-    /// [`JpegDecoder::with_stage_timing`] is enabled; summed across
-    /// workers for a parallel decode (so it can exceed wall time).
+    /// [`JpegDecoder::with_stage_timing`] is enabled.
     pub huffman_ns: u64,
     /// Wall nanoseconds in dequantisation + inverse DCT (same caveats as
     /// [`DecodeStats::huffman_ns`]).
@@ -79,7 +69,8 @@ pub struct DecodeStats {
 impl DecodeStats {
     /// The fields that describe the *work done*, excluding the wall-clock
     /// stage timers — equal for any two decodes of the same stream
-    /// regardless of threading, which is what the equivalence tests pin.
+    /// regardless of delivery geometry, which is what the equivalence tests
+    /// pin.
     pub fn work(&self) -> (u64, u64, u64, u64, u32) {
         (
             self.mcus,
@@ -108,11 +99,7 @@ pub struct Decoded {
 ///
 /// The decoder is cheap to construct and `Sync`; one instance can serve
 /// any number of threads. [`JpegDecoder::decode_into`] is the production
-/// kernel; [`JpegDecoder::decode`] and [`JpegDecoder::decode_parallel`] are
-/// one-image conveniences over the same block decoder and row kernels
-/// (the latter entropy-decodes independent restart segments concurrently
-/// on the work-stealing pool — the software mirror of the paper's 4-way
-/// parallel Huffman unit, Fig. 4) and are bit-exact with it.
+/// kernel; [`JpegDecoder::decode`] is the one-image convenience over it.
 #[derive(Debug, Default, Clone)]
 pub struct JpegDecoder {
     collect_timing: bool,
@@ -127,12 +114,7 @@ thread_local! {
 }
 
 fn with_thread_scratch<T>(f: impl FnOnce(&mut DecodeScratch) -> T) -> T {
-    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        // Re-entered on this thread (a pool task run inline): stay correct
-        // with a temporary.
-        Err(_) => f(&mut DecodeScratch::new()),
-    })
+    THREAD_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 impl JpegDecoder {
@@ -209,7 +191,7 @@ impl JpegDecoder {
                     .ok_or_else(|| CodecError::InvalidArgument {
                         detail: format!("output window of {have} bytes cannot hold {need}"),
                     })?;
-                self.run(data, scratch, plan, false, window)
+                self.run(data, scratch, plan, window)
             });
         scratch.release_if_oversized();
         result
@@ -221,40 +203,15 @@ impl JpegDecoder {
         self.decode_with_stats(data).map(|(img, _)| img)
     }
 
-    /// Decodes and additionally reports workload statistics.
+    /// Decodes and additionally reports workload statistics. The one-image
+    /// API: source geometry, source colour layout, fresh buffer,
+    /// thread-local scratch.
     pub fn decode_with_stats(&self, data: &[u8]) -> CodecResult<(Image, DecodeStats)> {
-        self.decode_image(data, false)
-    }
-
-    /// Decodes with restart segments entropy-decoded **in parallel** on
-    /// the work-stealing pool. Bit-exact with [`JpegDecoder::decode`];
-    /// falls back to the sequential path when the stream has no restart
-    /// interval (nothing independent to split) or the pool has one
-    /// worker.
-    pub fn decode_parallel(&self, data: &[u8]) -> CodecResult<Image> {
-        self.decode_parallel_with_stats(data).map(|(img, _)| img)
-    }
-
-    /// [`JpegDecoder::decode_parallel`] plus workload statistics.
-    pub fn decode_parallel_with_stats(&self, data: &[u8]) -> CodecResult<(Image, DecodeStats)> {
-        self.decode_image(data, true)
-    }
-
-    /// Decodes a batch of independent streams concurrently (one pool task
-    /// per image, each image decoded sequentially). Results keep input
-    /// order; per-image failures do not affect their neighbours.
-    pub fn decode_batch(&self, batch: &[&[u8]]) -> Vec<CodecResult<Image>> {
-        batch.par_iter().map(|data| self.decode(data)).collect()
-    }
-
-    /// The one-image API: source geometry, source colour layout, fresh
-    /// buffer, thread-local scratch.
-    fn decode_image(&self, data: &[u8], parallel: bool) -> CodecResult<(Image, DecodeStats)> {
         with_thread_scratch(|scratch| {
             let result = self.plan(data, scratch, None, None).and_then(|plan| {
                 let color = plan.color;
                 let mut pixels = vec![0u8; plan.stage.out_len()];
-                let decoded = self.run(data, scratch, plan, parallel, &mut pixels)?;
+                let decoded = self.run(data, scratch, plan, &mut pixels)?;
                 let image = Image::from_vec(decoded.width, decoded.height, color, pixels)?;
                 Ok((image, decoded.stats))
             });
@@ -296,7 +253,6 @@ impl JpegDecoder {
         data: &[u8],
         scratch: &mut DecodeScratch,
         plan: Plan,
-        parallel: bool,
         out: &mut [u8],
     ) -> CodecResult<Decoded> {
         let Plan {
@@ -333,14 +289,7 @@ impl JpegDecoder {
             comps: &comps[..frame.ncomp],
             scan,
         };
-        let chunks = if parallel && rayon::current_num_threads() > 1 {
-            ctx.parallel_chunks()
-        } else {
-            Vec::new()
-        };
-        if chunks.len() >= 2 {
-            ctx.run_parallel(&chunks, &mut stage, rows, out, &mut stats)?;
-        } else if self.reference_entropy {
+        if self.reference_entropy {
             ctx.run_streaming::<BitReader<'_>>(coeffs, strips, &mut stage, rows, out, &mut stats)?;
         } else {
             ctx.run_streaming::<BitReservoir<'_>>(
@@ -725,8 +674,7 @@ fn parse_dht(mut seg: &[u8], tables: &mut TableCache) -> CodecResult<()> {
 /// boundary linear hunt from the bit-reader's resync position.
 ///
 /// Marker ordering is validated here (`RSTn` must cycle `RST0..RST7`),
-/// which is what lets the segments be handed out to pool workers as
-/// independent, individually-checkable decode tasks.
+/// before any segment is entropy-decoded.
 fn index_restart_segments(
     scan: &[u8],
     expected_segments: usize,
@@ -1058,8 +1006,7 @@ impl<'d> BlockReader<'d> for BitReservoir<'d> {
 /// every MCU row.
 struct EntropyWalk<'s, 'd, R> {
     scan: &'s Scan<'d>,
-    /// Segment being read (index into `scan.segments`) and the one past the
-    /// last this walk may enter.
+    /// Segment being read (index into `scan.segments`).
     segment: usize,
     reader: R,
     left_in_segment: u64,
@@ -1067,14 +1014,14 @@ struct EntropyWalk<'s, 'd, R> {
 }
 
 impl<'s, 'd, R: BlockReader<'d>> EntropyWalk<'s, 'd, R> {
-    /// Starts at the first MCU of segment `first`.
-    fn start(scan: &'s Scan<'d>, first: usize) -> Self {
-        let (s, e) = scan.segments[first];
+    /// Starts at the first MCU of the scan.
+    fn start(scan: &'s Scan<'d>) -> Self {
+        let (s, e) = scan.segments[0];
         Self {
             scan,
-            segment: first,
+            segment: 0,
             reader: R::over(&scan.bytes[s..e]),
-            left_in_segment: scan.segment_mcus(first),
+            left_in_segment: scan.segment_mcus(0),
             dc_pred: [0; 3],
         }
     }
@@ -1146,17 +1093,6 @@ fn book_row_stage(stats: &mut DecodeStats, stage: &RowStage, spent: u64, color_n
     } else {
         stats.color_ns += spent;
     }
-}
-
-/// One decoded 8×8 block parked by a parallel segment task until the
-/// serial scatter writes it into its plane: component index, pixel
-/// coordinates of the block's top-left corner in the (padded) plane, and
-/// the clamped level-shifted samples.
-struct ParkedBlock {
-    ci: u8,
-    bx: u32,
-    by: u32,
-    samples: [u8; BLOCK_LEN],
 }
 
 /// Writes one reconstructed block at (`bx`, `by`) of a plane.
@@ -1244,7 +1180,7 @@ impl<'d> ScanCtx<'_, 'd> {
             grown(strip, *stride * c.spec.v as usize * 8);
         }
         let timing = self.dec.collect_timing;
-        let mut walk = EntropyWalk::<R>::start(&self.scan, 0);
+        let mut walk = EntropyWalk::<R>::start(&self.scan);
         let mut mark = timing.then(Instant::now);
         // Nanoseconds since `mark`, which advances to now.
         let lap = |mark: &mut Option<Instant>| -> u64 {
@@ -1278,116 +1214,6 @@ impl<'d> ScanCtx<'_, 'd> {
             book_row_stage(stats, stage, lap(&mut mark), color_ns);
         }
         walk.finish(stats);
-        Ok(())
-    }
-
-    /// Coalesces adjacent restart segments into chunks of at least
-    /// [`MIN_PARALLEL_CHUNK_MCUS`] so a tiny restart interval (ri=1: one MCU
-    /// per segment) doesn't drown the pool in sub-millisecond tasks. Each
-    /// chunk is one pool task; restart state still resets per segment inside
-    /// it, so bit-exactness is untouched. Returns `(first segment, one past
-    /// the last, first MCU)` per chunk.
-    fn parallel_chunks(&self) -> Vec<(usize, usize, u64)> {
-        let mut chunks = Vec::new();
-        let (mut start, mut first_mcu, mut mcus) = (0usize, 0u64, 0u64);
-        for si in 0..self.scan.segments.len() {
-            mcus += self.scan.segment_mcus(si);
-            if mcus >= MIN_PARALLEL_CHUNK_MCUS || si + 1 == self.scan.segments.len() {
-                chunks.push((start, si + 1, first_mcu));
-                start = si + 1;
-                first_mcu += mcus;
-                mcus = 0;
-            }
-        }
-        chunks
-    }
-
-    /// The segment-parallel variant: chunks decode concurrently into parked
-    /// block lists, a serial scatter fills whole-image planes, and the row
-    /// stage consumes them in one push. Collection is index-ordered, so the
-    /// first failing segment's error is returned — matching the sequential
-    /// walk.
-    fn run_parallel(
-        &self,
-        chunks: &[(usize, usize, u64)],
-        stage: &mut RowStage,
-        rows: &mut RowBuffers,
-        out: &mut [u8],
-        stats: &mut DecodeStats,
-    ) -> CodecResult<()> {
-        let (mcu_cols, mcu_rows) = self.frame.mcu_grid();
-        let blocks_per_mcu = self.frame.blocks_per_mcu();
-        let timing = self.dec.collect_timing;
-        let results: Vec<CodecResult<(Vec<ParkedBlock>, DecodeStats)>> = chunks
-            .par_iter()
-            .map(|&(first_seg, end_seg, first_mcu)| {
-                let chunk_mcus: u64 = (first_seg..end_seg)
-                    .map(|si| self.scan.segment_mcus(si))
-                    .sum();
-                let mut parked = Vec::with_capacity(chunk_mcus as usize * blocks_per_mcu);
-                let mut coeffs = vec![0i16; chunk_mcus as usize * blocks_per_mcu * BLOCK_LEN];
-                let mut stats = DecodeStats::default();
-                let t0 = timing.then(Instant::now);
-                if self.dec.reference_entropy {
-                    let mut walk = EntropyWalk::<BitReader<'_>>::start(&self.scan, first_seg);
-                    walk.decode(self.comps, chunk_mcus, &mut coeffs, &mut stats)?;
-                    walk.finish(&mut stats);
-                } else {
-                    let mut walk = EntropyWalk::<BitReservoir<'_>>::start(&self.scan, first_seg);
-                    walk.decode(self.comps, chunk_mcus, &mut coeffs, &mut stats)?;
-                    walk.finish(&mut stats);
-                }
-                let t1 = timing.then(Instant::now);
-                self.transform(&coeffs, first_mcu, chunk_mcus, &mut |ci, bx, by, s| {
-                    parked.push(ParkedBlock {
-                        ci: ci as u8,
-                        bx: bx as u32,
-                        by: by as u32,
-                        samples: *s,
-                    });
-                });
-                if let (Some(t0), Some(t1)) = (t0, t1) {
-                    stats.huffman_ns = (t1 - t0).as_nanos() as u64;
-                    stats.idct_ns = t1.elapsed().as_nanos() as u64;
-                }
-                Ok((parked, stats))
-            })
-            .collect();
-
-        let mut stride = [0usize; 3];
-        let mut planes: [Vec<u8>; 3] = Default::default();
-        for ((plane, stride), c) in planes.iter_mut().zip(&mut stride).zip(self.comps) {
-            *stride = mcu_cols as usize * c.spec.h as usize * 8;
-            *plane = vec![0u8; *stride * mcu_rows as usize * c.spec.v as usize * 8];
-        }
-        for result in results {
-            let (parked, chunk) = result?;
-            stats.mcus += chunk.mcus;
-            stats.blocks += chunk.blocks;
-            stats.entropy_bits += chunk.entropy_bits;
-            stats.nonzero_coeffs += chunk.nonzero_coeffs;
-            stats.huffman_ns += chunk.huffman_ns;
-            stats.idct_ns += chunk.idct_ns;
-            for b in &parked {
-                let ci = b.ci as usize;
-                write_block(
-                    &mut planes[ci],
-                    stride[ci],
-                    b.bx as usize,
-                    b.by as usize,
-                    &b.samples,
-                );
-            }
-        }
-        let t0 = timing.then(Instant::now);
-        let whole = Planes {
-            data: [&planes[0][..], &planes[1][..], &planes[2][..]],
-            stride,
-            base_y: 0,
-        };
-        let color_ns = stage.push(&whole, self.frame.height as usize, rows, out, timing);
-        let spent = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        book_row_stage(stats, stage, spent, color_ns);
         Ok(())
     }
 }
@@ -1605,23 +1431,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decode_bit_exact_with_sequential() {
-        let img = test_image(96, 80);
-        let dec = JpegDecoder::new();
-        for ri in [0u16, 1, 3, 8] {
-            let bytes = JpegEncoder::new(85)
-                .unwrap()
-                .with_restart_interval(ri)
-                .encode(&img)
-                .unwrap();
-            let (seq, seq_stats) = dec.decode_with_stats(&bytes).unwrap();
-            let (par, par_stats) = dec.decode_parallel_with_stats(&bytes).unwrap();
-            assert_eq!(seq.data(), par.data(), "ri={ri}");
-            assert_eq!(seq_stats.work(), par_stats.work(), "ri={ri}");
-        }
-    }
-
-    #[test]
     fn fast_and_reference_idct_agree_on_pixels() {
         // The AAN path runs inside the accuracy contract of the reference
         // transform: after quantisation and u8 clamping the reconstructions
@@ -1749,27 +1558,6 @@ mod tests {
         assert_eq!((out.width(), out.height()), (50, 38));
         let p = psnr(&img, &out);
         assert!(p > 28.0, "PSNR {p:.1} dB too low for q90 4:2:2");
-    }
-
-    #[test]
-    fn parallel_chunking_coalesces_small_segments() {
-        // 96x80 at 4:2:0 → 6x5 = 30 MCUs. ri=1 gives 30 one-MCU segments,
-        // which must coalesce into 32-MCU-minimum chunks (here: one chunk →
-        // sequential fallback) rather than 30 pool tasks; pixels stay
-        // bit-exact either way (checked in
-        // parallel_decode_bit_exact_with_sequential).
-        let img = test_image(96, 80);
-        let bytes = JpegEncoder::new(85)
-            .unwrap()
-            .with_restart_interval(1)
-            .encode(&img)
-            .unwrap();
-        let dec = JpegDecoder::new();
-        let (seq, ss) = dec.decode_with_stats(&bytes).unwrap();
-        let (par, ps) = dec.decode_parallel_with_stats(&bytes).unwrap();
-        assert_eq!(seq.data(), par.data());
-        assert_eq!(ss.restart_segments, 30);
-        assert_eq!(ss.work(), ps.work());
     }
 
     /// `bytes` without its segments of marker `m`.
@@ -1946,25 +1734,5 @@ mod tests {
             );
             assert!(window[rows * 96 * 3..].iter().all(|&v| v == 0));
         }
-    }
-
-    #[test]
-    fn decode_batch_preserves_order_and_isolates_failures() {
-        let dec = JpegDecoder::new();
-        let a = JpegEncoder::new(85)
-            .unwrap()
-            .encode(&test_image(24, 16))
-            .unwrap();
-        let b = JpegEncoder::new(85)
-            .unwrap()
-            .encode(&test_image(40, 40))
-            .unwrap();
-        let bad = vec![0u8; 16];
-        let batch: Vec<&[u8]> = vec![&a, &bad, &b];
-        let out = dec.decode_batch(&batch);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].as_ref().unwrap().width(), 24);
-        assert!(out[1].is_err());
-        assert_eq!(out[2].as_ref().unwrap().height(), 40);
     }
 }

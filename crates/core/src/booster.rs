@@ -23,7 +23,7 @@ use crate::collector::DataCollector;
 use crate::reader::{FpgaReader, ReaderConfig};
 use dlb_cache::SampleCache;
 use dlb_fpga::OutputFormat;
-use dlb_graph::{CompiledPipeline, DecodeDevice, GraphConfig, PipelineGraph, SampleAugmentor};
+use dlb_graph::{CompiledPipeline, DecodeDevice, GraphConfig, PipelineGraph};
 use dlb_membridge::{BatchUnit, BlockingQueue, MemManager, PoolConfig};
 use dlb_telemetry::{names, Counter, PipelineSnapshot, Telemetry};
 use dlb_trace::{stages, SpanKind, Tracer};
@@ -117,8 +117,7 @@ impl DlBoosterConfig {
             * self.format.bytes_per_pixel() as usize
     }
 
-    /// The canned graph [`DlBooster::start`] compiles: the exact chain the
-    /// pre-graph constructor wired by hand.
+    /// The canned graph [`DlBooster::start`] compiles.
     fn canned_graph(&self) -> PipelineGraph {
         if self.batches_per_epoch.is_some() {
             dlb_graph::fpga_training(self.target_w as u32, self.target_h as u32)
@@ -133,36 +132,6 @@ impl DlBoosterConfig {
             n_engines: self.n_engines,
             default_decode_parallelism: 1,
             seed: 0,
-        }
-    }
-}
-
-/// The wiring knobs a compiled graph (or the hardwired baseline) hands the
-/// assembly: queue depths and the optional augmentation hop.
-struct Wiring {
-    full_queue_depth: usize,
-    slot_depth: usize,
-    augmentor: Option<SampleAugmentor>,
-}
-
-impl Wiring {
-    /// The pre-graph constants: `Full_Batch_Queue` of 64, slot queues of 8,
-    /// no augmentation. Preserved verbatim as the differential baseline.
-    fn hardwired() -> Self {
-        Wiring {
-            full_queue_depth: 64,
-            slot_depth: 8,
-            augmentor: None,
-        }
-    }
-
-    /// Wiring derived from a compiled graph. Resolves `DLB_AUG_SEED` here —
-    /// at pipeline start, never inside `compile`.
-    fn from_compiled(compiled: &CompiledPipeline) -> Self {
-        Wiring {
-            full_queue_depth: compiled.ingest_depth,
-            slot_depth: compiled.slot_depth,
-            augmentor: compiled.augmentor(),
         }
     }
 }
@@ -191,8 +160,7 @@ impl DlBooster {
     /// Builds and starts the backend on an already-initialised channel
     /// (device + mirror + engine) and collector, with a private telemetry
     /// registry. Internally compiles the canned training/streaming graph —
-    /// see [`DlBooster::from_graph`] for user-composed pipelines and
-    /// [`DlBooster::start_hardwired`] for the pre-graph wiring.
+    /// see [`DlBooster::from_graph`] for user-composed pipelines.
     pub fn start(
         collector: Arc<DataCollector>,
         channel: FpgaChannel,
@@ -215,35 +183,7 @@ impl DlBooster {
         let compiled = graph
             .compile(&config.graph_config())
             .map_err(|e| e.to_string())?;
-        Self::start_wired(
-            collector,
-            channel,
-            config,
-            Wiring::from_compiled(&compiled),
-            telemetry,
-        )
-    }
-
-    /// The pre-refactor constructor: wires the pipeline from hardcoded
-    /// constants without ever building a graph. Kept as the differential
-    /// baseline — `tests/graph_equivalence.rs` holds [`DlBooster::start`]
-    /// (canned graph) bitwise-equal to this path.
-    pub fn start_hardwired(
-        collector: Arc<DataCollector>,
-        channel: FpgaChannel,
-        config: DlBoosterConfig,
-    ) -> Result<Self, String> {
-        Self::start_hardwired_with_telemetry(collector, channel, config, Telemetry::with_defaults())
-    }
-
-    /// [`DlBooster::start_hardwired`] with a shared telemetry registry.
-    pub fn start_hardwired_with_telemetry(
-        collector: Arc<DataCollector>,
-        channel: FpgaChannel,
-        config: DlBoosterConfig,
-        telemetry: Arc<Telemetry>,
-    ) -> Result<Self, String> {
-        Self::start_wired(collector, channel, config, Wiring::hardwired(), telemetry)
+        Self::start_wired(collector, channel, config, &compiled, telemetry)
     }
 
     /// Builds the backend from a user-composed [`PipelineGraph`]. The graph
@@ -295,28 +235,25 @@ impl DlBooster {
         }
         config.target_w = compiled.resize.0 as u16;
         config.target_h = compiled.resize.1 as u16;
-        Self::start_wired(
-            collector,
-            channel,
-            config,
-            Wiring::from_compiled(&compiled),
-            telemetry,
-        )
+        Self::start_wired(collector, channel, config, &compiled, telemetry)
     }
 
     fn start_wired(
         collector: Arc<DataCollector>,
         channel: FpgaChannel,
         mut config: DlBoosterConfig,
-        wiring: Wiring,
+        compiled: &CompiledPipeline,
         telemetry: Arc<Telemetry>,
     ) -> Result<Self, String> {
         if config.n_engines == 0 || config.batch_size == 0 {
             return Err("n_engines and batch_size must be positive".into());
         }
+        // Resolves `DLB_AUG_SEED` here — at pipeline start, never inside
+        // `compile`.
+        let augmentor = compiled.augmentor();
         // Units hold the batch both at decode (device writeback) and after
         // augmentation (which may grow items 4x via Normalize).
-        let unit_size = match &wiring.augmentor {
+        let unit_size = match &augmentor {
             Some(aug) => {
                 let out = aug.output_bytes(config.target_w as u32, config.target_h as u32);
                 config.unit_size().max(config.batch_size * out)
@@ -326,7 +263,7 @@ impl DlBooster {
         // An augmented pipeline must not replay whole batches from the
         // hybrid cache: cached payloads carry epoch-1's crops/flips, and
         // serving them again would freeze the augmentation stream.
-        if wiring.augmentor.is_some() {
+        if augmentor.is_some() {
             config.cache_bytes = 0;
         }
         let pool = MemManager::with_telemetry(
@@ -348,10 +285,13 @@ impl DlBooster {
                 target_w: config.target_w,
                 target_h: config.target_h,
                 format: config.format,
-                max_batches: None, // the router enforces the delivery bound
+                // Same bound as the router's: batches submitted past it
+                // would be decoded for nobody, and whole-run counters would
+                // depend on when shutdown caught the reader.
+                max_batches: config.max_batches,
                 cmd_timeout: config.cmd_timeout,
-                full_queue_depth: wiring.full_queue_depth,
-                augmentor: wiring.augmentor,
+                full_queue_depth: compiled.ingest_depth,
+                augmentor,
             },
             &telemetry,
         );
@@ -365,7 +305,7 @@ impl DlBooster {
         let reader_cpu_nanos = Arc::new(AtomicU64::new(0));
         let slot_queues: Vec<BlockingQueue<HostBatch>> = (0..config.n_engines)
             .map(|i| {
-                let q = BlockingQueue::bounded(wiring.slot_depth.max(1));
+                let q = BlockingQueue::bounded(compiled.slot_depth.max(1));
                 q.instrument(&telemetry, &format!("slot{i}"));
                 q
             })

@@ -75,7 +75,7 @@ pub struct ReaderConfig {
     pub cmd_timeout: Option<Duration>,
     /// Depth of the full-batch queue between the reader and its consumer —
     /// the prefetch window a compiled graph sets from the source stage's
-    /// `queue_depth` knob (the pre-graph pipeline hardwired 64).
+    /// `queue_depth` knob (64 when the graph leaves it unset).
     pub full_queue_depth: usize,
     /// Host-side per-sample augmentation applied after FINISH (and to
     /// cache-bypassed samples), keyed by `(epoch, source identity)` so

@@ -1,12 +1,11 @@
-//! Linear-chain sugar and the canned graphs the legacy constructors
-//! compile to.
+//! Linear-chain sugar and the canned graphs `DlBooster::start` and
+//! `CpuBackend::start` compile.
 //!
 //! Most pipelines are a straight line; [`Chain`] builds one without
-//! explicit node handles. The `fpga_training` / `fpga_streaming` /
-//! `cpu_training` constructors reproduce the exact hardwired chains the
-//! pre-graph `DlBooster::start` and `CpuBackend::start` wired by hand —
-//! the differential suite (`tests/graph_equivalence.rs`) holds them
-//! bitwise-equal to the preserved hardwired paths.
+//! explicit node handles. `fpga_training` / `fpga_streaming` /
+//! `cpu_training` are the chains behind the plain constructors;
+//! `tests/graph_equivalence.rs` checks what they deliver against
+//! `decode` + `resize` + `to_rgb` of every source record.
 
 use crate::graph::{GraphBuilder, GraphError, NodeId, PipelineGraph};
 use crate::stage::{DecodeDevice, SourceKind, StageSpec};

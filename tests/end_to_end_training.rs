@@ -226,7 +226,7 @@ fn graph_compiled_pipeline_snapshot_accounts_for_every_stage() {
     // The telemetry conservation laws of the legacy snapshot test, run
     // through a graph-compiled booster: every stage still reports in and
     // every invariant still balances when the pipeline is assembled from
-    // a `PipelineGraph` instead of the hardwired constructor.
+    // a user-supplied `PipelineGraph` (`from_graph`) instead of `start`.
     let telemetry = Telemetry::with_defaults();
     let disk = Arc::new(NvmeDisk::new(NvmeSpec::optane_900p()));
     let dataset = Dataset::build(DatasetSpec::ilsvrc_small(16, 21), &disk).unwrap();

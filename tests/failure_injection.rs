@@ -82,10 +82,10 @@ fn corrupt_payloads_fail_item_not_batch() {
 #[test]
 fn corrupt_restart_segment_fails_cleanly_and_counts() {
     // An image encoded with restart intervals whose first restart marker is
-    // rewritten out of order: exactly the corruption the segment-parallel
-    // decode path splits on. The item must fail cleanly — no panic, no
-    // worker left blocked in the pool — on both decode paths, and count in
-    // the corrupt-payload telemetry when run through the engine.
+    // rewritten out of order: the corruption the restart-segment index
+    // validates. The item must fail cleanly — no panic, no lane left
+    // blocked — and count in the corrupt-payload telemetry when run through
+    // the engine.
     let img =
         dlbooster::codec::synth::generate(48, 48, dlbooster::codec::synth::SynthStyle::Photo, 21);
     let mut bytes = JpegEncoder::new(85)
@@ -99,11 +99,9 @@ fn corrupt_restart_segment_fails_cleanly_and_counts() {
         .expect("interval-1 stream must contain restart markers");
     bytes[rst + 1] = 0xD5; // RST5 where RST0 is expected
 
-    let dec = JpegDecoder::new();
-    assert!(dec.decode(&bytes).is_err(), "sequential path must reject");
     assert!(
-        dec.decode_parallel(&bytes).is_err(),
-        "parallel path must reject"
+        JpegDecoder::new().decode(&bytes).is_err(),
+        "out-of-order RSTn must be rejected"
     );
 
     // Through the decoder engine with a shared registry: the bad segment

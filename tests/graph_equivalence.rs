@@ -1,50 +1,79 @@
-//! Differential suite for the pipeline-graph refactor: the canned-graph
-//! constructors (`DlBooster::start`, `CpuBackend::start`, which compile a
-//! [`dlbooster::graph`] chain) must be *bitwise identical* to the
-//! preserved pre-refactor wiring (`start_hardwired*`), batch for batch,
-//! across every mode the substrate runs in — training, served/streaming,
-//! chaos-driven failover, and hybrid-cache-enabled — and their
-//! [`PipelineSnapshot`] conservation outcomes must agree. Seed-swept so
-//! the equality is not an artifact of one dataset.
+//! Pipeline-output suite: what the assembled pipelines deliver, checked
+//! against an oracle that goes through none of their wiring (no reader,
+//! engine, pool or router). Every delivered item, in collector order, must
+//! equal the one-image `decode` + `resize` + `to_rgb` of its source bytes —
+//! the definition of "correct" the pipeline benchmark uses —
+//! across every mode the substrate runs in: training, served/streaming,
+//! epoch-cache replay, chaos-driven failover and the CPU backend; and the
+//! [`PipelineSnapshot`] conservation laws must hold at quiescence.
+//! Seed-swept so the equality is not an artifact of one dataset.
 
+use dlbooster::codec::resize::{resize, ResizeFilter};
+use dlbooster::fpga::DataRef;
 use dlbooster::prelude::*;
-use std::collections::HashMap;
+use dlbooster::storage::dataset::Record;
 use std::sync::Arc;
 
 /// Dataset-content and shuffle seeds swept by every dataset-mode test.
 const SWEEP: [(u64, u64); 3] = [(7, 0), (123, 1), (20_260_808, 2)];
 
-/// Which construction path a run uses.
-#[derive(Clone, Copy, PartialEq)]
-enum Path {
-    /// `start*`: compiles the canned pipeline graph.
-    Graph,
-    /// `start_hardwired*`: the preserved pre-graph wiring constants.
-    Hardwired,
+/// One item as delivered or as expected: label and pixels.
+type Item = (u64, Vec<u8>);
+
+/// The oracle: one-image decode, bilinear resize, RGB.
+fn reference(jpeg: &[u8], (w, h): (u32, u32)) -> Vec<u8> {
+    let image = JpegDecoder::new().decode(jpeg).unwrap();
+    resize(&image, w, h, ResizeFilter::Bilinear)
+        .unwrap()
+        .to_rgb()
+        .into_vec()
 }
 
-fn drain_payloads(backend: &dyn PreprocessBackend) -> Vec<Vec<u8>> {
+/// The first `n` batches a fresh collector over `records` dispenses, each
+/// item rendered by the oracle.
+fn expected_batches(
+    records: &[Record],
+    disk: &NvmeDisk,
+    shuffle: u64,
+    batch: usize,
+    n: usize,
+    dims: (u32, u32),
+) -> Vec<Vec<Item>> {
+    let collector = DataCollector::load_from_disk(records, shuffle);
+    (0..n)
+        .map(|_| {
+            let metas = collector.next_metas(batch).unwrap();
+            metas
+                .iter()
+                .map(|m| {
+                    let DataRef::Disk { offset, len } = m.src else {
+                        panic!("dataset-mode meta must point at the disk");
+                    };
+                    (m.label, reference(&disk.read(offset, len).unwrap(), dims))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn items_of(unit: &BatchUnit) -> Vec<Item> {
+    let items = unit.items().iter().enumerate();
+    items
+        .map(|(i, item)| (item.label, unit.item_bytes(i).to_vec()))
+        .collect()
+}
+
+fn drain_batches(backend: &dyn PreprocessBackend) -> Vec<Vec<Item>> {
     let mut out = Vec::new();
     while let Ok(batch) = backend.next_batch(0) {
-        out.push(batch.unit.payload().to_vec());
-        backend.recycle(batch.unit);
-    }
-    out
-}
-
-fn drain_labeled(backend: &dyn PreprocessBackend) -> HashMap<u64, Vec<u8>> {
-    let mut out = HashMap::new();
-    while let Ok(batch) = backend.next_batch(0) {
-        for (i, item) in batch.unit.items().iter().enumerate() {
-            out.insert(item.label, batch.unit.item_bytes(i).to_vec());
-        }
+        out.push(items_of(&batch.unit));
         backend.recycle(batch.unit);
     }
     out
 }
 
 /// Conservation outcome of a finished run: the snapshot's invariant
-/// verdicts, which must be identical between construction paths.
+/// verdicts and the decoder's error count.
 fn conservation(snap: &PipelineSnapshot) -> (bool, bool, u64) {
     (
         snap.invariant_violations().is_empty(),
@@ -53,185 +82,133 @@ fn conservation(snap: &PipelineSnapshot) -> (bool, bool, u64) {
     )
 }
 
-fn fpga_booster(
-    records: &[dlbooster::storage::dataset::Record],
-    disk: &Arc<NvmeDisk>,
-    shuffle: u64,
-    config: DlBoosterConfig,
-    telemetry: Arc<Telemetry>,
-    path: Path,
-) -> DlBooster {
-    let collector = Arc::new(DataCollector::load_from_disk(records, shuffle));
+/// A decoder engine with the paper's mirror, recording into `telemetry`.
+fn fpga_engine(resolver: CombinedResolver, telemetry: &Arc<Telemetry>) -> DecoderEngine {
     let mut device = FpgaDevice::new(DeviceSpec::arria10_ax());
     device
         .load_mirror(DecoderMirror::jpeg_paper_config())
         .unwrap();
-    let engine = DecoderEngine::start_with_telemetry(
-        device,
-        Arc::new(CombinedResolver::disk_only(Arc::clone(disk))),
-        &telemetry,
-    )
-    .unwrap();
-    let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
-    match path {
-        Path::Graph => DlBooster::start_with_telemetry(collector, channel, config, telemetry),
-        Path::Hardwired => {
-            DlBooster::start_hardwired_with_telemetry(collector, channel, config, telemetry)
-        }
-    }
-    .unwrap()
+    DecoderEngine::start_with_telemetry(device, Arc::new(resolver), telemetry).unwrap()
+}
+
+fn fpga_booster(
+    records: &[Record],
+    disk: &Arc<NvmeDisk>,
+    shuffle: u64,
+    config: DlBoosterConfig,
+    telemetry: &Arc<Telemetry>,
+) -> DlBooster {
+    let collector = Arc::new(DataCollector::load_from_disk(records, shuffle));
+    let engine = fpga_engine(CombinedResolver::disk_only(Arc::clone(disk)), telemetry);
+    let channel = FpgaChannel::init_with_telemetry(engine, 0, telemetry);
+    DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(telemetry)).unwrap()
 }
 
 #[test]
-fn training_mode_graph_equals_hardwired_bitwise() {
+fn training_mode_delivers_the_oracle_in_collector_order() {
     for &(data_seed, shuffle) in &SWEEP {
         let disk = Arc::new(NvmeDisk::new(NvmeSpec::optane_900p()));
         let dataset = Dataset::build(DatasetSpec::ilsvrc_small(8, data_seed), &disk).unwrap();
-        let run = |path: Path| {
-            let telemetry = Telemetry::with_defaults();
-            let mut config = DlBoosterConfig::training(1, 4, (40, 40), 8, Some(4));
-            config.cache_bytes = 0; // live decode; cache mode is covered below
-            let booster = fpga_booster(
-                &dataset.records,
-                &disk,
-                shuffle,
-                config,
-                Arc::clone(&telemetry),
-                path,
-            );
-            let payloads = drain_payloads(&booster);
-            drop(booster); // join reader + router → quiescent counters
-            (payloads, telemetry.pipeline_snapshot())
-        };
-        let (graph, graph_snap) = run(Path::Graph);
-        let (hard, hard_snap) = run(Path::Hardwired);
-        assert_eq!(graph.len(), 4, "seed {data_seed}: wrong batch count");
-        assert_eq!(
-            graph, hard,
-            "seed {data_seed}/shuffle {shuffle}: training batches diverge"
+        let telemetry = Telemetry::with_defaults();
+        let mut config = DlBoosterConfig::training(1, 4, (40, 40), 8, Some(4));
+        config.cache_bytes = 0; // live decode; cache mode is covered below
+        let booster = fpga_booster(&dataset.records, &disk, shuffle, config, &telemetry);
+        let delivered = drain_batches(&booster);
+        drop(booster); // join reader + router → quiescent counters
+        let snap = telemetry.pipeline_snapshot();
+        assert!(
+            delivered == expected_batches(&dataset.records, &disk, shuffle, 4, 4, (40, 40)),
+            "seed {data_seed}/shuffle {shuffle}: training batches diverge from the oracle"
         );
-        assert_eq!(conservation(&graph_snap), (true, true, 0));
+        assert_eq!(conservation(&snap), (true, true, 0));
+        // A bounded run submits what it delivers and nothing more: the
+        // reader stops at the budget instead of running ahead of the router.
         assert_eq!(
-            conservation(&graph_snap),
-            conservation(&hard_snap),
-            "seed {data_seed}: conservation outcomes diverge"
+            snap.reader.batches_submitted,
+            snap.router_delivered + snap.reader.batch_errors,
+            "seed {data_seed}: reader ran ahead of the delivery bound"
         );
     }
 }
 
 #[test]
-fn served_mode_graph_equals_hardwired_bitwise() {
+fn served_mode_delivers_the_oracle_in_arrival_order() {
     for &(req_seed, _) in &SWEEP {
         let n_requests = 16;
         let batch = 4usize;
-        let run = |path: Path| {
-            let pool = ClientPool::small(1_000.0, req_seed);
-            let requests = pool.generate_requests(n_requests);
-            let nic = Arc::new(NicRx::new(NicSpec::forty_gbps(), 0x8_0000_0000));
-            let collector = Arc::new(DataCollector::load_from_net());
-            for r in &requests {
-                let desc = nic.deliver(&r.wire_bytes, 0).unwrap();
-                collector.push_from_net(&desc);
-            }
-            collector.close_stream();
-            let telemetry = Telemetry::with_defaults();
-            let mut device = FpgaDevice::new(DeviceSpec::arria10_ax());
-            device
-                .load_mirror(DecoderMirror::jpeg_paper_config())
+        let requests = ClientPool::small(1_000.0, req_seed).generate_requests(n_requests);
+        let nic = Arc::new(NicRx::new(NicSpec::forty_gbps(), 0x8_0000_0000));
+        let collector = Arc::new(DataCollector::load_from_net());
+        for r in &requests {
+            let desc = nic.deliver(&r.wire_bytes, 0).unwrap();
+            collector.push_from_net(&desc);
+        }
+        collector.close_stream();
+        let telemetry = Telemetry::with_defaults();
+        let engine = fpga_engine(CombinedResolver::nic_only(Arc::clone(&nic)), &telemetry);
+        let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
+        let mut config = DlBoosterConfig::inference(1, batch, (56, 56));
+        config.max_batches = Some((n_requests / batch) as u64);
+        let booster =
+            DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
                 .unwrap();
-            let engine = DecoderEngine::start_with_telemetry(
-                device,
-                Arc::new(CombinedResolver::nic_only(Arc::clone(&nic))),
-                &telemetry,
-            )
-            .unwrap();
-            let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
-            let mut config = DlBoosterConfig::inference(1, batch, (56, 56));
-            config.max_batches = Some((n_requests / batch) as u64);
-            let booster = match path {
-                Path::Graph => {
-                    DlBooster::start_with_telemetry(collector, channel, config, telemetry.clone())
-                }
-                Path::Hardwired => DlBooster::start_hardwired_with_telemetry(
-                    collector,
-                    channel,
-                    config,
-                    telemetry.clone(),
-                ),
-            }
-            .unwrap();
-            let mut payloads = Vec::new();
-            let mut labels = Vec::new();
-            while let Ok(b) = booster.next_batch(0) {
-                payloads.push(b.unit.payload().to_vec());
-                labels.extend(b.unit.items().iter().map(|i| i.label));
-                booster.recycle(b.unit);
-            }
-            drop(booster);
-            (payloads, labels, telemetry.pipeline_snapshot())
-        };
-        let (graph, graph_labels, graph_snap) = run(Path::Graph);
-        let (hard, hard_labels, hard_snap) = run(Path::Hardwired);
-        assert_eq!(graph.len(), n_requests / batch);
-        assert_eq!(
-            graph, hard,
-            "request seed {req_seed}: served batches diverge"
+        let delivered = drain_batches(&booster);
+        drop(booster);
+        let snap = telemetry.pipeline_snapshot();
+        // Request identity rides the label; pixels are the oracle's
+        // rendering of the frame's payload.
+        let expected: Vec<Vec<Item>> = requests
+            .chunks(batch)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .map(|r| {
+                        let frame = dlbooster::net::Frame::decode(&r.wire_bytes).unwrap();
+                        (r.request_id, reference(&frame.payload, (56, 56)))
+                    })
+                    .collect()
+            })
+            .collect();
+        assert!(
+            delivered == expected,
+            "request seed {req_seed}: served batches diverge from the oracle"
         );
-        assert_eq!(
-            graph_labels, hard_labels,
-            "request seed {req_seed}: request identity diverges"
-        );
-        assert_eq!(conservation(&graph_snap), (true, true, 0));
-        assert_eq!(conservation(&graph_snap), conservation(&hard_snap));
+        assert_eq!(conservation(&snap), (true, true, 0));
     }
 }
 
 #[test]
-fn cache_enabled_mode_graph_equals_hardwired_bitwise() {
+fn cache_enabled_mode_replays_the_oracle_epoch() {
     // The hybrid epoch cache stays on (training default): epoch 1 decodes,
-    // epochs 2-3 replay from memory. Replay and live batches alike must be
-    // construction-path invariant.
+    // epochs 2-3 replay epoch 1's batches from memory, in epoch 1's order.
     for &(data_seed, shuffle) in &SWEEP {
         let disk = Arc::new(NvmeDisk::new(NvmeSpec::optane_900p()));
         let dataset = Dataset::build(DatasetSpec::ilsvrc_small(8, data_seed), &disk).unwrap();
-        let run = |path: Path| {
-            let telemetry = Telemetry::with_defaults();
-            let config = DlBoosterConfig::training(1, 4, (32, 32), 8, Some(6));
-            let booster = fpga_booster(
-                &dataset.records,
-                &disk,
-                shuffle,
-                config,
-                Arc::clone(&telemetry),
-                path,
+        let telemetry = Telemetry::with_defaults();
+        let config = DlBoosterConfig::training(1, 4, (32, 32), 8, Some(6));
+        let booster = fpga_booster(&dataset.records, &disk, shuffle, config, &telemetry);
+        let delivered = drain_batches(&booster);
+        let hits = booster.cache().stats().0;
+        drop(booster);
+        let epoch = expected_batches(&dataset.records, &disk, shuffle, 4, 2, (32, 32));
+        assert_eq!(delivered.len(), 6);
+        for (k, batch) in delivered.iter().enumerate() {
+            assert!(
+                *batch == epoch[k % 2],
+                "seed {data_seed}: batch {k} diverges from the oracle epoch"
             );
-            let payloads = drain_payloads(&booster);
-            let hits = booster.cache().stats().0;
-            drop(booster);
-            (payloads, hits, telemetry.pipeline_snapshot())
-        };
-        let (graph, graph_hits, graph_snap) = run(Path::Graph);
-        let (hard, hard_hits, hard_snap) = run(Path::Hardwired);
-        assert_eq!(graph.len(), 6);
-        assert_eq!(
-            graph, hard,
-            "seed {data_seed}: cache-enabled batches diverge"
-        );
-        // Both paths replayed later epochs from the cache — same outcome.
-        assert!(graph_hits >= 4, "graph path must replay from cache");
-        assert_eq!(graph_hits, hard_hits, "cache hit accounting diverges");
-        assert_eq!(graph[0], graph[2], "epoch replay must be bitwise");
-        assert!(conservation(&graph_snap).0);
-        assert_eq!(conservation(&graph_snap), conservation(&hard_snap));
+        }
+        assert!(hits >= 4, "later epochs must replay from the cache");
+        assert!(conservation(&telemetry.pipeline_snapshot()).0);
     }
 }
 
 #[test]
-fn failover_mode_graph_equals_hardwired_per_label() {
+fn failover_mode_delivers_the_oracle_per_label() {
     // Chaos wedges the FPGA mid-run; the failover pair finishes on the CPU
     // fallback. Which batches each side serves is timing-dependent, so the
-    // cross-path contract is per-label pixel identity plus identical
-    // failover accounting.
+    // contract is the epoch as a multiset — every record exactly once, each
+    // with the oracle's pixels — plus the failover accounting.
     use dlbooster::chaos::Stage;
     use std::time::Duration;
 
@@ -245,169 +222,124 @@ fn failover_mode_graph_equals_hardwired_per_label() {
     )
     .unwrap();
 
-    let run = |path: Path| {
-        let telemetry = Telemetry::with_defaults();
-        let records = dataset.records.clone();
-        let collector = Arc::new(DataCollector::load_from_disk(&dataset.records, shuffle));
-        let mut device = FpgaDevice::new(DeviceSpec::arria10_ax());
-        device
-            .load_mirror(DecoderMirror::jpeg_paper_config())
-            .unwrap();
-        let engine = DecoderEngine::start_with_telemetry(
-            device,
-            Arc::new(CombinedResolver::disk_only(Arc::clone(&disk))),
-            &telemetry,
-        )
-        .unwrap();
-        let mut plan = FaultPlan::disabled();
-        plan.seed = 23;
-        plan.fpga = StageSpec::rate(0.5).with_delay(Duration::from_secs(60));
-        let cancel = plan.cancel_token();
-        engine.attach_chaos(plan.injector(Stage::Fpga, &telemetry).unwrap());
-        let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
-        let mut config =
-            DlBoosterConfig::training(1, batch, (32, 32), total as usize * batch, Some(total));
-        config.cache_bytes = 0;
-        let primary = Arc::new(
-            match path {
-                Path::Graph => DlBooster::start_with_telemetry(
-                    collector,
-                    channel,
-                    config,
-                    Arc::clone(&telemetry),
-                ),
-                Path::Hardwired => DlBooster::start_hardwired_with_telemetry(
-                    collector,
-                    channel,
-                    config,
-                    Arc::clone(&telemetry),
-                ),
-            }
+    let telemetry = Telemetry::with_defaults();
+    let collector = Arc::new(DataCollector::load_from_disk(&dataset.records, shuffle));
+    let engine = fpga_engine(CombinedResolver::disk_only(Arc::clone(&disk)), &telemetry);
+    let mut plan = FaultPlan::disabled();
+    plan.seed = 23;
+    plan.fpga = StageSpec::rate(0.5).with_delay(Duration::from_secs(60));
+    let cancel = plan.cancel_token();
+    engine.attach_chaos(plan.injector(Stage::Fpga, &telemetry).unwrap());
+    let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
+    let mut config =
+        DlBoosterConfig::training(1, batch, (32, 32), total as usize * batch, Some(total));
+    config.cache_bytes = 0;
+    let primary = Arc::new(
+        DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
             .unwrap(),
-        );
-        let t2 = Arc::clone(&telemetry);
-        let fallback_disk = Arc::clone(&disk);
-        let backend = FailoverBackend::new(
-            Arc::clone(&primary),
-            Box::new(move |remaining| {
-                let collector = Arc::new(DataCollector::load_from_disk(&records, shuffle));
-                let config = CpuBackendConfig {
-                    n_engines: 1,
-                    batch_size: batch,
-                    target_w: 32,
-                    target_h: 32,
-                    workers: 2,
-                    max_batches: Some(remaining),
-                    sample_cache: None,
-                };
-                let resolver = Arc::new(CombinedResolver::disk_only(Arc::clone(&fallback_disk)));
-                match path {
-                    Path::Graph => CpuBackend::start_with_telemetry(
-                        collector,
-                        resolver,
-                        config,
-                        Arc::clone(&t2),
-                    ),
-                    Path::Hardwired => CpuBackend::start_hardwired_with_telemetry(
-                        collector,
-                        resolver,
-                        config,
-                        Arc::clone(&t2),
-                    ),
-                }
-                .map(|b| Box::new(b) as Box<dyn PreprocessBackend>)
-            }),
-            dlbooster::backends::FailoverConfig {
-                total_batches: total,
-                deadline: Duration::from_millis(200),
-                chaos_cancel: Some(cancel),
-            },
-            &telemetry,
-        );
-        let mut labeled = HashMap::new();
-        let mut delivered = 0u64;
-        loop {
-            match backend.next_batch(0) {
-                Ok(b) => {
-                    assert_eq!(b.len(), batch, "every batch arrives full");
-                    for (i, item) in b.unit.items().iter().enumerate() {
-                        labeled.insert(item.label, b.unit.item_bytes(i).to_vec());
-                    }
-                    delivered += 1;
-                    backend.recycle(b.unit);
-                }
-                Err(dlbooster::core::BackendError::Exhausted) => break,
-                Err(e) => panic!("run must complete cleanly, got {e}"),
-            }
-        }
-        let failed_over = backend.failed_over();
-        backend.shutdown();
-        drop(backend);
-        drop(primary);
-        let snap = telemetry.pipeline_snapshot();
-        (labeled, delivered, failed_over, snap)
-    };
-
-    let (graph, graph_n, graph_failed, graph_snap) = run(Path::Graph);
-    let (hard, hard_n, hard_failed, hard_snap) = run(Path::Hardwired);
-    assert!(graph_failed && hard_failed, "both paths must fail over");
-    assert_eq!(graph_n, total);
-    assert_eq!(hard_n, total);
-    assert_eq!(
-        graph.len(),
-        total as usize * batch,
-        "one epoch must cover every record"
     );
-    let mut labels: Vec<_> = graph.keys().copied().collect();
-    labels.sort_unstable();
-    for label in labels {
-        assert_eq!(
-            graph.get(&label),
-            hard.get(&label),
-            "failover pixels diverge on label {label}"
-        );
+    let records = dataset.records.clone();
+    let fallback_telemetry = Arc::clone(&telemetry);
+    let fallback_disk = Arc::clone(&disk);
+    let backend = FailoverBackend::new(
+        Arc::clone(&primary),
+        Box::new(move |remaining| {
+            let config = CpuBackendConfig {
+                n_engines: 1,
+                batch_size: batch,
+                target_w: 32,
+                target_h: 32,
+                workers: 2,
+                max_batches: Some(remaining),
+                sample_cache: None,
+            };
+            CpuBackend::start_with_telemetry(
+                Arc::new(DataCollector::load_from_disk(&records, shuffle)),
+                Arc::new(CombinedResolver::disk_only(fallback_disk)),
+                config,
+                fallback_telemetry,
+            )
+            .map(|b| Box::new(b) as Box<dyn PreprocessBackend>)
+        }),
+        dlbooster::backends::FailoverConfig {
+            total_batches: total,
+            deadline: Duration::from_millis(200),
+            chaos_cancel: Some(cancel),
+        },
+        &telemetry,
+    );
+    let mut delivered: Vec<Item> = Vec::new();
+    let mut batches = 0u64;
+    loop {
+        match backend.next_batch(0) {
+            Ok(b) => {
+                assert_eq!(b.len(), batch, "every batch arrives full");
+                delivered.extend(items_of(&b.unit));
+                batches += 1;
+                backend.recycle(b.unit);
+            }
+            Err(dlbooster::core::BackendError::Exhausted) => break,
+            Err(e) => panic!("run must complete cleanly, got {e}"),
+        }
     }
-    assert_eq!(graph_snap.chaos.failovers, 1);
-    assert_eq!(hard_snap.chaos.failovers, 1);
-    assert!(graph_snap.invariant_violations().is_empty());
-    assert!(hard_snap.invariant_violations().is_empty());
+    assert!(backend.failed_over(), "the wedged primary must fail over");
+    backend.shutdown();
+    drop(backend);
+    drop(primary);
+    let snap = telemetry.pipeline_snapshot();
+
+    assert_eq!(batches, total);
+    let mut expected: Vec<Item> = dataset
+        .records
+        .iter()
+        .map(|r| {
+            let jpeg = disk.read(r.disk_offset, r.len).unwrap();
+            (r.label, reference(&jpeg, (32, 32)))
+        })
+        .collect();
+    delivered.sort();
+    expected.sort();
+    assert!(
+        delivered == expected,
+        "one epoch must cover every record with the oracle's pixels"
+    );
+    assert_eq!(snap.chaos.failovers, 1);
+    assert!(snap.invariant_violations().is_empty());
 }
 
 #[test]
-fn cpu_backend_graph_equals_hardwired() {
+fn cpu_backend_delivers_the_oracle() {
     for &(data_seed, shuffle) in &SWEEP {
         let disk = Arc::new(NvmeDisk::new(NvmeSpec::optane_900p()));
         let dataset = Dataset::build(DatasetSpec::ilsvrc_small(8, data_seed), &disk).unwrap();
-        let run = |path: Path, workers: usize| {
-            let collector = Arc::new(DataCollector::load_from_disk(&dataset.records, shuffle));
-            let config = CpuBackendConfig {
-                n_engines: 1,
-                batch_size: 4,
-                target_w: 40,
-                target_h: 40,
-                workers,
-                max_batches: Some(2),
-                sample_cache: None,
-            };
-            let resolver = Arc::new(CombinedResolver::disk_only(Arc::clone(&disk)));
-            let backend = match path {
-                Path::Graph => CpuBackend::start(collector, resolver, config),
-                Path::Hardwired => CpuBackend::start_hardwired(collector, resolver, config),
-            }
-            .unwrap();
-            drain_labeled(&backend)
-        };
-        // Single worker: delivery order itself is deterministic, so the
-        // per-label maps compare the full epoch; multi-worker runs are
-        // compared the same way (batch composition is scheduling-
-        // dependent, pixels are not).
+        let oracle = expected_batches(&dataset.records, &disk, shuffle, 4, 2, (40, 40));
         for workers in [1usize, 2] {
-            let graph = run(Path::Graph, workers);
-            let hard = run(Path::Hardwired, workers);
-            assert_eq!(graph.len(), 8);
-            assert_eq!(
-                graph, hard,
-                "seed {data_seed}/workers {workers}: CPU pixels diverge"
+            let backend = CpuBackend::start(
+                Arc::new(DataCollector::load_from_disk(&dataset.records, shuffle)),
+                Arc::new(CombinedResolver::disk_only(Arc::clone(&disk))),
+                CpuBackendConfig {
+                    n_engines: 1,
+                    batch_size: 4,
+                    target_w: 40,
+                    target_h: 40,
+                    workers,
+                    max_batches: Some(2),
+                    sample_cache: None,
+                },
+            )
+            .unwrap();
+            let mut delivered = drain_batches(&backend);
+            let mut expected = oracle.clone();
+            // One worker delivers in collector order; with two, each batch
+            // is still one collector dispense, but which lands first is up
+            // to the scheduler.
+            if workers > 1 {
+                delivered.sort();
+                expected.sort();
+            }
+            assert!(
+                delivered == expected,
+                "seed {data_seed}/workers {workers}: CPU batches diverge from the oracle"
             );
         }
     }
@@ -425,15 +357,10 @@ fn from_graph_with_canned_chain_equals_start() {
     // FPGA path.
     let fpga_run = |use_from_graph: bool| {
         let collector = Arc::new(DataCollector::load_from_disk(&dataset.records, shuffle));
-        let mut device = FpgaDevice::new(DeviceSpec::arria10_ax());
-        device
-            .load_mirror(DecoderMirror::jpeg_paper_config())
-            .unwrap();
-        let engine = DecoderEngine::start(
-            device,
-            Arc::new(CombinedResolver::disk_only(Arc::clone(&disk))),
-        )
-        .unwrap();
+        let engine = fpga_engine(
+            CombinedResolver::disk_only(Arc::clone(&disk)),
+            &Telemetry::with_defaults(),
+        );
         let channel = FpgaChannel::init(engine, 0);
         let mut config = DlBoosterConfig::training(1, 4, (40, 40), 8, Some(2));
         config.cache_bytes = 0;
@@ -444,7 +371,7 @@ fn from_graph_with_canned_chain_equals_start() {
             DlBooster::start(collector, channel, config)
         }
         .unwrap();
-        drain_payloads(&booster)
+        drain_batches(&booster)
     };
     assert_eq!(fpga_run(true), fpga_run(false), "FPGA from_graph diverges");
 
@@ -468,7 +395,10 @@ fn from_graph_with_canned_chain_equals_start() {
             CpuBackend::start(collector, resolver, config)
         }
         .unwrap();
-        drain_labeled(&backend)
+        // Two workers: which batch lands first is up to the scheduler.
+        let mut batches = drain_batches(&backend);
+        batches.sort();
+        batches
     };
     assert_eq!(cpu_run(true), cpu_run(false), "CPU from_graph diverges");
 }
@@ -481,15 +411,10 @@ fn from_graph_rejects_wrong_device() {
     let dataset = Dataset::build(DatasetSpec::ilsvrc_small(4, 3), &disk).unwrap();
 
     let collector = Arc::new(DataCollector::load_from_disk(&dataset.records, 0));
-    let mut device = FpgaDevice::new(DeviceSpec::arria10_ax());
-    device
-        .load_mirror(DecoderMirror::jpeg_paper_config())
-        .unwrap();
-    let engine = DecoderEngine::start(
-        device,
-        Arc::new(CombinedResolver::disk_only(Arc::clone(&disk))),
-    )
-    .unwrap();
+    let engine = fpga_engine(
+        CombinedResolver::disk_only(Arc::clone(&disk)),
+        &Telemetry::with_defaults(),
+    );
     let config = DlBoosterConfig::training(1, 4, (32, 32), 4, Some(1));
     let cpu_chain = dlbooster::graph::cpu_training(32, 32, 2);
     assert!(
