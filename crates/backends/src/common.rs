@@ -4,10 +4,11 @@
 use dlb_codec::jpeg::decoder::DecodeStats;
 use dlb_codec::{ColorSpace, DecodeScratch, JpegDecoder};
 use dlb_membridge::{BatchUnit, BlockingQueue, MemManager, PoolConfig};
-use dlbooster_core::HostBatch;
+use dlbooster_core::{BackendError, HostBatch};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Decodes `jpeg` to `dims` RGB straight into `window` (one item's slot of a
@@ -184,6 +185,45 @@ impl PoolScaffold {
             stop: Arc::new(AtomicBool::new(false)),
             cpu_busy_nanos: Arc::new(AtomicU64::new(0)),
         })
+    }
+
+    /// `PreprocessBackend::next_batch`: blocks on engine `slot`'s queue.
+    pub fn next_batch(&self, slot: usize) -> Result<HostBatch, BackendError> {
+        self.router
+            .queue(slot)
+            .pop()
+            .map_err(|_| BackendError::Exhausted)
+    }
+
+    /// `PreprocessBackend::recycle`: returns a consumed unit to the pool.
+    pub fn recycle(&self, unit: BatchUnit) {
+        let _ = self.pool.recycle_item(unit);
+    }
+
+    /// `PreprocessBackend::max_batch_bytes`: one pool unit.
+    pub fn max_batch_bytes(&self) -> usize {
+        self.pool.unit_size()
+    }
+
+    /// `PreprocessBackend::cpu_busy_nanos`: accumulated worker busy time.
+    pub fn cpu_busy_nanos(&self) -> u64 {
+        self.cpu_busy_nanos.load(Ordering::Relaxed)
+    }
+
+    /// `PreprocessBackend::shutdown`: raises the stop flag and closes the
+    /// queues and the pool so blocked workers and consumers wake.
+    pub fn shutdown(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.router.close();
+        self.pool.close();
+    }
+
+    /// The backends' join-on-drop: shuts down, then joins every worker.
+    pub fn join(&self, workers: &mut Vec<JoinHandle<()>>) {
+        self.shutdown();
+        for w in workers.drain(..) {
+            let _ = w.join();
+        }
     }
 }
 

@@ -18,7 +18,8 @@ use dlb_membridge::BatchUnit;
 use dlb_telemetry::{names, Telemetry};
 use dlb_trace::{stages, SpanKind, Tracer};
 use dlbooster_core::{
-    augment_identity, sample_key, BackendError, DataCollector, HostBatch, PreprocessBackend,
+    augment_identity, fill_from_cache, sample_key, BackendError, DataCollector, HostBatch,
+    PreprocessBackend,
 };
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -284,54 +285,11 @@ fn cpu_worker(
             );
         }
         let t0 = Instant::now();
-        // Whole-batch cache bypass: if every sample in the batch is
-        // resident, fill the unit straight from the cache and skip
-        // fetch + decode + resize. A partial hit decodes live (mixing
-        // cached and decoded items would serialise the worker on the
-        // slowest miss anyway).
+        // Whole-batch cache bypass: a fully resident batch skips
+        // fetch + decode + resize.
         if let Some(cache) = &config.sample_cache {
-            let cached: Option<Vec<CachedSample>> = metas
-                .iter()
-                .map(|m| sample_key(&m.src).and_then(|k| cache.lookup(&k)))
-                .collect();
-            if let Some(samples) = cached {
-                let mut arrivals = Vec::with_capacity(metas.len());
-                // Cached samples are pre-augmentation pixels: with an
-                // augmentor attached, each bypassed item re-augments under
-                // *this* dispense epoch — a cache hit in epoch 3 draws
-                // epoch 3's crop, exactly as a live decode would.
-                for (meta, sample) in metas.iter().zip(&samples) {
-                    arrivals.push(meta.arrival_nanos.unwrap_or(0));
-                    match &augmentor {
-                        Some(aug) => {
-                            let out = aug.apply(
-                                meta.epoch,
-                                augment_identity(&meta.src),
-                                &sample.data,
-                                sample.width,
-                                sample.height,
-                                sample.channels,
-                            );
-                            unit.append(
-                                &out.data,
-                                sample.label,
-                                out.width,
-                                out.height,
-                                out.channels,
-                            );
-                        }
-                        None => {
-                            unit.append(
-                                &sample.data,
-                                sample.label,
-                                sample.width,
-                                sample.height,
-                                sample.channels,
-                            );
-                        }
-                    }
-                }
-                cache.note_bypass_batch();
+            if fill_from_cache(cache, &metas, augmentor.as_ref(), &mut unit) {
+                let arrivals = metas.iter().map(|m| m.arrival_nanos.unwrap_or(0)).collect();
                 if let Some(t) = tr {
                     t.span(
                         trace_id,
@@ -500,12 +458,7 @@ impl PreprocessBackend for CpuBackend {
     }
 
     fn next_batch(&self, slot: usize) -> Result<HostBatch, BackendError> {
-        let batch = self
-            .scaffold
-            .router
-            .queue(slot)
-            .pop()
-            .map_err(|_| BackendError::Exhausted)?;
+        let batch = self.scaffold.next_batch(slot)?;
         if let Some(t) = self.tracer_cell.as_ref().and_then(|c| c.get()) {
             if batch.trace != 0 {
                 t.span(
@@ -521,30 +474,25 @@ impl PreprocessBackend for CpuBackend {
     }
 
     fn recycle(&self, unit: BatchUnit) {
-        let _ = self.scaffold.pool.recycle_item(unit);
+        self.scaffold.recycle(unit);
     }
 
     fn max_batch_bytes(&self) -> usize {
-        self.scaffold.pool.unit_size()
+        self.scaffold.max_batch_bytes()
     }
 
     fn cpu_busy_nanos(&self) -> u64 {
-        self.scaffold.cpu_busy_nanos.load(Ordering::Relaxed)
+        self.scaffold.cpu_busy_nanos()
     }
 
     fn shutdown(&self) {
-        self.scaffold.stop.store(true, Ordering::SeqCst);
-        self.scaffold.router.close();
-        self.scaffold.pool.close();
+        self.scaffold.shutdown();
     }
 }
 
 impl Drop for CpuBackend {
     fn drop(&mut self) {
-        self.shutdown();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.scaffold.join(&mut self.workers);
     }
 }
 

@@ -182,38 +182,29 @@ impl PreprocessBackend for NvJpegBackend {
     }
 
     fn next_batch(&self, slot: usize) -> Result<HostBatch, BackendError> {
-        self.scaffold
-            .router
-            .queue(slot)
-            .pop()
-            .map_err(|_| BackendError::Exhausted)
+        self.scaffold.next_batch(slot)
     }
 
     fn recycle(&self, unit: BatchUnit) {
-        let _ = self.scaffold.pool.recycle_item(unit);
+        self.scaffold.recycle(unit);
     }
 
     fn max_batch_bytes(&self) -> usize {
-        self.scaffold.pool.unit_size()
+        self.scaffold.max_batch_bytes()
     }
 
     fn cpu_busy_nanos(&self) -> u64 {
-        self.scaffold.cpu_busy_nanos.load(Ordering::Relaxed)
+        self.scaffold.cpu_busy_nanos()
     }
 
     fn shutdown(&self) {
-        self.scaffold.stop.store(true, Ordering::SeqCst);
-        self.scaffold.router.close();
-        self.scaffold.pool.close();
+        self.scaffold.shutdown();
     }
 }
 
 impl Drop for NvJpegBackend {
     fn drop(&mut self) {
-        self.shutdown();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.scaffold.join(&mut self.workers);
     }
 }
 

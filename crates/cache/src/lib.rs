@@ -229,7 +229,8 @@ impl SampleCache {
             for (id, weight) in tenants {
                 let share = capacity_bytes * *weight as u64 / total_weight;
                 by_tenant.insert(*id, partitions.len());
-                let key = |field: &str| format!("{}{}.{}", names::CACHE_TENANT_PREFIX, id, field);
+                use names::cache_tenant::*;
+                let key = |field: &str| names::member_key(PREFIX, id, field);
                 partitions.push(Partition {
                     capacity: share,
                     resident: 0,
@@ -237,10 +238,10 @@ impl SampleCache {
                     tenant: Some((
                         *id,
                         TenantHandles {
-                            hits: registry.counter(&key("hits")),
-                            misses: registry.counter(&key("misses")),
-                            evictions: registry.counter(&key("evictions")),
-                            resident_bytes: registry.gauge(&key("resident_bytes")),
+                            hits: registry.counter(&key(HITS)),
+                            misses: registry.counter(&key(MISSES)),
+                            evictions: registry.counter(&key(EVICTIONS)),
+                            resident_bytes: registry.gauge(&key(RESIDENT_BYTES)),
                         },
                     )),
                 });

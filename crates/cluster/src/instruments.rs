@@ -92,12 +92,13 @@ impl ClusterInstruments {
     fn with_tenant(&self, tenant: u32, f: impl FnOnce(&TenantHandles)) {
         let mut map = self.tenants.lock().unwrap_or_else(|p| p.into_inner());
         let handles = map.entry(tenant).or_insert_with(|| {
-            let key = |field: &str| format!("{}{tenant}.{field}", names::CLUSTER_TENANT_PREFIX);
+            use names::cluster_tenant::*;
+            let key = |field: &str| names::member_key(PREFIX, tenant, field);
             TenantHandles {
-                requests: self.registry.counter(&key("requests")),
-                completed: self.registry.counter(&key("completed")),
-                shed: self.registry.counter(&key("shed")),
-                good: self.registry.counter(&key("good")),
+                requests: self.registry.counter(&key(REQUESTS)),
+                completed: self.registry.counter(&key(COMPLETED)),
+                shed: self.registry.counter(&key(SHED)),
+                good: self.registry.counter(&key(GOOD)),
             }
         });
         f(handles);

@@ -37,5 +37,5 @@ pub use cache::EpochCache;
 pub use channel::FpgaChannel;
 pub use collector::{DataCollector, FileMeta};
 pub use dispatcher::{Dispatcher, TransQueues};
-pub use reader::{augment_identity, sample_key, FpgaReader, ReaderConfig};
+pub use reader::{augment_identity, fill_from_cache, sample_key, FpgaReader, ReaderConfig};
 pub use resolver::CombinedResolver;

@@ -12,7 +12,7 @@
 
 use crate::backend::HostBatch;
 use crate::channel::FpgaChannel;
-use crate::collector::DataCollector;
+use crate::collector::{DataCollector, FileMeta};
 use dlb_cache::{CachedSample, SampleCache, SampleKey};
 use dlb_fpga::{CompletedBatch, DataRef, DecodeCmd, FpgaError, OutputFormat, Submission};
 use dlb_graph::{source_identity, SampleAugmentor};
@@ -53,6 +53,48 @@ pub fn augment_identity(src: &DataRef) -> u64 {
         DataRef::Disk { offset, len } => source_identity(0, *offset, *len as u64),
         DataRef::HostMem { phys_addr, len } => source_identity(1, *phys_addr, *len as u64),
     }
+}
+
+/// The whole-batch sample-cache bypass shared by the FPGA reader and the
+/// CPU backend. When *every* item of the batch is resident, fills `unit`
+/// from memory and returns `true`: all-or-nothing keeps item order and
+/// unit layout identical to a decoded batch, and the unit recycles
+/// through the same free queue — only the decode work disappears. On any
+/// miss `unit` is untouched and the batch decodes live as a whole (both
+/// paths decode a full batch in one go, so partial hits save nothing).
+///
+/// Cached samples are pre-augmentation pixels: with an augmentor
+/// attached, each bypassed item re-augments under its *dispense* epoch —
+/// a cache hit in epoch 3 draws epoch 3's crop, exactly as a live decode
+/// would.
+pub fn fill_from_cache(
+    cache: &SampleCache,
+    metas: &[FileMeta],
+    augmentor: Option<&SampleAugmentor>,
+    unit: &mut BatchUnit,
+) -> bool {
+    let cached: Option<Vec<CachedSample>> = metas
+        .iter()
+        .map(|m| sample_key(&m.src).and_then(|k| cache.lookup(&k)))
+        .collect();
+    let Some(samples) = cached else {
+        return false;
+    };
+    for (sample, meta) in samples.iter().zip(metas) {
+        let (w, h, c) = (sample.width, sample.height, sample.channels);
+        match augmentor {
+            Some(aug) => {
+                let id = augment_identity(&meta.src);
+                let out = aug.apply(meta.epoch, id, &sample.data, w, h, c);
+                unit.append(&out.data, sample.label, out.width, out.height, out.channels);
+            }
+            None => {
+                unit.append(&sample.data, sample.label, w, h, c);
+            }
+        }
+    }
+    cache.note_bypass_batch();
+    true
 }
 
 /// Reader configuration.
@@ -620,7 +662,7 @@ fn run_reader(
         // Lease a holder; while none is free, drain completions (Alg. 1
         // lines 5–9) — this is both back-pressure and forward progress.
         let lease_t0 = tracer_cell.get().map(|_| Instant::now());
-        let unit = loop {
+        let mut unit = loop {
             match pool.try_get_item() {
                 Some(u) => break u,
                 // With work in flight, a completion will free pipeline
@@ -658,54 +700,14 @@ fn run_reader(
             None => 0,
         };
 
-        // Batch-granular cache bypass: when *every* item in the batch is
-        // resident (all-or-nothing keeps item order and unit layout
-        // identical to a decoded batch), skip the device entirely. A
-        // partially-resident batch decodes live as a whole — the FPGA
-        // decodes a full batch in one submission anyway, so partial hits
-        // save nothing there. Looked up *after* the lease: completions
+        // Batch-granular cache bypass: a fully resident batch skips the
+        // device entirely. Looked up *after* the lease: completions
         // drained while waiting may have just inserted this batch.
-        let cached: Option<Vec<CachedSample>> = cache_cell.get().and_then(|cache| {
-            metas
-                .iter()
-                .map(|m| sample_key(&m.src).and_then(|k| cache.lookup(&k)))
-                .collect()
-        });
-
-        // Every item resident: fill the unit from memory and push — the
-        // batch recycles through the same `Free_Batch_Queue` as a decoded
-        // one, only the decode work disappears.
-        if let Some(samples) = cached {
-            let mut unit = unit;
-            let t0 = Instant::now();
-            // Cached samples are pre-augmentation pixels: with an augmentor
-            // attached, each bypassed item re-augments under *this* dispense
-            // epoch — a cache hit in epoch 3 draws epoch 3's crop, exactly
-            // as a live decode would.
-            for (sample, meta) in samples.iter().zip(&metas) {
-                match &config.augmentor {
-                    Some(aug) => {
-                        let out = aug.apply(
-                            meta.epoch,
-                            augment_identity(&meta.src),
-                            &sample.data,
-                            sample.width,
-                            sample.height,
-                            sample.channels,
-                        );
-                        unit.append(&out.data, sample.label, out.width, out.height, out.channels);
-                    }
-                    None => {
-                        unit.append(
-                            &sample.data,
-                            sample.label,
-                            sample.width,
-                            sample.height,
-                            sample.channels,
-                        );
-                    }
-                }
-            }
+        let t0 = Instant::now();
+        let bypass = cache_cell
+            .get()
+            .is_some_and(|c| fill_from_cache(c, &metas, config.augmentor.as_ref(), &mut unit));
+        if bypass {
             unit.seal(core.next_sequence);
             let batch = HostBatch {
                 unit,
@@ -716,10 +718,6 @@ fn run_reader(
             };
             core.next_sequence += 1;
             bypassed += 1;
-            cache_cell
-                .get()
-                .expect("cached implies cache")
-                .note_bypass_batch();
             stats.cpu_busy_nanos.add(t0.elapsed().as_nanos() as u64);
             if let Some(t) = tracer_cell.get() {
                 t.span(

@@ -42,13 +42,14 @@ impl QueueHooks {
     /// Registers the per-queue metric set under `queue.<name>.*` and a
     /// watchdog entry keyed by the queue name.
     pub fn register(telemetry: &Telemetry, name: &str) -> Self {
-        let key = |field: &str| format!("{}{name}.{field}", names::QUEUE_PREFIX);
-        let depth = telemetry.registry.gauge(&key("depth"));
+        use names::queue::*;
+        let key = |field: &str| names::member_key(PREFIX, name, field);
+        let depth = telemetry.registry.gauge(&key(DEPTH));
         Self {
-            pushed: telemetry.registry.counter(&key("pushed")),
-            popped: telemetry.registry.counter(&key("popped")),
-            blocked_push_nanos: telemetry.registry.counter(&key("blocked_push_nanos")),
-            blocked_pop_nanos: telemetry.registry.counter(&key("blocked_pop_nanos")),
+            pushed: telemetry.registry.counter(&key(PUSHED)),
+            popped: telemetry.registry.counter(&key(POPPED)),
+            blocked_push_nanos: telemetry.registry.counter(&key(BLOCKED_PUSH_NANOS)),
+            blocked_pop_nanos: telemetry.registry.counter(&key(BLOCKED_POP_NANOS)),
             heartbeat: telemetry.watchdog.watch_queue(name, Arc::clone(&depth)),
             depth,
         }

@@ -77,12 +77,13 @@ impl ServingInstruments {
     fn with_tenant(&self, tenant: u32, f: impl FnOnce(&TenantHandles)) {
         let mut map = self.tenants.lock().unwrap_or_else(|p| p.into_inner());
         let handles = map.entry(tenant).or_insert_with(|| {
-            let key = |field: &str| format!("{}{tenant}.{field}", names::SERVING_TENANT_PREFIX);
+            use names::serving_tenant::*;
+            let key = |field: &str| names::member_key(PREFIX, tenant, field);
             TenantHandles {
-                admitted: self.registry.counter(&key("admitted")),
-                completed: self.registry.counter(&key("completed")),
-                shed: self.registry.counter(&key("shed")),
-                goodput: self.registry.gauge(&key("goodput")),
+                admitted: self.registry.counter(&key(ADMITTED)),
+                completed: self.registry.counter(&key(COMPLETED)),
+                shed: self.registry.counter(&key(SHED)),
+                goodput: self.registry.gauge(&key(GOODPUT)),
             }
         });
         f(handles);

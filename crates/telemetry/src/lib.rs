@@ -8,9 +8,9 @@
 //!   [`RegistrySnapshot`]);
 //! * [`Registry`] — get-or-create named metrics behind one handle;
 //! * [`Watchdog`] — flags stage queues that hold work but stop moving;
-//! * [`PipelineSnapshot`] — the typed six-stage view (reader, channel,
-//!   decoder, pool, dispatcher, engines) with conservation invariants and
-//!   text/JSON rendering;
+//! * [`PipelineSnapshot`] — the typed view (six stages, optional layers,
+//!   queues) generated from [`pipeline`]'s metric table, with the law
+//!   table's conservation invariants and text/JSON rendering;
 //! * [`Json`] — a dependency-free JSON value used for every structured
 //!   report in the workspace;
 //! * [`prometheus`] — text-exposition rendering of a [`RegistrySnapshot`]

@@ -1,298 +1,21 @@
-//! Pipeline-level aggregation: canonical metric names for the six stages,
-//! the [`PipelineSnapshot`] view over a registry snapshot, and the
-//! [`Telemetry`] bundle (registry + watchdog) threaded through the
-//! pipeline.
+//! Pipeline-level aggregation, written once: the **metric table** (one
+//! entry per metric → its [`names`] constant, its typed field, the
+//! raw-snapshot fold, and the JSON/text renderings), the **law table**
+//! (one row per conservation law, evaluated in signed arithmetic), the
+//! [`PipelineSnapshot`] view both produce, and the [`Telemetry`] bundle
+//! (registry + watchdog) threaded through the pipeline.
+//!
+//! To add a metric, add one entry to the `metrics!` invocation; to add a
+//! law, add one row to `LAWS`. Nothing else in this file lists a metric.
 
 use crate::json::Json;
 use crate::metrics::HistogramSnapshot;
 use crate::registry::{Registry, RegistrySnapshot};
 use crate::watchdog::{StallReport, Watchdog};
 use dlb_trace::Tracer;
+use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// Canonical metric names, shared by stage wiring and aggregation.
-pub mod names {
-    /// Reader: batches handed to the FPGA.
-    pub const READER_BATCHES_SUBMITTED: &str = "reader.batches_submitted";
-    /// Reader: batches fully drained back.
-    pub const READER_BATCHES_COMPLETED: &str = "reader.batches_completed";
-    /// Reader: batches aborted before completion.
-    pub const READER_BATCH_ERRORS: &str = "reader.batch_errors";
-    /// Reader: per-item FINISH errors observed while draining.
-    pub const READER_ITEM_ERRORS: &str = "reader.item_errors";
-    /// Reader: CPU busy nanoseconds (Algorithm 1 loop).
-    pub const READER_CPU_BUSY_NANOS: &str = "reader.cpu_busy_nanos";
-    /// Reader: cmd submit→completion latency histogram (ns).
-    pub const READER_SUBMIT_LATENCY: &str = "reader.submit_latency_nanos";
-    /// Reader: cmds currently in flight on the device.
-    pub const READER_INFLIGHT: &str = "reader.inflight_cmds";
-
-    /// Channel: cmds submitted to the device.
-    pub const CHANNEL_CMDS_SUBMITTED: &str = "channel.cmds_submitted";
-    /// Channel: completions drained from the device.
-    pub const CHANNEL_CMDS_DRAINED: &str = "channel.cmds_drained";
-    /// Channel: submitted minus drained.
-    pub const CHANNEL_INFLIGHT: &str = "channel.inflight";
-
-    /// Decoder: batches retired by the lanes.
-    pub const DECODER_BATCHES: &str = "decoder.batches";
-    /// Decoder: items entering the lanes.
-    pub const DECODER_ITEMS_IN: &str = "decoder.items_in";
-    /// Decoder: items decoded successfully.
-    pub const DECODER_ITEMS_OK: &str = "decoder.items_ok";
-    /// Decoder: items failed (FINISH error).
-    pub const DECODER_ITEMS_ERR: &str = "decoder.items_err";
-    /// Decoder: DMA bytes written back to host memory.
-    pub const DECODER_BYTES_WRITTEN: &str = "decoder.bytes_written";
-    /// Decoder: per-item lane service time histogram (ns).
-    pub const DECODER_LANE_SERVICE: &str = "decoder.lane_service_nanos";
-
-    /// Pool: successful leases.
-    pub const POOL_LEASES: &str = "pool.leases";
-    /// Pool: units recycled.
-    pub const POOL_RECYCLES: &str = "pool.recycles";
-    /// Pool: lease attempts that had to wait (starvation events).
-    pub const POOL_STARVATIONS: &str = "pool.starvations";
-    /// Pool: nanoseconds spent blocked waiting for a unit.
-    pub const POOL_BLOCKED_NANOS: &str = "pool.blocked_nanos";
-    /// Pool: free units right now.
-    pub const POOL_FREE_UNITS: &str = "pool.free_units";
-
-    /// Dispatcher: batches copied host→device.
-    pub const DISPATCHER_BATCHES: &str = "dispatcher.batches";
-    /// Dispatcher: H2D bytes copied.
-    pub const DISPATCHER_BYTES_COPIED: &str = "dispatcher.bytes_copied";
-    /// Dispatcher: failed copies.
-    pub const DISPATCHER_COPY_ERRORS: &str = "dispatcher.copy_errors";
-    /// Dispatcher: CPU busy nanoseconds (Algorithm 3 loop).
-    pub const DISPATCHER_CPU_BUSY_NANOS: &str = "dispatcher.cpu_busy_nanos";
-    /// Dispatcher: per-batch copy latency histogram (ns).
-    pub const DISPATCHER_COPY_LATENCY: &str = "dispatcher.copy_latency_nanos";
-
-    /// Engines: batches consumed (training iterations / inference calls).
-    pub const ENGINE_BATCHES: &str = "engine.batches";
-    /// Engines: time spent waiting for a ready batch (ns histogram).
-    pub const ENGINE_BATCH_WAIT: &str = "engine.batch_wait_nanos";
-    /// Engines: time spent in compute per batch (ns histogram).
-    pub const ENGINE_COMPUTE: &str = "engine.compute_nanos";
-
-    /// Router: batches delivered to slot queues.
-    pub const ROUTER_DELIVERED: &str = "router.delivered";
-
-    /// Serving: requests offered to the admission controller.
-    pub const SERVING_OFFERED: &str = "serving.offered";
-    /// Serving: requests admitted into the serving queue.
-    pub const SERVING_ADMITTED: &str = "serving.admitted";
-    /// Serving: requests rejected at the admission door.
-    pub const SERVING_REJECTED: &str = "serving.rejected";
-    /// Serving: admitted requests later evicted by the shedding policy.
-    pub const SERVING_SHED: &str = "serving.shed";
-    /// Serving: admitted requests that completed (prediction returned).
-    pub const SERVING_COMPLETED: &str = "serving.completed";
-    /// Serving: completions that met their SLO deadline (goodput).
-    pub const SERVING_GOOD: &str = "serving.good";
-    /// Serving: admitted requests currently queued or in the pipeline.
-    pub const SERVING_INFLIGHT: &str = "serving.inflight";
-    /// Serving: admission-queue depth (gauge; high-water = worst backlog).
-    pub const SERVING_QUEUE_DEPTH: &str = "serving.queue_depth";
-    /// Serving: admission-queue delay histogram (ns, arrival→dequeue).
-    pub const SERVING_QUEUE_DELAY: &str = "serving.queue_delay_nanos";
-    /// Serving: formed-batch size histogram (items per batch).
-    pub const SERVING_BATCH_SIZE: &str = "serving.batch_size";
-    /// Serving: batches formed by the dynamic batcher.
-    pub const SERVING_BATCHES: &str = "serving.batches_formed";
-    /// Serving: batches closed because they reached `max_batch`.
-    pub const SERVING_BATCH_FULL: &str = "serving.batches_closed_full";
-    /// Serving: batches closed because `max_linger` expired.
-    pub const SERVING_BATCH_LINGER: &str = "serving.batches_closed_linger";
-    /// Prefix for per-tenant serving metrics
-    /// (`serving.tenant.<id>.admitted|completed|shed|goodput`).
-    pub const SERVING_TENANT_PREFIX: &str = "serving.tenant.";
-
-    /// Cache: sample lookups against the decoded-sample cache.
-    pub const CACHE_LOOKUPS: &str = "cache.lookups";
-    /// Cache: lookups that found a resident decoded sample.
-    pub const CACHE_HITS: &str = "cache.hits";
-    /// Cache: lookups that missed (redecode required).
-    pub const CACHE_MISSES: &str = "cache.misses";
-    /// Cache: samples admitted.
-    pub const CACHE_INSERTIONS: &str = "cache.insertions";
-    /// Cache: bytes admitted (sum of admitted sample sizes).
-    pub const CACHE_INSERTED_BYTES: &str = "cache.inserted_bytes";
-    /// Cache: admissions refused (quarantined key or oversized sample).
-    pub const CACHE_REJECTED: &str = "cache.rejected";
-    /// Cache: samples evicted (cost-aware policy or quarantine removal).
-    pub const CACHE_EVICTIONS: &str = "cache.evictions";
-    /// Cache: bytes evicted.
-    pub const CACHE_EVICTED_BYTES: &str = "cache.evicted_bytes";
-    /// Cache: failed-decode observations that poisoned a key.
-    pub const CACHE_QUARANTINED: &str = "cache.quarantined";
-    /// Cache: whole batches delivered straight from cache (decode skipped).
-    pub const CACHE_BYPASS_BATCHES: &str = "cache.bypass_batches";
-    /// Cache: bytes resident right now (gauge; high-water must stay ≤
-    /// capacity).
-    pub const CACHE_RESIDENT_BYTES: &str = "cache.resident_bytes";
-    /// Cache: entries resident right now (gauge).
-    pub const CACHE_RESIDENT_ENTRIES: &str = "cache.resident_entries";
-    /// Cache: configured capacity in bytes (gauge, set at construction).
-    pub const CACHE_CAPACITY_BYTES: &str = "cache.capacity_bytes";
-    /// Prefix for per-tenant cache partitions
-    /// (`cache.tenant.<id>.hits|misses|evictions|resident_bytes`).
-    pub const CACHE_TENANT_PREFIX: &str = "cache.tenant.";
-
-    /// Cluster: requests arriving at the shard router's door.
-    pub const CLUSTER_REQUESTS: &str = "cluster.requests";
-    /// Cluster: requests that passed quota + routing (primary dispatched).
-    pub const CLUSTER_ADMITTED: &str = "cluster.admitted";
-    /// Cluster: requests terminally shed (quota, dead ring, or an
-    /// unreplayable loss).
-    pub const CLUSTER_SHED: &str = "cluster.shed";
-    /// Cluster: the subset of sheds denied by a tenant quota bucket.
-    pub const CLUSTER_QUOTA_SHED: &str = "cluster.quota_shed";
-    /// Cluster: copies placed on node queues (primaries + hedges +
-    /// replays).
-    pub const CLUSTER_DISPATCHES: &str = "cluster.dispatches";
-    /// Cluster: hedge copies dispatched after a budget expiry.
-    pub const CLUSTER_HEDGES: &str = "cluster.hedges";
-    /// Cluster: requests whose first completion came from a hedge copy.
-    pub const CLUSTER_HEDGE_WINS: &str = "cluster.hedge_wins";
-    /// Cluster: duplicate completions of already-terminal requests.
-    pub const CLUSTER_HEDGE_DUPS: &str = "cluster.hedge_dups";
-    /// Cluster: replay copies dispatched for work lost to a node kill.
-    pub const CLUSTER_REPLAYS: &str = "cluster.replays";
-    /// Cluster: copies that finished service (wins and duplicates).
-    pub const CLUSTER_COMPLETIONS: &str = "cluster.completions";
-    /// Cluster: completions by primary or hedge copies.
-    pub const CLUSTER_SERVED: &str = "cluster.served";
-    /// Cluster: completions by replay copies.
-    pub const CLUSTER_REPLAYED: &str = "cluster.replayed";
-    /// Cluster: winning completions inside the SLO deadline (goodput).
-    pub const CLUSTER_GOOD: &str = "cluster.good";
-    /// Cluster: copies that died with a killed node.
-    pub const CLUSTER_LOST: &str = "cluster.lost";
-    /// Cluster: lost copies not re-dispatched (stale, covered, or shed).
-    pub const CLUSTER_LOST_UNREPLAYED: &str = "cluster.lost_unreplayed";
-    /// Cluster: nodes chaos-killed.
-    pub const CLUSTER_KILLS: &str = "cluster.kills";
-    /// Cluster: quota rebalances after membership changes.
-    pub const CLUSTER_REBALANCES: &str = "cluster.rebalances";
-    /// Cluster: requests admitted to the door but not yet terminal.
-    pub const CLUSTER_INFLIGHT: &str = "cluster.inflight";
-    /// Cluster: copies dispatched but not yet completed or lost.
-    pub const CLUSTER_NODE_QUEUED: &str = "cluster.node_queued";
-    /// Cluster: live nodes on the ring right now.
-    pub const CLUSTER_NODES_ALIVE: &str = "cluster.nodes_alive";
-    /// Cluster: winning-request arrival→completion latency (ns).
-    pub const CLUSTER_LATENCY: &str = "cluster.latency_nanos";
-    /// Prefix for per-tenant cluster metrics
-    /// (`cluster.tenant.<id>.requests|completed|shed|good`).
-    pub const CLUSTER_TENANT_PREFIX: &str = "cluster.tenant.";
-
-    /// Codec: wall nanoseconds in Huffman entropy decoding (summed across
-    /// decode workers, so it can exceed wall time).
-    pub const CODEC_HUFFMAN_NANOS: &str = "codec.huffman_ns";
-    /// Codec: wall nanoseconds in dequantisation + inverse DCT.
-    pub const CODEC_IDCT_NANOS: &str = "codec.idct_ns";
-    /// Codec: wall nanoseconds in resize (decode-side bilinear scaling).
-    pub const CODEC_RESIZE_NANOS: &str = "codec.resize_ns";
-    /// Codec: wall nanoseconds in chroma upsampling + YCbCr→RGB conversion.
-    pub const CODEC_COLOR_NANOS: &str = "codec.color_ns";
-
-    /// NIC: frames dropped because the bounded RX ring was full.
-    pub const NET_RX_DROPS: &str = "net.rx_ring_drops";
-    /// NIC: frames rejected by the wire parser.
-    pub const NET_FRAMES_BAD: &str = "net.frames_bad";
-
-    /// Chaos: total faults injected across every stage.
-    pub const CHAOS_FAULTS_TOTAL: &str = "chaos.faults_total";
-    /// Chaos: faults injected into storage reads.
-    pub const CHAOS_INJECTED_STORAGE: &str = "chaos.injected.storage";
-    /// Chaos: faults injected into NIC RX delivery.
-    pub const CHAOS_INJECTED_NET: &str = "chaos.injected.net";
-    /// Chaos: faults injected into FPGA decode lanes.
-    pub const CHAOS_INJECTED_FPGA: &str = "chaos.injected.fpga";
-    /// Chaos: faults injected into the batch pool.
-    pub const CHAOS_INJECTED_POOL: &str = "chaos.injected.pool";
-    /// Chaos: faults injected into GPU copy slots.
-    pub const CHAOS_INJECTED_GPU: &str = "chaos.injected.gpu";
-    /// Chaos: primary→fallback backend failovers performed.
-    pub const CHAOS_FAILOVER_TOTAL: &str = "chaos.failover_total";
-
-    /// Retry: operation attempts (first tries included).
-    pub const RETRY_ATTEMPTS: &str = "retry.attempts";
-    /// Retry: retries performed after a transient failure.
-    pub const RETRY_RETRIES: &str = "retry.retries";
-    /// Retry: operations that exhausted their attempt budget.
-    pub const RETRY_GIVEUPS: &str = "retry.giveups";
-    /// Retry: nanoseconds of backoff scheduled between attempts.
-    pub const RETRY_BACKOFF_NANOS: &str = "retry.backoff_nanos";
-    /// Retry: reader cmd batches that exceeded their completion timeout.
-    pub const RETRY_CMD_TIMEOUTS: &str = "retry.cmd_timeouts";
-    /// Retry: reader cmd batches re-submitted after a timeout.
-    pub const RETRY_CMD_RESUBMITS: &str = "retry.cmd_resubmits";
-    /// Retry: late completions of timed-out batches, drained and dropped.
-    pub const RETRY_LATE_COMPLETIONS: &str = "retry.late_completions";
-
-    /// Prefix for per-queue metrics (`queue.<name>.depth` etc.).
-    pub const QUEUE_PREFIX: &str = "queue.";
-
-    /// Every *counter* that participates in a
-    /// [`PipelineSnapshot::invariant_violations`](super::PipelineSnapshot::invariant_violations)
-    /// conservation law, under its canonical registry name. Stage wiring
-    /// must register these exact strings — a silent rename would make a
-    /// law trivially "hold" on zeros. `tests/api_surface.rs` audits that
-    /// each name feeds the typed snapshot field the law reads.
-    /// (Per-queue and per-tenant counters are discovered by prefix and are
-    /// exercised separately.)
-    pub const CONSERVATION_COUNTERS: &[&str] = &[
-        // batch law
-        READER_BATCHES_SUBMITTED,
-        READER_BATCHES_COMPLETED,
-        READER_BATCH_ERRORS,
-        // item law
-        DECODER_ITEMS_IN,
-        DECODER_ITEMS_OK,
-        DECODER_ITEMS_ERR,
-        // channel law
-        CHANNEL_CMDS_SUBMITTED,
-        CHANNEL_CMDS_DRAINED,
-        // serving laws
-        SERVING_OFFERED,
-        SERVING_ADMITTED,
-        SERVING_REJECTED,
-        SERVING_COMPLETED,
-        SERVING_SHED,
-        SERVING_GOOD,
-        // cache laws
-        CACHE_LOOKUPS,
-        CACHE_HITS,
-        CACHE_MISSES,
-        CACHE_INSERTIONS,
-        CACHE_INSERTED_BYTES,
-        CACHE_EVICTIONS,
-        CACHE_EVICTED_BYTES,
-        // cluster laws
-        CLUSTER_REQUESTS,
-        CLUSTER_ADMITTED,
-        CLUSTER_SHED,
-        CLUSTER_QUOTA_SHED,
-        CLUSTER_DISPATCHES,
-        CLUSTER_HEDGES,
-        CLUSTER_HEDGE_WINS,
-        CLUSTER_HEDGE_DUPS,
-        CLUSTER_REPLAYS,
-        CLUSTER_COMPLETIONS,
-        CLUSTER_SERVED,
-        CLUSTER_REPLAYED,
-        CLUSTER_LOST,
-        CLUSTER_LOST_UNREPLAYED,
-        // retry law
-        RETRY_ATTEMPTS,
-        RETRY_RETRIES,
-        RETRY_GIVEUPS,
-    ];
-}
 
 /// Registry + watchdog bundle threaded through pipeline construction.
 #[derive(Debug)]
@@ -353,417 +76,913 @@ impl Telemetry {
     }
 }
 
-/// Reader-stage view.
-#[derive(Debug, Clone, Default)]
-pub struct ReaderMetrics {
-    /// Batches handed to the FPGA.
-    pub batches_submitted: u64,
-    /// Batches fully drained back.
-    pub batches_completed: u64,
-    /// Batches aborted before completion.
-    pub batch_errors: u64,
-    /// Per-item FINISH errors observed while draining.
-    pub item_errors: u64,
-    /// CPU busy nanoseconds.
-    pub cpu_busy_nanos: u64,
-    /// Cmd submit→completion latency (ns).
-    pub submit_latency: Option<HistogramSnapshot>,
-    /// Cmds in flight at snapshot time.
-    pub inflight: i64,
+/// How a table entry is recorded in the registry and typed in the view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotonic counter, typed `u64`.
+    Counter,
+    /// Gauge level, typed `i64`.
+    Gauge,
+    /// High-water mark of the gauge registered under the same name, typed
+    /// `i64`.
+    HighWater,
+    /// Histogram, typed `Option<HistogramSnapshot>` (`None` until a stage
+    /// registers it).
+    Histogram,
 }
 
-/// Channel-stage view.
-#[derive(Debug, Clone, Default)]
-pub struct ChannelMetrics {
-    /// Cmds submitted to the device.
-    pub cmds_submitted: u64,
-    /// Completions drained.
-    pub cmds_drained: u64,
-    /// Submitted minus drained at snapshot time.
-    pub inflight: i64,
+/// One typed-view value, borrowed from its snapshot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value<'a> {
+    /// A [`Kind::Counter`] field.
+    Counter(u64),
+    /// A [`Kind::Gauge`] or [`Kind::HighWater`] field.
+    Gauge(i64),
+    /// A [`Kind::Histogram`] field.
+    Histogram(Option<&'a HistogramSnapshot>),
 }
 
-/// Decoder-stage view.
-#[derive(Debug, Clone, Default)]
-pub struct DecoderMetrics {
-    /// Batches retired by the lanes.
-    pub batches: u64,
-    /// Items entering the lanes.
-    pub items_in: u64,
-    /// Items decoded successfully.
-    pub items_ok: u64,
-    /// Items failed (FINISH error).
-    pub items_err: u64,
-    /// DMA bytes written back.
-    pub bytes_written: u64,
-    /// Per-item lane service time (ns).
-    pub lane_service: Option<HistogramSnapshot>,
-}
+impl Value<'_> {
+    /// The value a law computes with: counters and gauges as they are
+    /// (signed, so a negative gauge stays negative), histograms by count.
+    fn scalar(self) -> i128 {
+        match self {
+            Value::Counter(v) => v.into(),
+            Value::Gauge(v) => v.into(),
+            Value::Histogram(h) => h.map_or(0, |h| h.count).into(),
+        }
+    }
 
-/// Pool-stage view.
-#[derive(Debug, Clone, Default)]
-pub struct PoolMetrics {
-    /// Successful leases.
-    pub leases: u64,
-    /// Units recycled.
-    pub recycles: u64,
-    /// Lease attempts that had to wait.
-    pub starvations: u64,
-    /// Nanoseconds spent blocked waiting for a unit.
-    pub blocked_nanos: u64,
-    /// Free units at snapshot time.
-    pub free_units: i64,
-}
+    fn to_json(self) -> Json {
+        match self {
+            Value::Counter(v) => v.into(),
+            Value::Gauge(v) => v.into(),
+            Value::Histogram(None) => Json::Null,
+            Value::Histogram(Some(h)) => Json::object(vec![
+                ("count", Json::from(h.count)),
+                ("mean_ns", Json::from(h.mean())),
+                ("p50_ns", Json::from(h.quantile(0.5))),
+                ("p99_ns", Json::from(h.quantile(0.99))),
+                ("max_ns", Json::from(h.max)),
+            ]),
+        }
+    }
 
-/// Dispatcher-stage view.
-#[derive(Debug, Clone, Default)]
-pub struct DispatcherMetrics {
-    /// Batches copied host→device.
-    pub batches: u64,
-    /// H2D bytes copied.
-    pub bytes_copied: u64,
-    /// Failed copies.
-    pub copy_errors: u64,
-    /// CPU busy nanoseconds.
-    pub cpu_busy_nanos: u64,
-    /// Per-batch copy latency (ns).
-    pub copy_latency: Option<HistogramSnapshot>,
-}
-
-/// Trainer/inference-engine view.
-#[derive(Debug, Clone, Default)]
-pub struct EngineMetrics {
-    /// Batches consumed.
-    pub batches: u64,
-    /// Waiting-for-batch time (ns).
-    pub batch_wait: Option<HistogramSnapshot>,
-    /// Compute time per batch (ns).
-    pub compute: Option<HistogramSnapshot>,
-}
-
-/// One tenant class's serving view.
-#[derive(Debug, Clone, Default)]
-pub struct TenantServingMetrics {
-    /// Tenant id as registered (the `<id>` in `serving.tenant.<id>.*`).
-    pub tenant: String,
-    /// Requests admitted for this tenant.
-    pub admitted: u64,
-    /// Completions for this tenant.
-    pub completed: u64,
-    /// Requests shed (rejected or evicted) for this tenant.
-    pub shed: u64,
-    /// In-SLO completions for this tenant (goodput gauge level).
-    pub goodput: i64,
-}
-
-/// Serving-layer view: admission, shedding, dynamic batching, goodput.
-#[derive(Debug, Clone, Default)]
-pub struct ServingMetrics {
-    /// Requests offered to admission.
-    pub offered: u64,
-    /// Requests admitted into the queue.
-    pub admitted: u64,
-    /// Requests rejected at the door.
-    pub rejected: u64,
-    /// Admitted requests later evicted by shedding.
-    pub shed: u64,
-    /// Admitted requests completed.
-    pub completed: u64,
-    /// Completions that met the SLO deadline.
-    pub good: u64,
-    /// Admitted minus (completed + shed) at snapshot time.
-    pub inflight: i64,
-    /// Admission-queue depth at snapshot time.
-    pub queue_depth: i64,
-    /// Highest admission-queue depth observed.
-    pub queue_depth_high_water: i64,
-    /// Batches formed by the dynamic batcher.
-    pub batches: u64,
-    /// Batches closed at `max_batch`.
-    pub batches_closed_full: u64,
-    /// Batches closed by `max_linger` expiry.
-    pub batches_closed_linger: u64,
-    /// Formed-batch size distribution.
-    pub batch_size: Option<HistogramSnapshot>,
-    /// Admission-queue delay distribution (ns).
-    pub queue_delay: Option<HistogramSnapshot>,
-    /// Per-tenant breakdown.
-    pub tenants: Vec<TenantServingMetrics>,
-}
-
-impl ServingMetrics {
-    /// True when no serving layer recorded anything into this registry.
-    pub fn is_empty(&self) -> bool {
-        self.offered == 0 && self.admitted == 0 && self.batches == 0
+    /// ` field=value`, or ` field[n=… mean=… …]` for histograms.
+    fn write_text(self, out: &mut String, field: &str) {
+        let _ = match self {
+            Value::Histogram(Some(h)) if h.count > 0 => write!(
+                out,
+                " {field}[n={} mean={:.1}µs p50={:.1}µs p99={:.1}µs max={:.1}µs]",
+                h.count,
+                h.mean() / 1e3,
+                h.quantile(0.5) as f64 / 1e3,
+                h.quantile(0.99) as f64 / 1e3,
+                h.max as f64 / 1e3
+            ),
+            Value::Histogram(_) => write!(out, " {field}[n=0]"),
+            scalar => write!(out, " {field}={}", scalar.scalar()),
+        };
     }
 }
 
-/// One tenant partition's cache view.
-#[derive(Debug, Clone, Default)]
-pub struct TenantCacheMetrics {
-    /// Tenant id as registered (the `<id>` in `cache.tenant.<id>.*`).
-    pub tenant: String,
-    /// Lookup hits in this tenant's partition.
-    pub hits: u64,
-    /// Lookup misses in this tenant's partition.
-    pub misses: u64,
-    /// Evictions from this tenant's partition.
-    pub evictions: u64,
-    /// Bytes resident in this tenant's partition.
-    pub resident_bytes: i64,
+/// What every generated struct exposes to the generic renderers, the
+/// law evaluator and [`PipelineSnapshot::typed_metrics`].
+trait Table {
+    /// The struct's own entries with their values, in declaration order.
+    fn fields(&self) -> Vec<TypedMetric<'_>>;
+    /// `(id field, id, registry prefix)` for a prefix-discovered member.
+    fn member(&self) -> Option<(&'static str, &str, &'static str)>;
+    /// `(field, members)` for a struct that owns a member family.
+    fn family(&self) -> Option<(&'static str, Vec<&dyn Table>)>;
+    /// False while an optional layer has recorded nothing (its
+    /// `is_empty()`): its text line is omitted.
+    fn active(&self) -> bool;
 }
 
-/// Decoded-sample cache view (`dlb-cache`): admission, eviction,
-/// quarantine and residency accounting.
-#[derive(Debug, Clone, Default)]
-pub struct CacheMetrics {
-    /// Sample lookups.
-    pub lookups: u64,
-    /// Lookups served from a resident sample.
-    pub hits: u64,
-    /// Lookups that required a redecode.
-    pub misses: u64,
-    /// Samples admitted.
-    pub insertions: u64,
-    /// Bytes admitted.
-    pub inserted_bytes: u64,
-    /// Admissions refused (quarantine or oversized).
-    pub rejected: u64,
-    /// Samples evicted.
-    pub evictions: u64,
-    /// Bytes evicted.
-    pub evicted_bytes: u64,
-    /// Failed-decode observations that poisoned a key.
-    pub quarantined: u64,
-    /// Whole batches delivered straight from cache.
-    pub bypass_batches: u64,
-    /// Bytes resident at snapshot time.
-    pub resident_bytes: i64,
-    /// Highest residency ever observed.
-    pub resident_bytes_high_water: i64,
-    /// Entries resident at snapshot time.
-    pub resident_entries: i64,
-    /// Configured capacity in bytes.
-    pub capacity_bytes: i64,
-    /// Per-tenant partition breakdown (`DriveMode::Served`).
-    pub tenants: Vec<TenantCacheMetrics>,
+/// The one discovery loop: ids of every `<prefix><id>.<probe>` key.
+fn member_ids<'a>(
+    raw: &'a RegistrySnapshot,
+    prefix: &'a str,
+    probe: &'a str,
+) -> impl Iterator<Item = &'a str> {
+    raw.metrics.keys().filter_map(move |k| {
+        let (id, field) = k.strip_prefix(prefix)?.rsplit_once('.')?;
+        (field == probe).then_some(id)
+    })
 }
 
-impl CacheMetrics {
-    /// True when no sample cache recorded anything into this registry.
-    pub fn is_empty(&self) -> bool {
-        self.lookups == 0 && self.insertions == 0 && self.capacity_bytes == 0
+/// `[id,] fields…` as JSON object pairs.
+fn field_json(t: &dyn Table) -> Vec<(&'static str, Json)> {
+    let id = t.member().map(|(field, id, _)| (field, id.into()));
+    let fields = t.fields().into_iter();
+    id.into_iter()
+        .chain(fields.map(|m| (m.field, m.value.to_json())))
+        .collect()
+}
+
+/// The member family, if any, as one `(field, array)` pair.
+fn family_json(t: &dyn Table) -> Option<(&'static str, Json)> {
+    let (field, members) = t.family()?;
+    Some((
+        field,
+        Json::Array(members.into_iter().map(section_json).collect()),
+    ))
+}
+
+fn section_json(t: &dyn Table) -> Json {
+    Json::object(field_json(t).into_iter().chain(family_json(t)).collect())
+}
+
+/// `  <label>  [id=…] field=value …`, then one indented line per member.
+fn write_text(out: &mut String, indent: &str, label: &str, t: &dyn Table) {
+    let _ = write!(out, "{indent}{label:<10}");
+    if let Some((field, id, _)) = t.member() {
+        let _ = write!(out, " {field}={id}");
+    }
+    for m in t.fields() {
+        m.value.write_text(out, m.field);
+    }
+    out.push('\n');
+    if let Some((field, members)) = t.family() {
+        for m in members {
+            write_text(out, &format!("{indent}  "), field, m);
+        }
     }
 }
 
-/// One tenant's cluster view.
-#[derive(Debug, Clone, Default)]
-pub struct TenantClusterMetrics {
-    /// Tenant id as registered (the `<id>` in `cluster.tenant.<id>.*`).
-    pub tenant: String,
-    /// Requests this tenant offered to the cluster door.
-    pub requests: u64,
-    /// Requests whose first completion arrived (request-level serves).
-    pub completed: u64,
-    /// Requests terminally shed for this tenant.
-    pub shed: u64,
-    /// Completions inside the SLO deadline.
-    pub good: u64,
+/// One table entry's value in a snapshot's typed view
+/// (see [`PipelineSnapshot::typed_metrics`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TypedMetric<'a> {
+    /// Field name in the section (or member) struct.
+    pub field: &'static str,
+    /// Registry name, or the `<field>` suffix for a family member.
+    pub name: &'static str,
+    /// How the entry is recorded and typed.
+    pub kind: Kind,
+    /// `(registry prefix, member id)` for a prefix-discovered member.
+    pub member: Option<(&'static str, &'a str)>,
+    /// The typed field's value.
+    pub value: Value<'a>,
 }
 
-/// Shard-router view (`dlb-cluster`): consistent-hash routing, tenant
-/// quotas, hedging, and node-kill replay accounting.
+impl TypedMetric<'_> {
+    /// The full registry key this entry was folded from.
+    pub fn registry_name(&self) -> String {
+        match self.member {
+            None => self.name.to_string(),
+            Some((prefix, id)) => names::member_key(prefix, id, self.name),
+        }
+    }
+}
+
+/// The section name of [`PipelineSnapshot`]'s own fields and queues.
+const TOP_LEVEL: &str = "pipeline";
+
+fn flatten<'a>(t: &'a dyn Table, out: &mut Vec<TypedMetric<'a>>) {
+    out.extend(t.fields());
+    for m in t.family().into_iter().flat_map(|(_, members)| members) {
+        flatten(m, out);
+    }
+}
+
+/// The metric table's grammar. One invocation (below) declares every
+/// metric; an entry is
 ///
-/// Counter semantics: `served`/`replayed` count **copy** completions
-/// (primary/hedge vs replay), including duplicates; `hedge_dups` counts
-/// exactly the duplicate completions. The headline conservation law
-/// `requests + hedge_dups = served + replayed + shed + inflight` is the
-/// ISSUE form `in = served + shed + replayed − hedge_dups` rearranged so
-/// both sides stay unsigned; at quiescence `inflight` is zero.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterMetrics {
-    /// Requests arriving at the router door.
-    pub requests: u64,
-    /// Requests that passed quota + routing.
-    pub admitted: u64,
-    /// Requests terminally shed.
-    pub shed: u64,
-    /// Sheds caused by a dry tenant quota bucket.
-    pub quota_shed: u64,
-    /// Copies placed on node queues.
-    pub dispatches: u64,
-    /// Hedge copies dispatched.
-    pub hedges: u64,
-    /// Requests first completed by a hedge copy.
-    pub hedge_wins: u64,
-    /// Duplicate completions of already-terminal requests.
-    pub hedge_dups: u64,
-    /// Replay copies dispatched after node kills.
-    pub replays: u64,
-    /// Copies that finished service.
-    pub completions: u64,
-    /// Completions by primary/hedge copies (duplicates included).
-    pub served: u64,
-    /// Completions by replay copies (duplicates included).
-    pub replayed: u64,
-    /// Winning completions inside the SLO deadline.
-    pub good: u64,
-    /// Copies that died with a killed node.
-    pub lost: u64,
-    /// Lost copies not re-dispatched.
-    pub lost_unreplayed: u64,
-    /// Nodes chaos-killed.
-    pub kills: u64,
-    /// Quota rebalances performed.
-    pub rebalances: u64,
-    /// Requests not yet terminal at snapshot time.
-    pub inflight: i64,
-    /// Copies on node queues at snapshot time.
-    pub node_queued: i64,
-    /// Live nodes at snapshot time.
-    pub nodes_alive: i64,
-    /// Winning-request arrival→completion latency (ns).
-    pub latency: Option<HistogramSnapshot>,
-    /// Per-tenant breakdown.
-    pub tenants: Vec<TenantClusterMetrics>,
+/// ```text
+/// /// doc line (shared by the `names` constant and the typed field)
+/// field: Kind CONST = "registry.name",
+/// ```
+///
+/// and a `HighWater` entry names the `CONST` of the gauge it shadows
+/// instead of declaring a new one.
+macro_rules! metrics {
+    (@ty Counter) => { u64 };
+    (@ty Gauge) => { i64 };
+    (@ty HighWater) => { i64 };
+    (@ty Histogram) => { Option<HistogramSnapshot> };
+    (@read Counter $raw:ident $key:expr) => { $raw.counter($key) };
+    (@read Gauge $raw:ident $key:expr) => { $raw.gauge($key) };
+    (@read HighWater $raw:ident $key:expr) => { $raw.gauge_high_water($key) };
+    (@read Histogram $raw:ident $key:expr) => { $raw.histogram($key).cloned() };
+    (@value Counter $field:expr) => { Value::Counter($field) };
+    (@value Gauge $field:expr) => { Value::Gauge($field) };
+    (@value HighWater $field:expr) => { Value::Gauge($field) };
+    (@value Histogram $field:expr) => { Value::Histogram($field.as_ref()) };
+
+    (@const [$(#[$m:meta])*] $C:ident = $lit:literal) => {
+        $(#[$m])*
+        pub const $C: &str = $lit;
+    };
+    (@const [$(#[$m:meta])*] $C:ident) => {};
+    (@consts { $($(#[$m:meta])* $f:ident: $k:ident $C:ident $(= $lit:literal)?,)* }) => {
+        $(metrics! { @const [$(#[$m])*] $C $(= $lit)? })*
+    };
+
+    // One generated struct: definition, fold, and `Table` impl.
+    (@table
+        [$(#[$m:meta])*] $Name:ident, scope [$($scope:tt)*],
+        $(active [$($g:ident),+],)?
+        $(member [$id:ident, $prefix:expr, $probe:expr],)?
+        $(family [$ff:ident: $Fam:ident],)?
+        extra { $($extra:tt)* }
+        { $($(#[$fm:meta])* $f:ident: $k:ident $C:ident $(= $lit:literal)?,)* }
+    ) => {
+        $(#[$m])*
+        #[derive(Debug, Clone, Default)]
+        pub struct $Name {
+            $(
+                /// Member id as registered: the `<id>` in
+                /// `<prefix><id>.<field>`.
+                pub $id: String,
+            )?
+            $($(#[$fm])* pub $f: metrics!(@ty $k),)*
+            $(
+                /// Per-member breakdown, discovered by registry prefix.
+                pub $ff: Vec<$Fam>,
+            )?
+            $($extra)*
+        }
+
+        impl $Name {
+            /// Folds the entries (and the member family, if any) out of
+            /// `raw`; `prefix` is empty for sections and
+            /// `<prefix><id>.` for a family member.
+            #[allow(clippy::needless_update)]
+            fn read(raw: &RegistrySnapshot, prefix: &str) -> Self {
+                #[allow(unused_imports)]
+                use $($scope)*::*;
+                Self {
+                    $($f: metrics!(@read $k raw &format!("{prefix}{}", $C)),)*
+                    $($ff: <$Fam>::discover(raw),)?
+                    ..Default::default()
+                }
+            }
+
+            $(
+                /// True when nothing was recorded into this section
+                /// (every guard field is still zero): its text line is
+                /// omitted and its laws are skipped.
+                pub fn is_empty(&self) -> bool {
+                    true $(&& self.$g == 0)+
+                }
+            )?
+
+            $(
+                /// Every member registered under the family prefix.
+                fn discover(raw: &RegistrySnapshot) -> Vec<Self> {
+                    member_ids(raw, $prefix, $probe)
+                        .map(|id| Self {
+                            $id: id.to_string(),
+                            ..Self::read(raw, &names::member_key($prefix, id, ""))
+                        })
+                        .collect()
+                }
+            )?
+        }
+
+        impl Table for $Name {
+            fn fields(&self) -> Vec<TypedMetric<'_>> {
+                #[allow(unused_imports)]
+                use $($scope)*::*;
+                let member = self.member().map(|(_, id, prefix)| (prefix, id));
+                vec![$(TypedMetric {
+                    field: stringify!($f),
+                    name: $C,
+                    kind: Kind::$k,
+                    member,
+                    value: metrics!(@value $k self.$f),
+                },)*]
+            }
+            fn member(&self) -> Option<(&'static str, &str, &'static str)> {
+                None $(.or(Some((stringify!($id), self.$id.as_str(), $prefix))))?
+            }
+            fn family(&self) -> Option<(&'static str, Vec<&dyn Table>)> {
+                None $(.or(Some((
+                    stringify!($ff),
+                    self.$ff.iter().map(|m| m as &dyn Table).collect(),
+                ))))?
+            }
+            fn active(&self) -> bool {
+                true $(&& !(true $(&& self.$g == 0)+))?
+            }
+        }
+    };
+
+    (
+        untyped { $($(#[$um:meta])* $UC:ident = $ulit:literal,)* }
+        stages { $($(#[$tm:meta])* $stage:ident: $Stage:ident $sbody:tt)* }
+        pipeline [queues: $Queue:ident] $pbody:tt
+        layers {
+            $($(#[$lm:meta])* $layer:ident: $Layer:ident
+                [active if $($g:ident)|+ $(; members $lf:ident: $LFam:ident)?] $lbody:tt)*
+        }
+        unrendered {
+            $($(#[$hm:meta])* $hidden:ident: $Hidden:ident [active if $($hg:ident)|+] $hbody:tt)*
+        }
+        families {
+            $($(#[$fm:meta])* $Fam:ident [$id:ident; $fmod:ident; $PREFIX:ident = $plit:literal; probe $PROBE:ident] $fbody:tt)*
+        }
+    ) => {
+        /// Canonical metric names, shared by stage wiring and aggregation
+        /// (generated from the metric table).
+        pub mod names {
+            $($(#[$um])* pub const $UC: &str = $ulit;)*
+            $(metrics! { @consts $sbody })*
+            metrics! { @consts $pbody }
+            $(metrics! { @consts $lbody })*
+            $(metrics! { @consts $hbody })*
+            $(
+                #[doc = concat!(
+                    "Prefix of the `", $plit, "<id>.<field>` family; the fields are in [`",
+                    stringify!($fmod), "`]."
+                )]
+                pub const $PREFIX: &str = $plit;
+
+                #[doc = concat!("Field suffixes of the `", $plit, "<id>.<field>` family.")]
+                pub mod $fmod {
+                    /// The family's registry prefix.
+                    pub const PREFIX: &str = super::$PREFIX;
+                    metrics! { @consts $fbody }
+                }
+            )*
+
+            /// The registry key of one member field:
+            /// `<prefix><id>.<field>`.
+            pub fn member_key(prefix: &str, id: impl std::fmt::Display, field: &str) -> String {
+                format!("{prefix}{id}.{field}")
+            }
+        }
+
+        $(metrics! { @table [$(#[$tm])*] $Stage, scope [names], extra {} $sbody })*
+        $(metrics! {
+            @table [$(#[$lm])*] $Layer, scope [names], active [$($g),+],
+            $(family [$lf: $LFam],)? extra {} $lbody
+        })*
+        $(metrics! {
+            @table [$(#[$hm])*] $Hidden, scope [names], active [$($hg),+], extra {} $hbody
+        })*
+        $(metrics! {
+            @table [$(#[$fm])*] $Fam, scope [names::$fmod],
+            member [$id, names::$PREFIX, names::$fmod::$PROBE], extra {} $fbody
+        })*
+        metrics! {
+            @table [
+                /// A structured view over one pipeline's telemetry: per-stage
+                /// metrics, optional layers, instrumented queues, current
+                /// stalls, and the raw registry snapshot.
+            ] PipelineSnapshot, scope [names], family [queues: $Queue],
+            extra {
+                $($(#[$tm])* pub $stage: $Stage,)*
+                $($(#[$lm])* pub $layer: $Layer,)*
+                $($(#[$hm])* pub $hidden: $Hidden,)*
+                /// Stages flagged as stalled at capture time.
+                pub stalls: Vec<StallReport>,
+                /// The underlying raw snapshot (all metrics, mergeable).
+                pub raw: RegistrySnapshot,
+            }
+            $pbody
+        }
+
+        impl PipelineSnapshot {
+            /// Builds the typed view from already-collected parts.
+            pub fn from_parts(raw: RegistrySnapshot, stalls: Vec<StallReport>) -> Self {
+                let mut snap = Self {
+                    $($stage: <$Stage>::read(&raw, ""),)*
+                    $($layer: <$Layer>::read(&raw, ""),)*
+                    $($hidden: <$Hidden>::read(&raw, ""),)*
+                    stalls,
+                    ..Self::read(&raw, "")
+                };
+                snap.raw = raw;
+                snap
+            }
+
+            /// What the JSON and text forms render, in order: the stages,
+            /// the top-level fields (as [`TOP_LEVEL`]), the optional layers.
+            fn sections(&self) -> Vec<(&'static str, &dyn Table)> {
+                vec![
+                    $((stringify!($stage), &self.$stage as &dyn Table),)*
+                    (TOP_LEVEL, self),
+                    $((stringify!($layer), &self.$layer as &dyn Table),)*
+                ]
+            }
+
+            /// The optional layers kept out of the JSON and text forms.
+            fn unrendered(&self) -> Vec<&dyn Table> {
+                vec![$(&self.$hidden as &dyn Table,)*]
+            }
+        }
+    };
 }
 
-impl ClusterMetrics {
-    /// True when no shard router recorded anything into this registry.
-    pub fn is_empty(&self) -> bool {
-        self.requests == 0 && self.dispatches == 0 && self.kills == 0
+metrics! {
+    untyped {
+        /// NIC: frames dropped because the bounded RX ring was full.
+        NET_RX_DROPS = "net.rx_ring_drops",
+        /// NIC: frames rejected by the wire parser.
+        NET_FRAMES_BAD = "net.frames_bad",
+    }
+    stages {
+        /// FpgaReader stage (Algorithm 1).
+        reader: ReaderMetrics {
+            /// Batches handed to the FPGA.
+            batches_submitted: Counter READER_BATCHES_SUBMITTED = "reader.batches_submitted",
+            /// Batches fully drained back.
+            batches_completed: Counter READER_BATCHES_COMPLETED = "reader.batches_completed",
+            /// Batches aborted before completion.
+            batch_errors: Counter READER_BATCH_ERRORS = "reader.batch_errors",
+            /// Per-item FINISH errors observed while draining.
+            item_errors: Counter READER_ITEM_ERRORS = "reader.item_errors",
+            /// CPU busy nanoseconds (Algorithm 1 loop).
+            cpu_busy_nanos: Counter READER_CPU_BUSY_NANOS = "reader.cpu_busy_nanos",
+            /// Cmd submit→completion latency (ns).
+            submit_latency: Histogram READER_SUBMIT_LATENCY = "reader.submit_latency_nanos",
+            /// Cmds in flight on the device at snapshot time.
+            inflight: Gauge READER_INFLIGHT = "reader.inflight_cmds",
+        }
+        /// FpgaChannel stage.
+        channel: ChannelMetrics {
+            /// Cmds submitted to the device.
+            cmds_submitted: Counter CHANNEL_CMDS_SUBMITTED = "channel.cmds_submitted",
+            /// Completions drained from the device.
+            cmds_drained: Counter CHANNEL_CMDS_DRAINED = "channel.cmds_drained",
+            /// Submitted minus drained at snapshot time.
+            inflight: Gauge CHANNEL_INFLIGHT = "channel.inflight",
+        }
+        /// DecoderEngine stage.
+        decoder: DecoderMetrics {
+            /// Batches retired by the lanes.
+            batches: Counter DECODER_BATCHES = "decoder.batches",
+            /// Items entering the lanes.
+            items_in: Counter DECODER_ITEMS_IN = "decoder.items_in",
+            /// Items decoded successfully.
+            items_ok: Counter DECODER_ITEMS_OK = "decoder.items_ok",
+            /// Items failed (FINISH error).
+            items_err: Counter DECODER_ITEMS_ERR = "decoder.items_err",
+            /// DMA bytes written back to host memory.
+            bytes_written: Counter DECODER_BYTES_WRITTEN = "decoder.bytes_written",
+            /// Per-item lane service time (ns).
+            lane_service: Histogram DECODER_LANE_SERVICE = "decoder.lane_service_nanos",
+        }
+        /// MemManager stage.
+        pool: PoolMetrics {
+            /// Successful leases.
+            leases: Counter POOL_LEASES = "pool.leases",
+            /// Units recycled.
+            recycles: Counter POOL_RECYCLES = "pool.recycles",
+            /// Lease attempts that had to wait (starvation events).
+            starvations: Counter POOL_STARVATIONS = "pool.starvations",
+            /// Nanoseconds spent blocked waiting for a unit.
+            blocked_nanos: Counter POOL_BLOCKED_NANOS = "pool.blocked_nanos",
+            /// Free units at snapshot time.
+            free_units: Gauge POOL_FREE_UNITS = "pool.free_units",
+        }
+        /// Dispatcher stage (Algorithm 3).
+        dispatcher: DispatcherMetrics {
+            /// Batches copied host→device.
+            batches: Counter DISPATCHER_BATCHES = "dispatcher.batches",
+            /// H2D bytes copied.
+            bytes_copied: Counter DISPATCHER_BYTES_COPIED = "dispatcher.bytes_copied",
+            /// Failed copies.
+            copy_errors: Counter DISPATCHER_COPY_ERRORS = "dispatcher.copy_errors",
+            /// CPU busy nanoseconds (Algorithm 3 loop).
+            cpu_busy_nanos: Counter DISPATCHER_CPU_BUSY_NANOS = "dispatcher.cpu_busy_nanos",
+            /// Per-batch copy latency (ns).
+            copy_latency: Histogram DISPATCHER_COPY_LATENCY = "dispatcher.copy_latency_nanos",
+        }
+        /// Trainer/inference engines.
+        engines: EngineMetrics {
+            /// Batches consumed (training iterations / inference calls).
+            batches: Counter ENGINE_BATCHES = "engine.batches",
+            /// Time spent waiting for a ready batch (ns).
+            batch_wait: Histogram ENGINE_BATCH_WAIT = "engine.batch_wait_nanos",
+            /// Compute time per batch (ns).
+            compute: Histogram ENGINE_COMPUTE = "engine.compute_nanos",
+        }
+    }
+    pipeline [queues: QueueMetrics] {
+        /// Batches the router delivered to slot queues.
+        router_delivered: Counter ROUTER_DELIVERED = "router.delivered",
+    }
+    layers {
+        /// SLO-aware serving layer: admission, shedding, dynamic batching,
+        /// goodput.
+        serving: ServingMetrics [active if offered | admitted | batches; members tenants: TenantServingMetrics] {
+            /// Requests offered to the admission controller.
+            offered: Counter SERVING_OFFERED = "serving.offered",
+            /// Requests admitted into the serving queue.
+            admitted: Counter SERVING_ADMITTED = "serving.admitted",
+            /// Requests rejected at the admission door.
+            rejected: Counter SERVING_REJECTED = "serving.rejected",
+            /// Admitted requests later evicted by the shedding policy.
+            shed: Counter SERVING_SHED = "serving.shed",
+            /// Admitted requests that completed (prediction returned).
+            completed: Counter SERVING_COMPLETED = "serving.completed",
+            /// Completions that met their SLO deadline (goodput).
+            good: Counter SERVING_GOOD = "serving.good",
+            /// Admitted minus (completed + shed) at snapshot time.
+            inflight: Gauge SERVING_INFLIGHT = "serving.inflight",
+            /// Admission-queue depth at snapshot time.
+            queue_depth: Gauge SERVING_QUEUE_DEPTH = "serving.queue_depth",
+            /// Highest admission-queue depth observed (worst backlog).
+            queue_depth_high_water: HighWater SERVING_QUEUE_DEPTH,
+            /// Batches formed by the dynamic batcher.
+            batches: Counter SERVING_BATCHES = "serving.batches_formed",
+            /// Batches closed because they reached `max_batch`.
+            batches_closed_full: Counter SERVING_BATCH_FULL = "serving.batches_closed_full",
+            /// Batches closed because `max_linger` expired.
+            batches_closed_linger: Counter SERVING_BATCH_LINGER = "serving.batches_closed_linger",
+            /// Formed-batch size distribution (items per batch).
+            batch_size: Histogram SERVING_BATCH_SIZE = "serving.batch_size",
+            /// Admission-queue delay distribution (ns, arrival→dequeue).
+            queue_delay: Histogram SERVING_QUEUE_DELAY = "serving.queue_delay_nanos",
+        }
+        /// Decoded-sample cache (`dlb-cache`): admission, eviction,
+        /// quarantine and residency accounting.
+        cache: CacheMetrics [active if lookups | insertions | capacity_bytes; members tenants: TenantCacheMetrics] {
+            /// Sample lookups against the decoded-sample cache.
+            lookups: Counter CACHE_LOOKUPS = "cache.lookups",
+            /// Lookups that found a resident decoded sample.
+            hits: Counter CACHE_HITS = "cache.hits",
+            /// Lookups that missed (redecode required).
+            misses: Counter CACHE_MISSES = "cache.misses",
+            /// Samples admitted.
+            insertions: Counter CACHE_INSERTIONS = "cache.insertions",
+            /// Bytes admitted (sum of admitted sample sizes).
+            inserted_bytes: Counter CACHE_INSERTED_BYTES = "cache.inserted_bytes",
+            /// Admissions refused (quarantined key or oversized sample).
+            rejected: Counter CACHE_REJECTED = "cache.rejected",
+            /// Samples evicted (cost-aware policy or quarantine removal).
+            evictions: Counter CACHE_EVICTIONS = "cache.evictions",
+            /// Bytes evicted.
+            evicted_bytes: Counter CACHE_EVICTED_BYTES = "cache.evicted_bytes",
+            /// Failed-decode observations that poisoned a key.
+            quarantined: Counter CACHE_QUARANTINED = "cache.quarantined",
+            /// Whole batches delivered straight from cache (decode skipped).
+            bypass_batches: Counter CACHE_BYPASS_BATCHES = "cache.bypass_batches",
+            /// Bytes resident at snapshot time.
+            resident_bytes: Gauge CACHE_RESIDENT_BYTES = "cache.resident_bytes",
+            /// Highest residency ever observed (must stay ≤ capacity).
+            resident_bytes_high_water: HighWater CACHE_RESIDENT_BYTES,
+            /// Entries resident at snapshot time.
+            resident_entries: Gauge CACHE_RESIDENT_ENTRIES = "cache.resident_entries",
+            /// Configured capacity in bytes (set at construction).
+            capacity_bytes: Gauge CACHE_CAPACITY_BYTES = "cache.capacity_bytes",
+        }
+        /// Shard router (`dlb-cluster`): consistent-hash routing, tenant
+        /// quotas, hedging, and node-kill replay accounting.
+        ///
+        /// `served`/`replayed` count **copy** completions (primary/hedge
+        /// vs replay), duplicates included; `hedge_dups` counts exactly
+        /// the duplicates. The headline law `requests + hedge_dups =
+        /// served + replayed + shed + inflight` is `in = served + shed +
+        /// replayed − hedge_dups` rearranged; at quiescence `inflight` is
+        /// zero.
+        cluster: ClusterMetrics [active if requests | dispatches | kills; members tenants: TenantClusterMetrics] {
+            /// Requests arriving at the shard router's door.
+            requests: Counter CLUSTER_REQUESTS = "cluster.requests",
+            /// Requests that passed quota + routing (primary dispatched).
+            admitted: Counter CLUSTER_ADMITTED = "cluster.admitted",
+            /// Requests terminally shed (quota, dead ring, or an
+            /// unreplayable loss).
+            shed: Counter CLUSTER_SHED = "cluster.shed",
+            /// The subset of sheds denied by a tenant quota bucket.
+            quota_shed: Counter CLUSTER_QUOTA_SHED = "cluster.quota_shed",
+            /// Copies placed on node queues (primaries + hedges + replays).
+            dispatches: Counter CLUSTER_DISPATCHES = "cluster.dispatches",
+            /// Hedge copies dispatched after a budget expiry.
+            hedges: Counter CLUSTER_HEDGES = "cluster.hedges",
+            /// Requests whose first completion came from a hedge copy.
+            hedge_wins: Counter CLUSTER_HEDGE_WINS = "cluster.hedge_wins",
+            /// Duplicate completions of already-terminal requests.
+            hedge_dups: Counter CLUSTER_HEDGE_DUPS = "cluster.hedge_dups",
+            /// Replay copies dispatched for work lost to a node kill.
+            replays: Counter CLUSTER_REPLAYS = "cluster.replays",
+            /// Copies that finished service (wins and duplicates).
+            completions: Counter CLUSTER_COMPLETIONS = "cluster.completions",
+            /// Completions by primary or hedge copies (duplicates included).
+            served: Counter CLUSTER_SERVED = "cluster.served",
+            /// Completions by replay copies (duplicates included).
+            replayed: Counter CLUSTER_REPLAYED = "cluster.replayed",
+            /// Winning completions inside the SLO deadline (goodput).
+            good: Counter CLUSTER_GOOD = "cluster.good",
+            /// Copies that died with a killed node.
+            lost: Counter CLUSTER_LOST = "cluster.lost",
+            /// Lost copies not re-dispatched (stale, covered, or shed).
+            lost_unreplayed: Counter CLUSTER_LOST_UNREPLAYED = "cluster.lost_unreplayed",
+            /// Nodes chaos-killed.
+            kills: Counter CLUSTER_KILLS = "cluster.kills",
+            /// Quota rebalances after membership changes.
+            rebalances: Counter CLUSTER_REBALANCES = "cluster.rebalances",
+            /// Requests admitted to the door but not yet terminal.
+            inflight: Gauge CLUSTER_INFLIGHT = "cluster.inflight",
+            /// Copies dispatched but not yet completed or lost.
+            node_queued: Gauge CLUSTER_NODE_QUEUED = "cluster.node_queued",
+            /// Live nodes on the ring at snapshot time.
+            nodes_alive: Gauge CLUSTER_NODES_ALIVE = "cluster.nodes_alive",
+            /// Winning-request arrival→completion latency (ns).
+            latency: Histogram CLUSTER_LATENCY = "cluster.latency_nanos",
+        }
+        /// Chaos fault plane: injected faults per stage plus the recovery
+        /// policy's retry/failover accounting.
+        chaos: ChaosMetrics [active if faults_total | failovers | retry_attempts | cmd_timeouts] {
+            /// Total faults injected across every stage.
+            faults_total: Counter CHAOS_FAULTS_TOTAL = "chaos.faults_total",
+            /// Faults injected into storage reads.
+            injected_storage: Counter CHAOS_INJECTED_STORAGE = "chaos.injected.storage",
+            /// Faults injected into NIC RX delivery.
+            injected_net: Counter CHAOS_INJECTED_NET = "chaos.injected.net",
+            /// Faults injected into FPGA decode lanes.
+            injected_fpga: Counter CHAOS_INJECTED_FPGA = "chaos.injected.fpga",
+            /// Faults injected into the batch pool.
+            injected_pool: Counter CHAOS_INJECTED_POOL = "chaos.injected.pool",
+            /// Faults injected into GPU copy slots.
+            injected_gpu: Counter CHAOS_INJECTED_GPU = "chaos.injected.gpu",
+            /// Primary→fallback backend failovers performed.
+            failovers: Counter CHAOS_FAILOVER_TOTAL = "chaos.failover_total",
+            /// Operation attempts under a retry policy (first tries included).
+            retry_attempts: Counter RETRY_ATTEMPTS = "retry.attempts",
+            /// Retries performed after a transient failure.
+            retry_retries: Counter RETRY_RETRIES = "retry.retries",
+            /// Operations that exhausted their attempt budget.
+            retry_giveups: Counter RETRY_GIVEUPS = "retry.giveups",
+            /// Nanoseconds of backoff scheduled between attempts.
+            retry_backoff_nanos: Counter RETRY_BACKOFF_NANOS = "retry.backoff_nanos",
+            /// Reader cmd batches that exceeded their completion timeout.
+            cmd_timeouts: Counter RETRY_CMD_TIMEOUTS = "retry.cmd_timeouts",
+            /// Reader cmd batches re-submitted after a timeout.
+            cmd_resubmits: Counter RETRY_CMD_RESUBMITS = "retry.cmd_resubmits",
+            /// Late completions of timed-out batches, drained and dropped.
+            late_completions: Counter RETRY_LATE_COMPLETIONS = "retry.late_completions",
+        }
+    }
+    unrendered {
+        /// Per-stage codec timers exported by the decode workers. Summed
+        /// across workers, so values can exceed wall time; together they
+        /// account for where decode CPU cycles went. Typed view only: the
+        /// JSON and text forms never carried them.
+        codec: CodecMetrics [active if huffman_nanos | idct_nanos | color_nanos | resize_nanos] {
+            /// Nanoseconds in Huffman entropy decoding.
+            huffman_nanos: Counter CODEC_HUFFMAN_NANOS = "codec.huffman_ns",
+            /// Nanoseconds in dequantisation + inverse DCT.
+            idct_nanos: Counter CODEC_IDCT_NANOS = "codec.idct_ns",
+            /// Nanoseconds in chroma upsampling + YCbCr→RGB conversion.
+            color_nanos: Counter CODEC_COLOR_NANOS = "codec.color_ns",
+            /// Nanoseconds in decode-side resizing (bilinear scaling).
+            resize_nanos: Counter CODEC_RESIZE_NANOS = "codec.resize_ns",
+        }
+    }
+    families {
+        /// One instrumented queue's view (slot queues, trans queues, ...).
+        QueueMetrics [name; queue; QUEUE_PREFIX = "queue."; probe DEPTH] {
+            /// Depth at snapshot time.
+            depth: Gauge DEPTH = "depth",
+            /// Highest depth observed.
+            high_water: HighWater DEPTH,
+            /// Items pushed.
+            pushed: Counter PUSHED = "pushed",
+            /// Items popped.
+            popped: Counter POPPED = "popped",
+            /// Producer blocked time (ns).
+            blocked_push_nanos: Counter BLOCKED_PUSH_NANOS = "blocked_push_nanos",
+            /// Consumer blocked time (ns).
+            blocked_pop_nanos: Counter BLOCKED_POP_NANOS = "blocked_pop_nanos",
+        }
+        /// One tenant class's serving view.
+        TenantServingMetrics [tenant; serving_tenant; SERVING_TENANT_PREFIX = "serving.tenant."; probe ADMITTED] {
+            /// Requests admitted for this tenant.
+            admitted: Counter ADMITTED = "admitted",
+            /// Completions for this tenant.
+            completed: Counter COMPLETED = "completed",
+            /// Requests shed (rejected or evicted) for this tenant.
+            shed: Counter SHED = "shed",
+            /// In-SLO completions for this tenant (goodput gauge level).
+            goodput: Gauge GOODPUT = "goodput",
+        }
+        /// One tenant partition's cache view (`DriveMode::Served`).
+        TenantCacheMetrics [tenant; cache_tenant; CACHE_TENANT_PREFIX = "cache.tenant."; probe RESIDENT_BYTES] {
+            /// Lookup hits in this tenant's partition.
+            hits: Counter HITS = "hits",
+            /// Lookup misses in this tenant's partition.
+            misses: Counter MISSES = "misses",
+            /// Evictions from this tenant's partition.
+            evictions: Counter EVICTIONS = "evictions",
+            /// Bytes resident in this tenant's partition.
+            resident_bytes: Gauge RESIDENT_BYTES = "resident_bytes",
+        }
+        /// One tenant's cluster view.
+        TenantClusterMetrics [tenant; cluster_tenant; CLUSTER_TENANT_PREFIX = "cluster.tenant."; probe REQUESTS] {
+            /// Requests this tenant offered to the cluster door.
+            requests: Counter REQUESTS = "requests",
+            /// Requests whose first completion arrived (request-level serves).
+            completed: Counter COMPLETED = "completed",
+            /// Requests terminally shed for this tenant.
+            shed: Counter SHED = "shed",
+            /// Completions inside the SLO deadline.
+            good: Counter GOOD = "good",
+        }
     }
 }
 
-/// Chaos/fault-plane view: injected faults per stage plus the recovery
-/// policy's retry/failover accounting.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosMetrics {
-    /// Total faults injected across every stage.
-    pub faults_total: u64,
-    /// Faults injected into storage reads.
-    pub injected_storage: u64,
-    /// Faults injected into NIC RX delivery.
-    pub injected_net: u64,
-    /// Faults injected into FPGA decode lanes.
-    pub injected_fpga: u64,
-    /// Faults injected into the batch pool.
-    pub injected_pool: u64,
-    /// Faults injected into GPU copy slots.
-    pub injected_gpu: u64,
-    /// Primary→fallback backend failovers performed.
-    pub failovers: u64,
-    /// Operation attempts made under a retry policy.
-    pub retry_attempts: u64,
-    /// Retries performed after transient failures.
-    pub retry_retries: u64,
-    /// Operations that exhausted their attempt budget.
-    pub retry_giveups: u64,
-    /// Nanoseconds of backoff scheduled between attempts.
-    pub retry_backoff_nanos: u64,
-    /// Reader cmd batches that exceeded their completion timeout.
-    pub cmd_timeouts: u64,
-    /// Reader cmd batches re-submitted after a timeout.
-    pub cmd_resubmits: u64,
-    /// Late completions of timed-out batches, drained and dropped.
-    pub late_completions: u64,
-}
-
-impl ChaosMetrics {
-    /// True when neither the fault plane nor the retry policy recorded
-    /// anything into this registry.
-    pub fn is_empty(&self) -> bool {
-        self.faults_total == 0
-            && self.failovers == 0
-            && self.retry_attempts == 0
-            && self.cmd_timeouts == 0
-    }
-}
-
-/// Per-stage codec timers exported by the decode workers (`codec.*_ns`).
-/// Summed across workers, so values can exceed wall time; together they
-/// account for where decode CPU cycles went (entropy, transform, colour,
-/// resize).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CodecMetrics {
-    /// Nanoseconds in Huffman entropy decoding.
-    pub huffman_nanos: u64,
-    /// Nanoseconds in dequantisation + inverse DCT.
-    pub idct_nanos: u64,
-    /// Nanoseconds in chroma upsampling + YCbCr→RGB conversion.
-    pub color_nanos: u64,
-    /// Nanoseconds in decode-side resizing.
-    pub resize_nanos: u64,
-}
+impl Copy for CodecMetrics {}
 
 impl CodecMetrics {
-    /// True when no decode worker exported stage timers into this registry.
-    pub fn is_empty(&self) -> bool {
-        self.huffman_nanos == 0
-            && self.idct_nanos == 0
-            && self.color_nanos == 0
-            && self.resize_nanos == 0
-    }
-
-    /// Total accounted nanoseconds across the four stages.
+    /// Total accounted nanoseconds across the decode stages.
     pub fn total_nanos(&self) -> u64 {
         self.huffman_nanos + self.idct_nanos + self.color_nanos + self.resize_nanos
     }
 }
 
-/// One instrumented queue's view.
-#[derive(Debug, Clone, Default)]
-pub struct QueueMetrics {
-    /// Queue name as registered.
-    pub name: String,
-    /// Depth at snapshot time.
-    pub depth: i64,
-    /// Highest depth observed.
-    pub high_water: i64,
-    /// Items pushed.
-    pub pushed: u64,
-    /// Items popped.
-    pub popped: u64,
-    /// Producer blocked time (ns).
-    pub blocked_push_nanos: u64,
-    /// Consumer blocked time (ns).
-    pub blocked_pop_nanos: u64,
+/// One operand of a law: a metric named by its constant.
+enum Term {
+    /// The counter or gauge registered under this name.
+    Metric(&'static str),
+    /// The high-water mark of the gauge registered under this name.
+    HighWater(&'static str),
+    /// `(family prefix, field)`: the field summed over the family's
+    /// members. A law with a `Sum` over no members is skipped.
+    Sum(&'static str, &'static str),
 }
 
-/// A structured view over one pipeline's telemetry: per-stage metrics,
-/// instrumented queues, current stalls, and the raw registry snapshot.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineSnapshot {
-    /// FpgaReader stage.
-    pub reader: ReaderMetrics,
-    /// FpgaChannel stage.
-    pub channel: ChannelMetrics,
-    /// DecoderEngine stage.
-    pub decoder: DecoderMetrics,
-    /// MemManager stage.
-    pub pool: PoolMetrics,
-    /// Dispatcher stage.
-    pub dispatcher: DispatcherMetrics,
-    /// Trainer/inference engines.
-    pub engines: EngineMetrics,
-    /// Batches the router delivered to slot queues.
-    pub router_delivered: u64,
-    /// SLO-aware serving layer (admission, shedding, dynamic batching).
-    pub serving: ServingMetrics,
-    /// Decoded-sample cache (admission, eviction, quarantine, residency).
-    pub cache: CacheMetrics,
-    /// Shard router (`dlb-cluster`): quotas, hedging, kill replay.
-    pub cluster: ClusterMetrics,
-    /// Chaos fault plane + retry/failover recovery accounting.
-    pub chaos: ChaosMetrics,
-    /// Codec per-stage timers (entropy / iDCT / colour / resize).
-    pub codec: CodecMetrics,
-    /// Instrumented queues (slot queues, trans queues, ...).
-    pub queues: Vec<QueueMetrics>,
-    /// Stages flagged as stalled at capture time.
-    pub stalls: Vec<StallReport>,
-    /// The underlying raw snapshot (all metrics, mergeable).
-    pub raw: RegistrySnapshot,
+enum Op {
+    Eq,
+    Le,
+}
+
+/// One conservation law: `lhs op rhs` over signed sums of terms.
+struct Law {
+    name: &'static str,
+    /// The optional layer the law belongs to; skipped while that layer
+    /// has recorded nothing (`is_empty()`).
+    guard: Option<fn(&PipelineSnapshot) -> bool>,
+    /// `Some(family prefix)`: the law is checked once per member, its
+    /// `Metric` terms naming that family's fields.
+    each: Option<&'static str>,
+    lhs: &'static [Term],
+    op: Op,
+    rhs: &'static [Term],
+}
+
+/// The law table's grammar:
+/// `"name" [if layer] [each family]: [A + B] == [C + hw(D) + sum(family, F)]`
+/// with `==` or `<=`; terms are [`names`] constants (the family's field
+/// constants under `each`).
+macro_rules! laws {
+    (@term hw($c:ident)) => { Term::HighWater($c) };
+    (@term sum($fam:ident, $c:ident)) => { Term::Sum(names::$fam::PREFIX, names::$fam::$c) };
+    (@term $c:ident) => { Term::Metric($c) };
+    (@side [$t0:ident $(($($a0:tt)*))? $(+ $t:ident $(($($a:tt)*))?)*]) => {
+        &[laws!(@term $t0 $(($($a0)*))?) $(, laws!(@term $t $(($($a)*))?))*]
+    };
+    (@op ==) => { Op::Eq };
+    (@op <=) => { Op::Le };
+    (@guard) => { None };
+    (@guard $g:ident) => { Some(|s: &PipelineSnapshot| !s.$g.is_empty()) };
+    (@each) => { None };
+    (@each $fam:ident) => { Some(names::$fam::PREFIX) };
+    ($($name:literal $(if $g:ident)? $(each $fam:ident)?: $lhs:tt $op:tt $rhs:tt)*) => {
+        &[$({
+            #[allow(unused_imports)]
+            use names::*;
+            $(use names::$fam::*;)?
+            Law {
+                name: $name,
+                guard: laws!(@guard $($g)?),
+                each: laws!(@each $($fam)?),
+                lhs: laws!(@side $lhs),
+                op: laws!(@op $op),
+                rhs: laws!(@side $rhs),
+            }
+        }),*]
+    };
+}
+
+/// Every conservation law a quiescent pipeline must satisfy.
+const LAWS: &[Law] = laws! {
+    "batch conservation": [READER_BATCHES_SUBMITTED] == [READER_BATCHES_COMPLETED + READER_BATCH_ERRORS]
+    "item conservation": [DECODER_ITEMS_IN] == [DECODER_ITEMS_OK + DECODER_ITEMS_ERR]
+    "channel conservation": [CHANNEL_CMDS_SUBMITTED] == [CHANNEL_CMDS_DRAINED + CHANNEL_INFLIGHT]
+    "queue conservation" each queue: [PUSHED] == [POPPED + DEPTH]
+
+    "serving admission conservation" if serving: [SERVING_OFFERED] == [SERVING_ADMITTED + SERVING_REJECTED]
+    "serving conservation" if serving: [SERVING_ADMITTED] == [SERVING_COMPLETED + SERVING_SHED + SERVING_INFLIGHT]
+    "serving goodput exceeds completions" if serving: [SERVING_GOOD] <= [SERVING_COMPLETED]
+
+    "cache lookup conservation" if cache: [CACHE_HITS + CACHE_MISSES] == [CACHE_LOOKUPS]
+    "cache capacity exceeded" if cache: [hw(CACHE_RESIDENT_BYTES)] <= [CACHE_CAPACITY_BYTES]
+    "cache byte conservation" if cache: [CACHE_INSERTED_BYTES] == [CACHE_RESIDENT_BYTES + CACHE_EVICTED_BYTES]
+    "cache entry conservation" if cache: [CACHE_INSERTIONS] == [CACHE_RESIDENT_ENTRIES + CACHE_EVICTIONS]
+    "cache partition conservation" if cache: [sum(cache_tenant, RESIDENT_BYTES)] == [CACHE_RESIDENT_BYTES]
+
+    "cluster request conservation" if cluster: [CLUSTER_REQUESTS + CLUSTER_HEDGE_DUPS] == [CLUSTER_SERVED + CLUSTER_REPLAYED + CLUSTER_SHED + CLUSTER_INFLIGHT]
+    "cluster dispatch composition" if cluster: [CLUSTER_DISPATCHES] == [CLUSTER_ADMITTED + CLUSTER_HEDGES + CLUSTER_REPLAYS]
+    "cluster copy conservation" if cluster: [CLUSTER_DISPATCHES] == [CLUSTER_COMPLETIONS + CLUSTER_LOST + CLUSTER_NODE_QUEUED]
+    "cluster completion split" if cluster: [CLUSTER_COMPLETIONS] == [CLUSTER_SERVED + CLUSTER_REPLAYED]
+    "cluster loss accounting" if cluster: [CLUSTER_LOST] == [CLUSTER_REPLAYS + CLUSTER_LOST_UNREPLAYED]
+    "cluster hedge/quota bounds" if cluster: [CLUSTER_QUOTA_SHED] <= [CLUSTER_SHED]
+    "cluster hedge/quota bounds" if cluster: [CLUSTER_HEDGE_WINS] <= [CLUSTER_HEDGES]
+    "cluster hedge/quota bounds" if cluster: [CLUSTER_HEDGE_DUPS] <= [CLUSTER_COMPLETIONS]
+    "cluster tenant conservation" if cluster: [sum(cluster_tenant, REQUESTS)] == [CLUSTER_REQUESTS]
+    "cluster tenant accounting" if cluster each cluster_tenant: [COMPLETED + SHED] <= [REQUESTS]
+    "cluster tenant accounting" if cluster each cluster_tenant: [GOOD] <= [COMPLETED]
+
+    "retry conservation" if chaos: [RETRY_RETRIES + RETRY_GIVEUPS] <= [RETRY_ATTEMPTS]
+    "reader resubmits exceed timeouts" if chaos: [RETRY_CMD_RESUBMITS] <= [RETRY_CMD_TIMEOUTS]
+    "chaos conservation" if chaos: [CHAOS_INJECTED_STORAGE + CHAOS_INJECTED_NET + CHAOS_INJECTED_FPGA + CHAOS_INJECTED_POOL + CHAOS_INJECTED_GPU] == [CHAOS_FAULTS_TOTAL]
+};
+
+impl Law {
+    /// Appends this law's violations: at most one, or one per member
+    /// under `each`.
+    fn check(&self, snap: &PipelineSnapshot, typed: &[TypedMetric<'_>], out: &mut Vec<String>) {
+        if self.guard.is_some_and(|active| !active(snap)) {
+            return;
+        }
+        let mut scopes = vec![None];
+        if let Some(prefix) = self.each {
+            // `typed` lists each member's fields contiguously.
+            let members = typed
+                .iter()
+                .filter_map(|m| m.member.filter(|(p, _)| *p == prefix));
+            scopes = members.map(Some).collect();
+            scopes.dedup();
+        }
+        for member in scopes {
+            let sides = (side(self.lhs, typed, member), side(self.rhs, typed, member));
+            let (Some((l, lhs)), Some((r, rhs))) = sides else {
+                continue;
+            };
+            let (holds, violated) = match self.op {
+                Op::Eq => (l == r, "!="),
+                Op::Le => (l <= r, ">"),
+            };
+            if !holds {
+                let scope = member.map_or(String::new(), |(p, id)| format!(" [{p}{id}]"));
+                out.push(format!("{}{scope}: {lhs} {violated} {rhs}", self.name));
+            }
+        }
+    }
+}
+
+/// One side of a law in `member`'s scope: its signed total and its
+/// rendering (`field value + field value`). `None` when a `Sum` ranges
+/// over no members.
+fn side(
+    terms: &[Term],
+    typed: &[TypedMetric<'_>],
+    member: Option<(&'static str, &str)>,
+) -> Option<(i128, String)> {
+    let mut total = 0;
+    let mut text = String::new();
+    for term in terms {
+        let (label, value) = match *term {
+            Term::Metric(name) | Term::HighWater(name) => {
+                let high_water = matches!(term, Term::HighWater(_));
+                let m = typed
+                    .iter()
+                    .find(|m| {
+                        m.name == name
+                            && m.member == member
+                            && (m.kind == Kind::HighWater) == high_water
+                    })
+                    .unwrap_or_else(|| panic!("law term {name} is not a metric-table entry"));
+                (m.field.to_string(), m.value.scalar())
+            }
+            Term::Sum(prefix, field) => {
+                let mut members = typed
+                    .iter()
+                    .filter(|m| m.name == field && m.member.is_some_and(|(p, _)| p == prefix))
+                    .peekable();
+                members.peek()?;
+                let sum = members.map(|m| m.value.scalar()).sum();
+                (format!("sum({prefix}*.{field})"), sum)
+            }
+        };
+        total += value;
+        let plus = if text.is_empty() { "" } else { " + " };
+        let _ = write!(text, "{plus}{label} {value}");
+    }
+    Some((total, text))
+}
+
+/// The registry names of every counter a section-level law row reads, in
+/// row order — computed from the rows, so it cannot fall behind them.
+pub fn conservation_counters() -> Vec<&'static str> {
+    let empty = PipelineSnapshot::default();
+    let typed = empty.typed_metrics();
+    let mut counters = Vec::new();
+    for law in LAWS.iter().filter(|law| law.each.is_none()) {
+        for term in law.lhs.iter().chain(law.rhs) {
+            let Term::Metric(name) = *term else { continue };
+            let counter = |m: &TypedMetric<'_>| m.name == name && m.kind == Kind::Counter;
+            if !counters.contains(&name) && typed.iter().any(counter) {
+                counters.push(name);
+            }
+        }
+    }
+    counters
 }
 
 impl PipelineSnapshot {
@@ -771,88 +990,6 @@ impl PipelineSnapshot {
     /// current verdicts.
     pub fn capture(raw: &RegistrySnapshot, watchdog: &Watchdog) -> Self {
         Self::from_parts(raw.clone(), watchdog.stalled())
-    }
-
-    /// Builds the typed view from already-collected parts.
-    pub fn from_parts(raw: RegistrySnapshot, stalls: Vec<StallReport>) -> Self {
-        use names::*;
-        let queues = collect_queues(&raw);
-        let serving = collect_serving(&raw);
-        let cache = collect_cache(&raw);
-        let cluster = collect_cluster(&raw);
-        let chaos = ChaosMetrics {
-            faults_total: raw.counter(CHAOS_FAULTS_TOTAL),
-            injected_storage: raw.counter(CHAOS_INJECTED_STORAGE),
-            injected_net: raw.counter(CHAOS_INJECTED_NET),
-            injected_fpga: raw.counter(CHAOS_INJECTED_FPGA),
-            injected_pool: raw.counter(CHAOS_INJECTED_POOL),
-            injected_gpu: raw.counter(CHAOS_INJECTED_GPU),
-            failovers: raw.counter(CHAOS_FAILOVER_TOTAL),
-            retry_attempts: raw.counter(RETRY_ATTEMPTS),
-            retry_retries: raw.counter(RETRY_RETRIES),
-            retry_giveups: raw.counter(RETRY_GIVEUPS),
-            retry_backoff_nanos: raw.counter(RETRY_BACKOFF_NANOS),
-            cmd_timeouts: raw.counter(RETRY_CMD_TIMEOUTS),
-            cmd_resubmits: raw.counter(RETRY_CMD_RESUBMITS),
-            late_completions: raw.counter(RETRY_LATE_COMPLETIONS),
-        };
-        Self {
-            reader: ReaderMetrics {
-                batches_submitted: raw.counter(READER_BATCHES_SUBMITTED),
-                batches_completed: raw.counter(READER_BATCHES_COMPLETED),
-                batch_errors: raw.counter(READER_BATCH_ERRORS),
-                item_errors: raw.counter(READER_ITEM_ERRORS),
-                cpu_busy_nanos: raw.counter(READER_CPU_BUSY_NANOS),
-                submit_latency: raw.histogram(READER_SUBMIT_LATENCY).cloned(),
-                inflight: raw.gauge(READER_INFLIGHT),
-            },
-            channel: ChannelMetrics {
-                cmds_submitted: raw.counter(CHANNEL_CMDS_SUBMITTED),
-                cmds_drained: raw.counter(CHANNEL_CMDS_DRAINED),
-                inflight: raw.gauge(CHANNEL_INFLIGHT),
-            },
-            decoder: DecoderMetrics {
-                batches: raw.counter(DECODER_BATCHES),
-                items_in: raw.counter(DECODER_ITEMS_IN),
-                items_ok: raw.counter(DECODER_ITEMS_OK),
-                items_err: raw.counter(DECODER_ITEMS_ERR),
-                bytes_written: raw.counter(DECODER_BYTES_WRITTEN),
-                lane_service: raw.histogram(DECODER_LANE_SERVICE).cloned(),
-            },
-            pool: PoolMetrics {
-                leases: raw.counter(POOL_LEASES),
-                recycles: raw.counter(POOL_RECYCLES),
-                starvations: raw.counter(POOL_STARVATIONS),
-                blocked_nanos: raw.counter(POOL_BLOCKED_NANOS),
-                free_units: raw.gauge(POOL_FREE_UNITS),
-            },
-            dispatcher: DispatcherMetrics {
-                batches: raw.counter(DISPATCHER_BATCHES),
-                bytes_copied: raw.counter(DISPATCHER_BYTES_COPIED),
-                copy_errors: raw.counter(DISPATCHER_COPY_ERRORS),
-                cpu_busy_nanos: raw.counter(DISPATCHER_CPU_BUSY_NANOS),
-                copy_latency: raw.histogram(DISPATCHER_COPY_LATENCY).cloned(),
-            },
-            engines: EngineMetrics {
-                batches: raw.counter(ENGINE_BATCHES),
-                batch_wait: raw.histogram(ENGINE_BATCH_WAIT).cloned(),
-                compute: raw.histogram(ENGINE_COMPUTE).cloned(),
-            },
-            router_delivered: raw.counter(ROUTER_DELIVERED),
-            codec: CodecMetrics {
-                huffman_nanos: raw.counter(CODEC_HUFFMAN_NANOS),
-                idct_nanos: raw.counter(CODEC_IDCT_NANOS),
-                color_nanos: raw.counter(CODEC_COLOR_NANOS),
-                resize_nanos: raw.counter(CODEC_RESIZE_NANOS),
-            },
-            serving,
-            cache,
-            cluster,
-            chaos,
-            queues,
-            stalls,
-            raw,
-        }
     }
 
     /// Batches that entered the pipeline (reader submissions).
@@ -870,840 +1007,91 @@ impl PipelineSnapshot {
         self.reader.batch_errors
     }
 
-    /// Conservation checks that must hold once the pipeline is quiescent.
+    /// Every metric-table entry with its typed-view value: stages, the
+    /// top-level fields and queues, then the optional layers, each
+    /// followed by its members.
+    pub fn typed_metrics(&self) -> Vec<TypedMetric<'_>> {
+        let mut out = Vec::new();
+        let rendered = self.sections().into_iter().map(|(_, section)| section);
+        for section in rendered.chain(self.unrendered()) {
+            flatten(section, &mut out);
+        }
+        out
+    }
+
+    /// Conservation checks that must hold once the pipeline is quiescent:
+    /// every row of the law table, evaluated in signed arithmetic (a
+    /// gauge driven negative by a double decrement breaks its equality).
     /// Returns human-readable violations (empty = healthy).
     pub fn invariant_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if self.batches_in() != self.batches_out() + self.batch_errors() {
-            v.push(format!(
-                "batch conservation: submitted {} != completed {} + errors {}",
-                self.batches_in(),
-                self.batches_out(),
-                self.batch_errors()
-            ));
+        let typed = self.typed_metrics();
+        let mut out = Vec::new();
+        for law in LAWS {
+            law.check(self, &typed, &mut out);
         }
-        if self.decoder.items_in != self.decoder.items_ok + self.decoder.items_err {
-            v.push(format!(
-                "item conservation: in {} != ok {} + err {}",
-                self.decoder.items_in, self.decoder.items_ok, self.decoder.items_err
-            ));
-        }
-        if self.channel.cmds_submitted
-            != self.channel.cmds_drained + self.channel.inflight.max(0) as u64
-        {
-            v.push(format!(
-                "channel conservation: submitted {} != drained {} + inflight {}",
-                self.channel.cmds_submitted, self.channel.cmds_drained, self.channel.inflight
-            ));
-        }
-        for q in &self.queues {
-            if q.pushed != q.popped + q.depth.max(0) as u64 {
-                v.push(format!(
-                    "queue {} conservation: pushed {} != popped {} + depth {}",
-                    q.name, q.pushed, q.popped, q.depth
-                ));
-            }
-        }
-        if !self.serving.is_empty() {
-            let s = &self.serving;
-            if s.offered != s.admitted + s.rejected {
-                v.push(format!(
-                    "serving admission conservation: offered {} != admitted {} + rejected {}",
-                    s.offered, s.admitted, s.rejected
-                ));
-            }
-            if s.admitted != s.completed + s.shed + s.inflight.max(0) as u64 {
-                v.push(format!(
-                    "serving conservation: admitted {} != completed {} + shed {} + inflight {}",
-                    s.admitted, s.completed, s.shed, s.inflight
-                ));
-            }
-            if s.good > s.completed {
-                v.push(format!(
-                    "serving goodput exceeds completions: good {} > completed {}",
-                    s.good, s.completed
-                ));
-            }
-        }
-        if !self.cache.is_empty() {
-            let c = &self.cache;
-            if c.hits + c.misses != c.lookups {
-                v.push(format!(
-                    "cache lookup conservation: hits {} + misses {} != lookups {}",
-                    c.hits, c.misses, c.lookups
-                ));
-            }
-            if c.resident_bytes_high_water > c.capacity_bytes {
-                v.push(format!(
-                    "cache capacity exceeded: resident high-water {} > capacity {}",
-                    c.resident_bytes_high_water, c.capacity_bytes
-                ));
-            }
-            if c.inserted_bytes != c.resident_bytes.max(0) as u64 + c.evicted_bytes {
-                v.push(format!(
-                    "cache byte conservation: inserted {} != resident {} + evicted {}",
-                    c.inserted_bytes, c.resident_bytes, c.evicted_bytes
-                ));
-            }
-            if c.insertions != c.resident_entries.max(0) as u64 + c.evictions {
-                v.push(format!(
-                    "cache entry conservation: insertions {} != resident {} + evictions {}",
-                    c.insertions, c.resident_entries, c.evictions
-                ));
-            }
-            if !c.tenants.is_empty() {
-                let tenant_resident: i64 = c.tenants.iter().map(|t| t.resident_bytes).sum();
-                if tenant_resident != c.resident_bytes {
-                    v.push(format!(
-                        "cache partition conservation: tenant residency sum {} != resident {}",
-                        tenant_resident, c.resident_bytes
-                    ));
-                }
-            }
-        }
-        if !self.cluster.is_empty() {
-            let c = &self.cluster;
-            if c.requests + c.hedge_dups
-                != c.served + c.replayed + c.shed + c.inflight.max(0) as u64
-            {
-                v.push(format!(
-                    "cluster request conservation: requests {} + hedge_dups {} != served {} + replayed {} + shed {} + inflight {}",
-                    c.requests, c.hedge_dups, c.served, c.replayed, c.shed, c.inflight
-                ));
-            }
-            if c.dispatches != c.admitted + c.hedges + c.replays {
-                v.push(format!(
-                    "cluster dispatch composition: dispatches {} != admitted {} + hedges {} + replays {}",
-                    c.dispatches, c.admitted, c.hedges, c.replays
-                ));
-            }
-            if c.dispatches != c.completions + c.lost + c.node_queued.max(0) as u64 {
-                v.push(format!(
-                    "cluster copy conservation: dispatches {} != completions {} + lost {} + node_queued {}",
-                    c.dispatches, c.completions, c.lost, c.node_queued
-                ));
-            }
-            if c.completions != c.served + c.replayed {
-                v.push(format!(
-                    "cluster completion split: completions {} != served {} + replayed {}",
-                    c.completions, c.served, c.replayed
-                ));
-            }
-            if c.lost != c.replays + c.lost_unreplayed {
-                v.push(format!(
-                    "cluster loss accounting: lost {} != replays {} + unreplayed {}",
-                    c.lost, c.replays, c.lost_unreplayed
-                ));
-            }
-            if c.quota_shed > c.shed || c.hedge_wins > c.hedges || c.hedge_dups > c.completions {
-                v.push(format!(
-                    "cluster hedge/quota bounds: quota_shed {} ≤ shed {}, hedge_wins {} ≤ hedges {}, hedge_dups {} ≤ completions {} must all hold",
-                    c.quota_shed, c.shed, c.hedge_wins, c.hedges, c.hedge_dups, c.completions
-                ));
-            }
-            if !c.tenants.is_empty() {
-                let req_sum: u64 = c.tenants.iter().map(|t| t.requests).sum();
-                if req_sum != c.requests {
-                    v.push(format!(
-                        "cluster tenant conservation: tenant request sum {} != requests {}",
-                        req_sum, c.requests
-                    ));
-                }
-                for t in &c.tenants {
-                    if t.good > t.completed || t.completed + t.shed > t.requests {
-                        v.push(format!(
-                            "cluster tenant {} accounting: completed {} + shed {} ≤ requests {} and good {} ≤ completed must hold",
-                            t.tenant, t.completed, t.shed, t.requests, t.good
-                        ));
-                    }
-                }
-            }
-        }
-        if !self.chaos.is_empty() {
-            let c = &self.chaos;
-            if c.retry_retries + c.retry_giveups > c.retry_attempts {
-                v.push(format!(
-                    "retry conservation: retries {} + giveups {} > attempts {}",
-                    c.retry_retries, c.retry_giveups, c.retry_attempts
-                ));
-            }
-            if c.cmd_resubmits > c.cmd_timeouts {
-                v.push(format!(
-                    "reader resubmits exceed timeouts: {} > {}",
-                    c.cmd_resubmits, c.cmd_timeouts
-                ));
-            }
-            let per_stage = c.injected_storage
-                + c.injected_net
-                + c.injected_fpga
-                + c.injected_pool
-                + c.injected_gpu;
-            if per_stage != c.faults_total {
-                v.push(format!(
-                    "chaos conservation: per-stage sum {} != faults_total {}",
-                    per_stage, c.faults_total
-                ));
-            }
-        }
-        v
+        out
     }
 
     /// Structured JSON form (stage sections + stalls + raw metrics).
     pub fn to_json(&self) -> Json {
-        fn hist(h: &Option<HistogramSnapshot>) -> Json {
-            match h {
-                None => Json::Null,
-                Some(h) => Json::object(vec![
-                    ("count", Json::from(h.count)),
-                    ("mean_ns", Json::from(h.mean())),
-                    ("p50_ns", Json::from(h.quantile(0.5))),
-                    ("p99_ns", Json::from(h.quantile(0.99))),
-                    ("max_ns", Json::from(h.max)),
-                ]),
+        let mut pairs = Vec::new();
+        for (name, section) in self.sections() {
+            match name {
+                TOP_LEVEL => pairs.extend(field_json(section)),
+                _ => pairs.push((name, section_json(section))),
             }
         }
-        Json::object(vec![
-            (
-                "reader",
+        pairs.extend(family_json(self));
+        let millis = |d: Duration| Json::from(d.as_millis() as u64);
+        let stalls = self.stalls.iter().map(|s| {
+            let queues = s.queues.iter().map(|q| {
                 Json::object(vec![
-                    ("batches_submitted", self.reader.batches_submitted.into()),
-                    ("batches_completed", self.reader.batches_completed.into()),
-                    ("batch_errors", self.reader.batch_errors.into()),
-                    ("item_errors", self.reader.item_errors.into()),
-                    ("cpu_busy_nanos", self.reader.cpu_busy_nanos.into()),
-                    ("submit_latency", hist(&self.reader.submit_latency)),
-                    ("inflight", self.reader.inflight.into()),
-                ]),
-            ),
-            (
-                "channel",
-                Json::object(vec![
-                    ("cmds_submitted", self.channel.cmds_submitted.into()),
-                    ("cmds_drained", self.channel.cmds_drained.into()),
-                    ("inflight", self.channel.inflight.into()),
-                ]),
-            ),
-            (
-                "decoder",
-                Json::object(vec![
-                    ("batches", self.decoder.batches.into()),
-                    ("items_in", self.decoder.items_in.into()),
-                    ("items_ok", self.decoder.items_ok.into()),
-                    ("items_err", self.decoder.items_err.into()),
-                    ("bytes_written", self.decoder.bytes_written.into()),
-                    ("lane_service", hist(&self.decoder.lane_service)),
-                ]),
-            ),
-            (
-                "pool",
-                Json::object(vec![
-                    ("leases", self.pool.leases.into()),
-                    ("recycles", self.pool.recycles.into()),
-                    ("starvations", self.pool.starvations.into()),
-                    ("blocked_nanos", self.pool.blocked_nanos.into()),
-                    ("free_units", self.pool.free_units.into()),
-                ]),
-            ),
-            (
-                "dispatcher",
-                Json::object(vec![
-                    ("batches", self.dispatcher.batches.into()),
-                    ("bytes_copied", self.dispatcher.bytes_copied.into()),
-                    ("copy_errors", self.dispatcher.copy_errors.into()),
-                    ("cpu_busy_nanos", self.dispatcher.cpu_busy_nanos.into()),
-                    ("copy_latency", hist(&self.dispatcher.copy_latency)),
-                ]),
-            ),
-            (
-                "engines",
-                Json::object(vec![
-                    ("batches", self.engines.batches.into()),
-                    ("batch_wait", hist(&self.engines.batch_wait)),
-                    ("compute", hist(&self.engines.compute)),
-                ]),
-            ),
-            ("router_delivered", self.router_delivered.into()),
-            (
-                "serving",
-                Json::object(vec![
-                    ("offered", self.serving.offered.into()),
-                    ("admitted", self.serving.admitted.into()),
-                    ("rejected", self.serving.rejected.into()),
-                    ("shed", self.serving.shed.into()),
-                    ("completed", self.serving.completed.into()),
-                    ("good", self.serving.good.into()),
-                    ("inflight", self.serving.inflight.into()),
-                    ("queue_depth", self.serving.queue_depth.into()),
-                    (
-                        "queue_depth_high_water",
-                        self.serving.queue_depth_high_water.into(),
-                    ),
-                    ("batches", self.serving.batches.into()),
-                    (
-                        "batches_closed_full",
-                        self.serving.batches_closed_full.into(),
-                    ),
-                    (
-                        "batches_closed_linger",
-                        self.serving.batches_closed_linger.into(),
-                    ),
-                    ("batch_size", hist(&self.serving.batch_size)),
-                    ("queue_delay", hist(&self.serving.queue_delay)),
-                    (
-                        "tenants",
-                        Json::Array(
-                            self.serving
-                                .tenants
-                                .iter()
-                                .map(|t| {
-                                    Json::object(vec![
-                                        ("tenant", t.tenant.as_str().into()),
-                                        ("admitted", t.admitted.into()),
-                                        ("completed", t.completed.into()),
-                                        ("shed", t.shed.into()),
-                                        ("goodput", t.goodput.into()),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "cache",
-                Json::object(vec![
-                    ("lookups", self.cache.lookups.into()),
-                    ("hits", self.cache.hits.into()),
-                    ("misses", self.cache.misses.into()),
-                    ("insertions", self.cache.insertions.into()),
-                    ("inserted_bytes", self.cache.inserted_bytes.into()),
-                    ("rejected", self.cache.rejected.into()),
-                    ("evictions", self.cache.evictions.into()),
-                    ("evicted_bytes", self.cache.evicted_bytes.into()),
-                    ("quarantined", self.cache.quarantined.into()),
-                    ("bypass_batches", self.cache.bypass_batches.into()),
-                    ("resident_bytes", self.cache.resident_bytes.into()),
-                    (
-                        "resident_bytes_high_water",
-                        self.cache.resident_bytes_high_water.into(),
-                    ),
-                    ("resident_entries", self.cache.resident_entries.into()),
-                    ("capacity_bytes", self.cache.capacity_bytes.into()),
-                    (
-                        "tenants",
-                        Json::Array(
-                            self.cache
-                                .tenants
-                                .iter()
-                                .map(|t| {
-                                    Json::object(vec![
-                                        ("tenant", t.tenant.as_str().into()),
-                                        ("hits", t.hits.into()),
-                                        ("misses", t.misses.into()),
-                                        ("evictions", t.evictions.into()),
-                                        ("resident_bytes", t.resident_bytes.into()),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "cluster",
-                Json::object(vec![
-                    ("requests", self.cluster.requests.into()),
-                    ("admitted", self.cluster.admitted.into()),
-                    ("shed", self.cluster.shed.into()),
-                    ("quota_shed", self.cluster.quota_shed.into()),
-                    ("dispatches", self.cluster.dispatches.into()),
-                    ("hedges", self.cluster.hedges.into()),
-                    ("hedge_wins", self.cluster.hedge_wins.into()),
-                    ("hedge_dups", self.cluster.hedge_dups.into()),
-                    ("replays", self.cluster.replays.into()),
-                    ("completions", self.cluster.completions.into()),
-                    ("served", self.cluster.served.into()),
-                    ("replayed", self.cluster.replayed.into()),
-                    ("good", self.cluster.good.into()),
-                    ("lost", self.cluster.lost.into()),
-                    ("lost_unreplayed", self.cluster.lost_unreplayed.into()),
-                    ("kills", self.cluster.kills.into()),
-                    ("rebalances", self.cluster.rebalances.into()),
-                    ("inflight", self.cluster.inflight.into()),
-                    ("node_queued", self.cluster.node_queued.into()),
-                    ("nodes_alive", self.cluster.nodes_alive.into()),
-                    ("latency", hist(&self.cluster.latency)),
-                    (
-                        "tenants",
-                        Json::Array(
-                            self.cluster
-                                .tenants
-                                .iter()
-                                .map(|t| {
-                                    Json::object(vec![
-                                        ("tenant", t.tenant.as_str().into()),
-                                        ("requests", t.requests.into()),
-                                        ("completed", t.completed.into()),
-                                        ("shed", t.shed.into()),
-                                        ("good", t.good.into()),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "chaos",
-                Json::object(vec![
-                    ("faults_total", self.chaos.faults_total.into()),
-                    ("injected_storage", self.chaos.injected_storage.into()),
-                    ("injected_net", self.chaos.injected_net.into()),
-                    ("injected_fpga", self.chaos.injected_fpga.into()),
-                    ("injected_pool", self.chaos.injected_pool.into()),
-                    ("injected_gpu", self.chaos.injected_gpu.into()),
-                    ("failovers", self.chaos.failovers.into()),
-                    ("retry_attempts", self.chaos.retry_attempts.into()),
-                    ("retry_retries", self.chaos.retry_retries.into()),
-                    ("retry_giveups", self.chaos.retry_giveups.into()),
-                    ("retry_backoff_nanos", self.chaos.retry_backoff_nanos.into()),
-                    ("cmd_timeouts", self.chaos.cmd_timeouts.into()),
-                    ("cmd_resubmits", self.chaos.cmd_resubmits.into()),
-                    ("late_completions", self.chaos.late_completions.into()),
-                ]),
-            ),
-            (
-                "queues",
-                Json::Array(
-                    self.queues
-                        .iter()
-                        .map(|q| {
-                            Json::object(vec![
-                                ("name", q.name.as_str().into()),
-                                ("depth", q.depth.into()),
-                                ("high_water", q.high_water.into()),
-                                ("pushed", q.pushed.into()),
-                                ("popped", q.popped.into()),
-                                ("blocked_push_nanos", q.blocked_push_nanos.into()),
-                                ("blocked_pop_nanos", q.blocked_pop_nanos.into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "stalls",
-                Json::Array(
-                    self.stalls
-                        .iter()
-                        .map(|s| {
-                            Json::object(vec![
-                                ("stage", s.stage.as_str().into()),
-                                ("idle_ms", Json::from(s.idle.as_millis() as u64)),
-                                ("depth", s.depth.into()),
-                                (
-                                    "queues",
-                                    Json::Array(
-                                        s.queues
-                                            .iter()
-                                            .map(|q| {
-                                                Json::object(vec![
-                                                    ("stage", q.stage.as_str().into()),
-                                                    (
-                                                        "last_progress_ms",
-                                                        Json::from(
-                                                            q.last_progress.as_millis() as u64
-                                                        ),
-                                                    ),
-                                                    ("depth", q.depth.into()),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("metrics", self.raw.to_json()),
-        ])
+                    ("stage", q.stage.as_str().into()),
+                    ("last_progress_ms", millis(q.last_progress)),
+                    ("depth", q.depth.into()),
+                ])
+            });
+            Json::object(vec![
+                ("stage", s.stage.as_str().into()),
+                ("idle_ms", millis(s.idle)),
+                ("depth", s.depth.into()),
+                ("queues", Json::Array(queues.collect())),
+            ])
+        });
+        pairs.push(("stalls", Json::Array(stalls.collect())));
+        pairs.push(("metrics", self.raw.to_json()));
+        Json::object(pairs)
     }
 
-    /// Human-readable multi-line report.
+    /// Human-readable multi-line report: one `field=value` line per
+    /// section in table order (optional layers only once active), then
+    /// the watchdog's verdicts.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write;
-        fn hist_line(h: &Option<HistogramSnapshot>) -> String {
-            match h {
-                None => "n=0".to_string(),
-                Some(h) if h.count == 0 => "n=0".to_string(),
-                Some(h) => format!(
-                    "n={} mean={:.1}µs p50={:.1}µs p99={:.1}µs max={:.1}µs",
-                    h.count,
-                    h.mean() / 1e3,
-                    h.quantile(0.5) as f64 / 1e3,
-                    h.quantile(0.99) as f64 / 1e3,
-                    h.max as f64 / 1e3
-                ),
+        let mut out = String::from("pipeline telemetry\n");
+        for (name, section) in self.sections() {
+            if section.active() {
+                write_text(&mut out, "  ", name, section);
             }
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "pipeline telemetry");
-        let _ = writeln!(
-            out,
-            "  reader     submitted={} completed={} batch_errs={} item_errs={} inflight={} submit[{}]",
-            self.reader.batches_submitted,
-            self.reader.batches_completed,
-            self.reader.batch_errors,
-            self.reader.item_errors,
-            self.reader.inflight,
-            hist_line(&self.reader.submit_latency)
-        );
-        let _ = writeln!(
-            out,
-            "  channel    submitted={} drained={} inflight={}",
-            self.channel.cmds_submitted, self.channel.cmds_drained, self.channel.inflight
-        );
-        let _ = writeln!(
-            out,
-            "  decoder    batches={} items in={} ok={} err={} bytes={} lane[{}]",
-            self.decoder.batches,
-            self.decoder.items_in,
-            self.decoder.items_ok,
-            self.decoder.items_err,
-            self.decoder.bytes_written,
-            hist_line(&self.decoder.lane_service)
-        );
-        let _ = writeln!(
-            out,
-            "  pool       leases={} recycles={} starvations={} blocked={:.1}ms free={}",
-            self.pool.leases,
-            self.pool.recycles,
-            self.pool.starvations,
-            self.pool.blocked_nanos as f64 / 1e6,
-            self.pool.free_units
-        );
-        let _ = writeln!(
-            out,
-            "  dispatcher batches={} bytes={} errors={} copy[{}]",
-            self.dispatcher.batches,
-            self.dispatcher.bytes_copied,
-            self.dispatcher.copy_errors,
-            hist_line(&self.dispatcher.copy_latency)
-        );
-        let _ = writeln!(
-            out,
-            "  engines    batches={} wait[{}] compute[{}]",
-            self.engines.batches,
-            hist_line(&self.engines.batch_wait),
-            hist_line(&self.engines.compute)
-        );
-        let _ = writeln!(out, "  router     delivered={}", self.router_delivered);
-        if !self.serving.is_empty() {
-            let s = &self.serving;
-            let _ = writeln!(
-                out,
-                "  serving    offered={} admitted={} rejected={} shed={} completed={} good={} inflight={}",
-                s.offered, s.admitted, s.rejected, s.shed, s.completed, s.good, s.inflight
-            );
-            let _ = writeln!(
-                out,
-                "  serving    queue depth={} (hw {}) batches={} (full {} / linger {}) delay[{}]",
-                s.queue_depth,
-                s.queue_depth_high_water,
-                s.batches,
-                s.batches_closed_full,
-                s.batches_closed_linger,
-                hist_line(&s.queue_delay)
-            );
-            for t in &s.tenants {
-                let _ = writeln!(
-                    out,
-                    "  tenant {:<8} admitted={} completed={} shed={} goodput={}",
-                    t.tenant, t.admitted, t.completed, t.shed, t.goodput
-                );
-            }
-        }
-        if !self.cache.is_empty() {
-            let c = &self.cache;
-            let _ = writeln!(
-                out,
-                "  cache      lookups={} hits={} misses={} bypass_batches={} quarantined={}",
-                c.lookups, c.hits, c.misses, c.bypass_batches, c.quarantined
-            );
-            let _ = writeln!(
-                out,
-                "  cache      resident={}B (hw {}B / cap {}B) entries={} inserted={} evicted={} rejected={}",
-                c.resident_bytes,
-                c.resident_bytes_high_water,
-                c.capacity_bytes,
-                c.resident_entries,
-                c.insertions,
-                c.evictions,
-                c.rejected
-            );
-            for t in &c.tenants {
-                let _ = writeln!(
-                    out,
-                    "  cache tnt {:<8} hits={} misses={} evictions={} resident={}B",
-                    t.tenant, t.hits, t.misses, t.evictions, t.resident_bytes
-                );
-            }
-        }
-        if !self.cluster.is_empty() {
-            let c = &self.cluster;
-            let _ = writeln!(
-                out,
-                "  cluster    requests={} admitted={} shed={} (quota {}) served={} replayed={} good={} inflight={}",
-                c.requests, c.admitted, c.shed, c.quota_shed, c.served, c.replayed, c.good, c.inflight
-            );
-            let _ = writeln!(
-                out,
-                "  cluster    dispatches={} hedges={} (wins {} / dups {}) replays={} lost={} kills={} rebalances={} alive={} latency[{}]",
-                c.dispatches,
-                c.hedges,
-                c.hedge_wins,
-                c.hedge_dups,
-                c.replays,
-                c.lost,
-                c.kills,
-                c.rebalances,
-                c.nodes_alive,
-                hist_line(&c.latency)
-            );
-            for t in &c.tenants {
-                let _ = writeln!(
-                    out,
-                    "  cluster tnt {:<7} requests={} completed={} shed={} good={}",
-                    t.tenant, t.requests, t.completed, t.shed, t.good
-                );
-            }
-        }
-        if !self.chaos.is_empty() {
-            let c = &self.chaos;
-            let _ = writeln!(
-                out,
-                "  chaos      faults={} (storage {} / net {} / fpga {} / pool {} / gpu {}) failovers={}",
-                c.faults_total,
-                c.injected_storage,
-                c.injected_net,
-                c.injected_fpga,
-                c.injected_pool,
-                c.injected_gpu,
-                c.failovers
-            );
-            let _ = writeln!(
-                out,
-                "  retry      attempts={} retries={} giveups={} backoff={:.1}ms timeouts={} resubmits={} late={}",
-                c.retry_attempts,
-                c.retry_retries,
-                c.retry_giveups,
-                c.retry_backoff_nanos as f64 / 1e6,
-                c.cmd_timeouts,
-                c.cmd_resubmits,
-                c.late_completions
-            );
-        }
-        for q in &self.queues {
-            let _ = writeln!(
-                out,
-                "  queue {:<12} depth={} (hw {}) pushed={} popped={} blocked push={:.1}ms pop={:.1}ms",
-                q.name,
-                q.depth,
-                q.high_water,
-                q.pushed,
-                q.popped,
-                q.blocked_push_nanos as f64 / 1e6,
-                q.blocked_pop_nanos as f64 / 1e6
-            );
         }
         if self.stalls.is_empty() {
             let _ = writeln!(out, "  watchdog   quiet");
-        } else {
-            for s in &self.stalls {
+        }
+        for s in &self.stalls {
+            let _ = writeln!(
+                out,
+                "  watchdog   STALL {} idle={:?} depth={}",
+                s.stage, s.idle, s.depth
+            );
+            for q in &s.queues {
                 let _ = writeln!(
                     out,
-                    "  watchdog   STALL {} idle={:?} depth={}",
-                    s.stage, s.idle, s.depth
+                    "    at trip: {:<12} last_progress={:?} depth={}",
+                    q.stage, q.last_progress, q.depth
                 );
-                for q in &s.queues {
-                    let _ = writeln!(
-                        out,
-                        "    at trip: {:<12} last_progress={:?} depth={}",
-                        q.stage, q.last_progress, q.depth
-                    );
-                }
             }
         }
         out
     }
-}
-
-fn collect_serving(raw: &RegistrySnapshot) -> ServingMetrics {
-    use names::*;
-    let mut tenant_ids: Vec<String> = raw
-        .metrics
-        .keys()
-        .filter_map(|k| {
-            let rest = k.strip_prefix(SERVING_TENANT_PREFIX)?;
-            let (id, field) = rest.rsplit_once('.')?;
-            (field == "admitted").then(|| id.to_string())
-        })
-        .collect();
-    tenant_ids.dedup();
-    let tenants = tenant_ids
-        .into_iter()
-        .map(|id| {
-            let key = |field: &str| format!("{SERVING_TENANT_PREFIX}{id}.{field}");
-            TenantServingMetrics {
-                admitted: raw.counter(&key("admitted")),
-                completed: raw.counter(&key("completed")),
-                shed: raw.counter(&key("shed")),
-                goodput: raw.gauge(&key("goodput")),
-                tenant: id,
-            }
-        })
-        .collect();
-    ServingMetrics {
-        offered: raw.counter(SERVING_OFFERED),
-        admitted: raw.counter(SERVING_ADMITTED),
-        rejected: raw.counter(SERVING_REJECTED),
-        shed: raw.counter(SERVING_SHED),
-        completed: raw.counter(SERVING_COMPLETED),
-        good: raw.counter(SERVING_GOOD),
-        inflight: raw.gauge(SERVING_INFLIGHT),
-        queue_depth: raw.gauge(SERVING_QUEUE_DEPTH),
-        queue_depth_high_water: raw.gauge_high_water(SERVING_QUEUE_DEPTH),
-        batches: raw.counter(SERVING_BATCHES),
-        batches_closed_full: raw.counter(SERVING_BATCH_FULL),
-        batches_closed_linger: raw.counter(SERVING_BATCH_LINGER),
-        batch_size: raw.histogram(SERVING_BATCH_SIZE).cloned(),
-        queue_delay: raw.histogram(SERVING_QUEUE_DELAY).cloned(),
-        tenants,
-    }
-}
-
-fn collect_cache(raw: &RegistrySnapshot) -> CacheMetrics {
-    use names::*;
-    let mut tenant_ids: Vec<String> = raw
-        .metrics
-        .keys()
-        .filter_map(|k| {
-            let rest = k.strip_prefix(CACHE_TENANT_PREFIX)?;
-            let (id, field) = rest.rsplit_once('.')?;
-            (field == "resident_bytes").then(|| id.to_string())
-        })
-        .collect();
-    tenant_ids.dedup();
-    let tenants = tenant_ids
-        .into_iter()
-        .map(|id| {
-            let key = |field: &str| format!("{CACHE_TENANT_PREFIX}{id}.{field}");
-            TenantCacheMetrics {
-                hits: raw.counter(&key("hits")),
-                misses: raw.counter(&key("misses")),
-                evictions: raw.counter(&key("evictions")),
-                resident_bytes: raw.gauge(&key("resident_bytes")),
-                tenant: id,
-            }
-        })
-        .collect();
-    CacheMetrics {
-        lookups: raw.counter(CACHE_LOOKUPS),
-        hits: raw.counter(CACHE_HITS),
-        misses: raw.counter(CACHE_MISSES),
-        insertions: raw.counter(CACHE_INSERTIONS),
-        inserted_bytes: raw.counter(CACHE_INSERTED_BYTES),
-        rejected: raw.counter(CACHE_REJECTED),
-        evictions: raw.counter(CACHE_EVICTIONS),
-        evicted_bytes: raw.counter(CACHE_EVICTED_BYTES),
-        quarantined: raw.counter(CACHE_QUARANTINED),
-        bypass_batches: raw.counter(CACHE_BYPASS_BATCHES),
-        resident_bytes: raw.gauge(CACHE_RESIDENT_BYTES),
-        resident_bytes_high_water: raw.gauge_high_water(CACHE_RESIDENT_BYTES),
-        resident_entries: raw.gauge(CACHE_RESIDENT_ENTRIES),
-        capacity_bytes: raw.gauge(CACHE_CAPACITY_BYTES),
-        tenants,
-    }
-}
-
-fn collect_cluster(raw: &RegistrySnapshot) -> ClusterMetrics {
-    use names::*;
-    let mut tenant_ids: Vec<String> = raw
-        .metrics
-        .keys()
-        .filter_map(|k| {
-            let rest = k.strip_prefix(CLUSTER_TENANT_PREFIX)?;
-            let (id, field) = rest.rsplit_once('.')?;
-            (field == "requests").then(|| id.to_string())
-        })
-        .collect();
-    tenant_ids.dedup();
-    let tenants = tenant_ids
-        .into_iter()
-        .map(|id| {
-            let key = |field: &str| format!("{CLUSTER_TENANT_PREFIX}{id}.{field}");
-            TenantClusterMetrics {
-                requests: raw.counter(&key("requests")),
-                completed: raw.counter(&key("completed")),
-                shed: raw.counter(&key("shed")),
-                good: raw.counter(&key("good")),
-                tenant: id,
-            }
-        })
-        .collect();
-    ClusterMetrics {
-        requests: raw.counter(CLUSTER_REQUESTS),
-        admitted: raw.counter(CLUSTER_ADMITTED),
-        shed: raw.counter(CLUSTER_SHED),
-        quota_shed: raw.counter(CLUSTER_QUOTA_SHED),
-        dispatches: raw.counter(CLUSTER_DISPATCHES),
-        hedges: raw.counter(CLUSTER_HEDGES),
-        hedge_wins: raw.counter(CLUSTER_HEDGE_WINS),
-        hedge_dups: raw.counter(CLUSTER_HEDGE_DUPS),
-        replays: raw.counter(CLUSTER_REPLAYS),
-        completions: raw.counter(CLUSTER_COMPLETIONS),
-        served: raw.counter(CLUSTER_SERVED),
-        replayed: raw.counter(CLUSTER_REPLAYED),
-        good: raw.counter(CLUSTER_GOOD),
-        lost: raw.counter(CLUSTER_LOST),
-        lost_unreplayed: raw.counter(CLUSTER_LOST_UNREPLAYED),
-        kills: raw.counter(CLUSTER_KILLS),
-        rebalances: raw.counter(CLUSTER_REBALANCES),
-        inflight: raw.gauge(CLUSTER_INFLIGHT),
-        node_queued: raw.gauge(CLUSTER_NODE_QUEUED),
-        nodes_alive: raw.gauge(CLUSTER_NODES_ALIVE),
-        latency: raw.histogram(CLUSTER_LATENCY).cloned(),
-        tenants,
-    }
-}
-
-fn collect_queues(raw: &RegistrySnapshot) -> Vec<QueueMetrics> {
-    let mut names: Vec<String> = raw
-        .metrics
-        .keys()
-        .filter_map(|k| {
-            let rest = k.strip_prefix(names::QUEUE_PREFIX)?;
-            let (name, field) = rest.rsplit_once('.')?;
-            (field == "depth").then(|| name.to_string())
-        })
-        .collect();
-    names.dedup();
-    names
-        .into_iter()
-        .map(|name| {
-            let key = |field: &str| format!("{}{}.{}", names::QUEUE_PREFIX, name, field);
-            QueueMetrics {
-                depth: raw.gauge(&key("depth")),
-                high_water: raw.gauge_high_water(&key("depth")),
-                pushed: raw.counter(&key("pushed")),
-                popped: raw.counter(&key("popped")),
-                blocked_push_nanos: raw.counter(&key("blocked_push_nanos")),
-                blocked_pop_nanos: raw.counter(&key("blocked_pop_nanos")),
-                name,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1980,7 +1368,7 @@ mod tests {
             "{:?}",
             snap.invariant_violations()
         );
-        assert!(snap.to_text().contains("chaos      faults=5"));
+        assert!(snap.to_text().contains("chaos      faults_total=5"));
         assert_eq!(snap.to_json()["chaos"]["failovers"], 1u64);
         // Quiet registries hide the section entirely.
         let quiet = Telemetry::with_defaults().pipeline_snapshot();
@@ -2007,7 +1395,89 @@ mod tests {
         assert_eq!(j["dispatcher"]["bytes_copied"], 1024u64);
         assert_eq!(j["stalls"], Json::Array(vec![]));
         let text = snap.to_text();
-        assert!(text.contains("dispatcher batches=0 bytes=1024"));
+        assert!(text.contains("dispatcher batches=0 bytes_copied=1024"));
         assert!(text.contains("watchdog   quiet"));
+    }
+
+    #[test]
+    fn negative_gauges_break_their_laws() {
+        // A double decrement drives a gauge below zero; clamping it to
+        // zero would hide exactly the bug these laws exist to catch.
+        let t = Telemetry::with_defaults();
+        t.registry.counter(names::CHANNEL_CMDS_SUBMITTED).add(5);
+        t.registry.counter(names::CHANNEL_CMDS_DRAINED).add(5);
+        t.registry.gauge(names::CHANNEL_INFLIGHT).set(-3);
+        t.registry.counter(names::SERVING_OFFERED).add(4);
+        t.registry.counter(names::SERVING_ADMITTED).add(4);
+        t.registry.counter(names::SERVING_COMPLETED).add(4);
+        t.registry.gauge(names::SERVING_INFLIGHT).set(-2);
+        let v = t.pipeline_snapshot().invariant_violations();
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert_eq!(
+            v[0],
+            "channel conservation: cmds_submitted 5 != cmds_drained 5 + inflight -3"
+        );
+        assert!(v[1].starts_with("serving conservation: "), "{v:?}");
+    }
+
+    /// Every key path of `j` in document order; arrays contribute their
+    /// first element under `[]`, and the raw-registry subtree is one leaf.
+    fn key_paths(j: &Json, prefix: &str, out: &mut Vec<String>) {
+        match j {
+            Json::Object(pairs) if prefix != "metrics" => {
+                for (k, v) in pairs {
+                    let path = if prefix.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{prefix}.{k}")
+                    };
+                    key_paths(v, &path, out);
+                }
+            }
+            Json::Array(items) if !items.is_empty() => {
+                key_paths(&items[0], &format!("{prefix}[]"), out)
+            }
+            _ => out.push(prefix.to_string()),
+        }
+    }
+
+    #[test]
+    fn json_key_paths_match_the_frozen_wire_shape() {
+        // Populated enough that every optional shape is present: all eight
+        // histograms, one member per prefix-discovered family, one stall.
+        let t = Telemetry::with_defaults();
+        for h in [
+            names::READER_SUBMIT_LATENCY,
+            names::DECODER_LANE_SERVICE,
+            names::DISPATCHER_COPY_LATENCY,
+            names::ENGINE_BATCH_WAIT,
+            names::ENGINE_COMPUTE,
+            names::SERVING_QUEUE_DELAY,
+            names::SERVING_BATCH_SIZE,
+            names::CLUSTER_LATENCY,
+        ] {
+            t.registry.histogram(h).record(1_000);
+        }
+        t.registry.gauge("queue.slot0.depth").set(1);
+        t.registry.counter("serving.tenant.0.admitted").inc();
+        t.registry.gauge("cache.tenant.0.resident_bytes").set(1);
+        t.registry.counter("cluster.tenant.0.requests").inc();
+        let stall = StallReport {
+            stage: "slot0".into(),
+            idle: Duration::from_secs(3),
+            depth: 1,
+            queues: vec![crate::watchdog::QueueProgress {
+                stage: "slot0".into(),
+                last_progress: Duration::from_secs(3),
+                depth: 1,
+            }],
+        };
+        let snap = PipelineSnapshot::from_parts(t.registry.snapshot(), vec![stall]);
+        let mut paths = Vec::new();
+        key_paths(&snap.to_json(), "", &mut paths);
+        let golden: Vec<&str> = include_str!("../tests/snapshot_json_keys.golden")
+            .lines()
+            .collect();
+        assert_eq!(paths, golden);
     }
 }

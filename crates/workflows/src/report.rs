@@ -292,7 +292,7 @@ mod tests {
         let r = TelemetryReport::new("Run 1", "training", t.pipeline_snapshot());
         let s = r.render();
         assert!(s.contains("Run 1"));
-        assert!(s.contains("submitted=3 completed=2"));
+        assert!(s.contains("batches_submitted=3 batches_completed=2"));
         assert!(s.contains("VIOLATION: batch conservation"));
         let j = r.to_json();
         assert_eq!(j["id"], "Run 1");

@@ -120,74 +120,77 @@ fn data_collector_verbs() {
 
 #[test]
 fn conservation_counters_round_trip_through_the_typed_snapshot() {
-    // Every counter named in a `PipelineSnapshot` conservation law must be
-    // registered under its canonical `names::*` string: bump each one to a
-    // unique value through the string name, then read it back through the
-    // typed snapshot field the laws consult. A typo on either side (the
-    // names list or the snapshot wiring) silently reads a fresh zero
-    // counter and the law goes blind — this test makes that loud.
-    use dlbooster::telemetry::names as n;
+    // Every metric must be registered under the string the typed snapshot
+    // reads: a typo on either side silently reads a fresh zero and the
+    // laws go blind. The `names::*` constants and the typed fields now
+    // come from one table, so this audits the whole table (gauges and
+    // histograms too), and the four prefix-discovered families through
+    // the code that registers them: every key a producer registers must
+    // be a field the table declares, and the reverse.
+    use dlbooster::serving::ServingInstruments;
+    use dlbooster::simcore::SimTime;
+    use dlbooster::telemetry::pipeline::{conservation_counters, Kind, Value};
+    use dlbooster::telemetry::MetricValue;
     let telemetry = Telemetry::with_defaults();
-    for (i, name) in n::CONSERVATION_COUNTERS.iter().enumerate() {
-        telemetry.registry.counter(name).add(1_000 + i as u64);
+    let registry = &telemetry.registry;
+    for m in PipelineSnapshot::default().typed_metrics() {
+        match m.kind {
+            Kind::Counter => drop(registry.counter(m.name)),
+            Kind::Gauge => drop(registry.gauge(m.name)),
+            Kind::HighWater => {} // the gauge entry under the same name
+            Kind::Histogram => drop(registry.histogram(m.name)),
+        }
+    }
+    BlockingQueue::<u8>::bounded(1).instrument(&telemetry, "slot0");
+    ServingInstruments::new(registry, 4).on_admitted(&ServeRequest {
+        id: 1,
+        tenant: 3,
+        arrival: SimTime::ZERO,
+        deadline: SimTime::ZERO,
+    });
+    let _cache = SampleCache::partitioned(1 << 20, &[(5, 1)], registry);
+    dlbooster::cluster::ClusterInstruments::new(registry).on_request(9);
+
+    // Drive everything registered to its own value through its string name.
+    let registered = registry.snapshot();
+    for (i, (key, value)) in registered.metrics.iter().enumerate() {
+        let unique = 1_000 + 10 * i as u64;
+        match value {
+            MetricValue::Counter(_) => registry.counter(key).add(unique),
+            MetricValue::Gauge { .. } => {
+                registry.gauge(key).set(2 * unique as i64);
+                registry.gauge(key).set(unique as i64);
+            }
+            MetricValue::Histogram(_) => registry.histogram(key).record(unique),
+        }
     }
     let snap = telemetry.pipeline_snapshot();
-    let typed = |name: &str| -> u64 {
-        match name {
-            x if x == n::READER_BATCHES_SUBMITTED => snap.reader.batches_submitted,
-            x if x == n::READER_BATCHES_COMPLETED => snap.reader.batches_completed,
-            x if x == n::READER_BATCH_ERRORS => snap.reader.batch_errors,
-            x if x == n::DECODER_ITEMS_IN => snap.decoder.items_in,
-            x if x == n::DECODER_ITEMS_OK => snap.decoder.items_ok,
-            x if x == n::DECODER_ITEMS_ERR => snap.decoder.items_err,
-            x if x == n::CHANNEL_CMDS_SUBMITTED => snap.channel.cmds_submitted,
-            x if x == n::CHANNEL_CMDS_DRAINED => snap.channel.cmds_drained,
-            x if x == n::SERVING_OFFERED => snap.serving.offered,
-            x if x == n::SERVING_ADMITTED => snap.serving.admitted,
-            x if x == n::SERVING_REJECTED => snap.serving.rejected,
-            x if x == n::SERVING_COMPLETED => snap.serving.completed,
-            x if x == n::SERVING_SHED => snap.serving.shed,
-            x if x == n::SERVING_GOOD => snap.serving.good,
-            x if x == n::CACHE_LOOKUPS => snap.cache.lookups,
-            x if x == n::CACHE_HITS => snap.cache.hits,
-            x if x == n::CACHE_MISSES => snap.cache.misses,
-            x if x == n::CACHE_INSERTIONS => snap.cache.insertions,
-            x if x == n::CACHE_INSERTED_BYTES => snap.cache.inserted_bytes,
-            x if x == n::CACHE_EVICTIONS => snap.cache.evictions,
-            x if x == n::CACHE_EVICTED_BYTES => snap.cache.evicted_bytes,
-            x if x == n::CLUSTER_REQUESTS => snap.cluster.requests,
-            x if x == n::CLUSTER_ADMITTED => snap.cluster.admitted,
-            x if x == n::CLUSTER_SHED => snap.cluster.shed,
-            x if x == n::CLUSTER_QUOTA_SHED => snap.cluster.quota_shed,
-            x if x == n::CLUSTER_DISPATCHES => snap.cluster.dispatches,
-            x if x == n::CLUSTER_HEDGES => snap.cluster.hedges,
-            x if x == n::CLUSTER_HEDGE_WINS => snap.cluster.hedge_wins,
-            x if x == n::CLUSTER_HEDGE_DUPS => snap.cluster.hedge_dups,
-            x if x == n::CLUSTER_REPLAYS => snap.cluster.replays,
-            x if x == n::CLUSTER_COMPLETIONS => snap.cluster.completions,
-            x if x == n::CLUSTER_SERVED => snap.cluster.served,
-            x if x == n::CLUSTER_REPLAYED => snap.cluster.replayed,
-            x if x == n::CLUSTER_LOST => snap.cluster.lost,
-            x if x == n::CLUSTER_LOST_UNREPLAYED => snap.cluster.lost_unreplayed,
-            x if x == n::RETRY_ATTEMPTS => snap.chaos.retry_attempts,
-            x if x == n::RETRY_RETRIES => snap.chaos.retry_retries,
-            x if x == n::RETRY_GIVEUPS => snap.chaos.retry_giveups,
-            other => panic!("conservation counter {other:?} has no typed snapshot mapping"),
-        }
-    };
-    for (i, name) in n::CONSERVATION_COUNTERS.iter().enumerate() {
-        assert_eq!(
-            typed(name),
-            1_000 + i as u64,
-            "{name} is not wired into the typed PipelineSnapshot under its canonical name"
+    let mut read_back = std::collections::BTreeSet::new();
+    for m in snap.typed_metrics() {
+        let key = m.registry_name();
+        let expected = match m.kind {
+            Kind::Counter => Value::Counter(snap.raw.counter(&key)),
+            Kind::Gauge => Value::Gauge(snap.raw.gauge(&key)),
+            Kind::HighWater => Value::Gauge(snap.raw.gauge_high_water(&key)),
+            Kind::Histogram => Value::Histogram(snap.raw.histogram(&key)),
+        };
+        assert_eq!(m.value, expected, "{key} → {}", m.field);
+        assert!(
+            !matches!(
+                m.value,
+                Value::Counter(0) | Value::Gauge(0) | Value::Histogram(None)
+            ),
+            "{key} is read by the typed view but nothing registers it"
         );
+        read_back.insert(key);
     }
-    // The raw registry export sees exactly the same values under the same
-    // names (the Prometheus plane reads this path).
-    let raw = telemetry.registry.snapshot();
-    for (i, name) in n::CONSERVATION_COUNTERS.iter().enumerate() {
-        assert_eq!(raw.counter(name), 1_000 + i as u64);
-    }
+    let produced: Vec<_> = registered.metrics.keys().collect();
+    assert_eq!(read_back.iter().collect::<Vec<_>>(), produced);
+    assert_eq!(produced.iter().filter(|k| k.contains("slot0")).count(), 5);
+    // The counters the law rows read are among them.
+    let counters = conservation_counters();
+    assert!(!counters.is_empty());
+    assert!(counters.iter().all(|name| read_back.contains(*name)));
 }
 
 #[test]

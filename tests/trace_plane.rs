@@ -356,6 +356,9 @@ fn chaos_failover_run(
     }
     assert!(backend.failed_over(), "wedge must trigger failover");
     backend.shutdown();
+    // Quiesce before the snapshot: `quiesce` may park the primary's reader
+    // on the pool, and only the drop joins it (booking its aborted batches).
+    drop(backend);
     let snap = telemetry.pipeline_snapshot();
     (
         total,
