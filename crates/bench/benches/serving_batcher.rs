@@ -6,14 +6,16 @@
 //! 2 ms linger — the `five_clients` overload config) at rates from deep
 //! starvation to saturation and records, per rate, the mean formed batch
 //! size, the fraction of batches closed by linger expiry, and the mean
-//! close latency (first push → close). Under light load every batch should
-//! close by linger at ~`max_linger`; under heavy load batches should fill
-//! to `max_batch` with close latency `~ max_batch / rate`. The table is
+//! close latency (first push → close). The sweep drives the two timer
+//! rules alone — a pipeline that is always busy, so the idle rule never
+//! fires: under light load every batch should close by linger at
+//! ~`max_linger`; under heavy load batches should fill to `max_batch` with
+//! close latency `~ max_batch / rate`. The table is
 //! printed and archived to `target/figure-reports/serving_batcher.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dlb_bench::{print_report, save_reports};
-use dlb_serving::{BatchFormer, ServeRequest, WeightedFairQueue};
+use dlb_serving::{BatchFormer, CloseReason, ServeRequest, WeightedFairQueue};
 use dlb_simcore::{SimRng, SimTime};
 use dlb_workflows::report::{FigureReport, Row};
 use std::hint::black_box;
@@ -45,7 +47,7 @@ fn former_sweep_point(rate: f64, n_requests: u64, seed: u64) -> (f64, f64, f64) 
     let mut close = |batch: dlb_serving::FormedBatch, closed_at: SimTime, opened: SimTime| {
         batches += 1;
         items += batch.len() as u64;
-        if batch.closed_by_linger {
+        if batch.reason != CloseReason::Full {
             lingered += 1;
         }
         close_latency += closed_at - opened;

@@ -10,7 +10,7 @@
 use dlb_fpga::DataRef;
 use dlb_net::RxDescriptor;
 use dlb_storage::Record;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 
 /// Metadata for one file/request, ready for cmd generation.
@@ -84,6 +84,9 @@ impl FileMeta {
 #[derive(Debug)]
 pub struct DataCollector {
     inner: Mutex<Inner>,
+    /// Signalled when the stream gains an item or closes, and by
+    /// [`DataCollector::wake`]: what an idle stream reader sleeps on.
+    stream_event: Condvar,
 }
 
 #[derive(Debug)]
@@ -124,6 +127,7 @@ impl DataCollector {
         inner.reshuffle();
         Self {
             inner: Mutex::new(inner),
+            stream_event: Condvar::new(),
         }
     }
 
@@ -140,6 +144,7 @@ impl DataCollector {
                 dispensed: 0,
                 stream_closed: false,
             }),
+            stream_event: Condvar::new(),
         }
     }
 
@@ -148,20 +153,45 @@ impl DataCollector {
         let mut inner = self.inner.lock();
         assert!(!inner.stream_closed, "stream closed");
         inner.stream.push_back(FileMeta::from_rx(d));
+        self.stream_event.notify_all();
     }
 
-    /// Feeds one pre-built metadata item into the stream — the serving
-    /// layer's entry point, where items arrive already batched and carry
-    /// an SLO deadline.
-    pub fn push_meta(&self, meta: FileMeta) {
+    /// Feeds pre-built metadata into the stream — the serving layer's
+    /// entry point, where items arrive already batched and carry an SLO
+    /// deadline. The batch lands under one lock, so a reader woken by it
+    /// sees all of it and does not split it.
+    pub fn push_metas(&self, metas: impl IntoIterator<Item = FileMeta>) {
         let mut inner = self.inner.lock();
         assert!(!inner.stream_closed, "stream closed");
-        inner.stream.push_back(meta);
+        inner.stream.extend(metas);
+        self.stream_event.notify_all();
     }
 
     /// Marks the network stream finished (pipeline drain).
     pub fn close_stream(&self) {
         self.inner.lock().stream_closed = true;
+        self.stream_event.notify_all();
+    }
+
+    /// Blocks until [`DataCollector::next_metas`] has something new to say
+    /// — a queued item, or a closed stream — or `give_up()` holds. Dataset
+    /// mode never blocks. `give_up` is evaluated under the collector's
+    /// lock, so a flag set before [`DataCollector::wake`] is never missed.
+    pub fn wait_stream(&self, give_up: impl Fn() -> bool) {
+        let mut inner = self.inner.lock();
+        while inner.stream.is_empty() && !inner.stream_closed && !give_up() {
+            self.stream_event.wait(&mut inner);
+        }
+    }
+
+    /// Makes every [`DataCollector::wait_stream`] caller re-evaluate its
+    /// `give_up` condition (shutdown).
+    pub fn wake(&self) {
+        // Taking the lock orders this after any waiter's `give_up` check:
+        // the waiter either saw the flag or is already asleep on the
+        // condvar when the notification goes out.
+        let _inner = self.inner.lock();
+        self.stream_event.notify_all();
     }
 
     /// Next up to `n` items. Dataset mode always returns `n` (wrapping into
@@ -352,6 +382,56 @@ mod tests {
         c.close_stream();
         assert_eq!(c.next_metas(5).unwrap().len(), 1);
         assert!(c.next_metas(1).is_none(), "closed and drained");
+    }
+
+    #[test]
+    fn wait_stream_returns_on_push_close_and_wake() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let rx = |id| RxDescriptor {
+            request_id: id,
+            client_id: 0,
+            phys_addr: 0,
+            len: 1,
+            arrival_nanos: 0,
+        };
+        // Dataset mode and a non-empty stream never block.
+        DataCollector::load_from_disk(&records(2), 0).wait_stream(|| false);
+        let c = Arc::new(DataCollector::load_from_net());
+        c.push_from_net(&rx(0));
+        c.wait_stream(|| false);
+        c.next_metas(1).unwrap();
+
+        // Each event ends a wait that was entered on an empty stream: the
+        // waiter reports in only after `wait_stream` returned.
+        let stop = Arc::new(AtomicBool::new(false));
+        let events: [&dyn Fn(); 3] = [
+            &|| {
+                stop.store(true, Ordering::SeqCst);
+                c.wake();
+            },
+            &|| c.push_from_net(&rx(1)),
+            &|| c.close_stream(),
+        ];
+        for event in events {
+            stop.store(false, Ordering::SeqCst);
+            let (tx, woke) = std::sync::mpsc::channel();
+            let (cc, st) = (Arc::clone(&c), Arc::clone(&stop));
+            let waiter = std::thread::spawn(move || {
+                cc.wait_stream(|| st.load(Ordering::SeqCst));
+                tx.send(()).unwrap();
+            });
+            assert!(
+                woke.recv_timeout(std::time::Duration::from_millis(20))
+                    .is_err(),
+                "nothing happened yet"
+            );
+            event();
+            woke.recv_timeout(std::time::Duration::from_secs(5))
+                .expect("the event wakes the waiter");
+            waiter.join().unwrap();
+            let _ = c.next_metas(1);
+        }
     }
 
     #[test]

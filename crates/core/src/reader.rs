@@ -25,6 +25,12 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// How often a stream reader with cmds in flight looks up from the
+/// completion channel (which a push cannot signal) to re-check the stream:
+/// a meta pushed behind a decode in progress is picked up within this —
+/// about one 500×375 image's decode, so less than it would queue for.
+const BUSY_RECHECK: Duration = Duration::from_millis(1);
+
 /// The cache identity of a decode source. NIC ring descriptors have none:
 /// RX rings reuse physical addresses, so a `(phys, len)` pair aliases
 /// different payloads over time and must never be used as a cache key.
@@ -185,6 +191,8 @@ pub struct FpgaReader {
     full_queue: BlockingQueue<HostBatch>,
     stats: Arc<ReaderStats>,
     stop: Arc<std::sync::atomic::AtomicBool>,
+    /// Kept to wake a daemon parked on an idle stream at shutdown.
+    collector: Arc<DataCollector>,
     cache_cell: Arc<OnceLock<Arc<SampleCache>>>,
 }
 
@@ -245,15 +253,17 @@ impl FpgaReader {
         let sp = Arc::clone(&stop);
         let cc = Arc::clone(&cache_cell);
         let tc = telemetry.tracer_cell();
+        let co = Arc::clone(&collector);
         let handle = std::thread::Builder::new()
             .name("fpga-reader".into())
-            .spawn(move || run_reader(collector, pool, channel, config, fq, st, sp, cc, tc))
+            .spawn(move || run_reader(co, pool, channel, config, fq, st, sp, cc, tc))
             .expect("spawn reader");
         Self {
             handle: Some(handle),
             full_queue,
             stats,
             stop,
+            collector,
             cache_cell,
         }
     }
@@ -287,7 +297,7 @@ impl FpgaReader {
     /// Stops the daemon, returning its channel for reuse.
     pub fn stop(mut self) -> FpgaChannel {
         self.stop.store(true, Ordering::SeqCst);
-
+        self.collector.wake();
         self.handle
             .take()
             .expect("stop called once")
@@ -299,6 +309,7 @@ impl FpgaReader {
 impl Drop for FpgaReader {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.collector.wake();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -644,18 +655,30 @@ fn run_reader(
             None => break, // stream closed and drained
         };
         if metas.is_empty() {
-            // Stream idle: surface any completions, then wait briefly.
-            for done in channel.drain_out() {
-                if !core.on_completion(done) {
-                    break 'main;
-                }
+            // Stream idle: sleep until the event that ends it. With cmds
+            // in flight that is a completion to forward (or a cmd going
+            // overdue); with none, only a push, a close or shutdown can
+            // give this loop anything to do, and each signals the
+            // collector.
+            if channel.in_flight() == 0 {
+                collector.wait_stream(|| stop.load(Ordering::SeqCst));
+                continue;
             }
-            if let Some(timeout) = config.cmd_timeout {
-                if !core.check_timeouts(timeout) {
-                    break 'main;
+            match channel.wait_one_timeout(BUSY_RECHECK) {
+                Ok(Some(done)) => {
+                    if !core.on_completion(done) {
+                        break 'main;
+                    }
                 }
+                Ok(None) => {
+                    if let Some(timeout) = config.cmd_timeout {
+                        if !core.check_timeouts(timeout) {
+                            break 'main;
+                        }
+                    }
+                }
+                Err(_) => break 'main, // engine gone
             }
-            std::thread::sleep(std::time::Duration::from_micros(200));
             continue;
         }
 
@@ -949,6 +972,107 @@ mod tests {
         let channel = reader.stop();
         assert_eq!(channel.in_flight(), 0);
         assert_eq!(pool.free_count(), 1);
+    }
+
+    /// A stream-mode reader over a NIC holding `n` deposited JPEGs (their
+    /// descriptors are returned, not yet pushed to the collector).
+    fn stream_pipeline(
+        n: u64,
+    ) -> (
+        FpgaReader,
+        MemManager,
+        Arc<DataCollector>,
+        Vec<dlb_net::RxDescriptor>,
+    ) {
+        use dlb_codec::synth::{generate, SynthStyle};
+        use dlb_net::{Frame, NicRx, NicSpec};
+        let nic = Arc::new(NicRx::new(NicSpec::forty_gbps(), 0x9000_0000));
+        let descs = (0..n)
+            .map(|id| {
+                let img = generate(40, 30, SynthStyle::Photo, id);
+                let payload = dlb_codec::JpegEncoder::new(85)
+                    .unwrap()
+                    .encode(&img)
+                    .unwrap();
+                let wire = Frame {
+                    request_id: id,
+                    client_id: 0,
+                    send_ts_nanos: 0,
+                    payload,
+                }
+                .encode();
+                nic.deliver(&wire, id).unwrap();
+                nic.poll().unwrap()
+            })
+            .collect();
+        let collector = Arc::new(DataCollector::load_from_net());
+        let mut dev = FpgaDevice::new(DeviceSpec::arria10_ax());
+        dev.load_mirror(DecoderMirror::jpeg_paper_config()).unwrap();
+        let engine = DecoderEngine::start(dev, Arc::new(CombinedResolver::nic_only(nic))).unwrap();
+        let pool = MemManager::new(PoolConfig {
+            unit_size: 1 << 20,
+            unit_count: 2,
+            phys_base: 0x4_0000_0000,
+        })
+        .unwrap();
+        let reader = FpgaReader::start(
+            Arc::clone(&collector),
+            pool.clone(),
+            FpgaChannel::init(engine, 0),
+            ReaderConfig {
+                batch_size: 4,
+                target_w: 16,
+                target_h: 16,
+                format: OutputFormat::Rgb8,
+                max_batches: None,
+                cmd_timeout: None,
+                full_queue_depth: 8,
+                augmentor: None,
+            },
+        );
+        (reader, pool, collector, descs)
+    }
+
+    #[test]
+    fn idle_stream_reader_delivers_a_meta_pushed_after_a_quiet_period() {
+        let (reader, pool, collector, descs) = stream_pipeline(2);
+        for d in &descs {
+            // Long enough for the daemon to park on the empty stream (the
+            // second time with nothing in flight either); the outcome does
+            // not depend on it having done so.
+            std::thread::sleep(Duration::from_millis(30));
+            collector.push_from_net(d);
+            let batch = reader
+                .full_queue()
+                .pop_timeout(Duration::from_secs(10))
+                .expect("reader alive")
+                .expect("the push woke the reader");
+            assert_eq!(batch.len(), 1);
+            assert_eq!(batch.unit.items()[0].label, d.request_id);
+            pool.recycle_item(batch.unit).unwrap();
+        }
+        collector.close_stream();
+        assert!(reader.full_queue().pop().is_err(), "closed and drained");
+        drop(reader.stop());
+        assert_eq!(pool.free_count(), 2);
+    }
+
+    #[test]
+    fn shutdown_of_a_reader_parked_on_an_idle_stream_returns_promptly() {
+        let (reader, pool, _collector, _) = stream_pipeline(0);
+        std::thread::sleep(Duration::from_millis(30)); // let it park
+        let (tx, stopped) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            drop(reader.stop());
+            tx.send(t0.elapsed()).unwrap();
+        });
+        let took = stopped
+            .recv_timeout(Duration::from_secs(10))
+            .expect("stop() wakes a reader blocked on the collector");
+        stopper.join().unwrap();
+        assert!(took < Duration::from_millis(100), "stop took {took:?}");
+        assert_eq!(pool.free_count(), 2);
     }
 
     #[test]

@@ -53,9 +53,7 @@ impl DataSourceResolver for CombinedResolver {
                     .nic
                     .as_ref()
                     .ok_or_else(|| "no NIC attached to this resolver".to_string())?;
-                // The RX buffer stays with the NIC until released, so this
-                // port hands out a copy.
-                nic.fetch(phys_addr, len).map(Arc::new)
+                nic.fetch(phys_addr, len)
             }
         }
     }

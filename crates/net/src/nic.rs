@@ -109,7 +109,9 @@ pub struct NicRx {
 
 #[derive(Debug)]
 struct RxState {
-    buffers: HashMap<u64, Vec<u8>>,
+    /// Shared so a fetch hands out the buffer itself, not a copy; a
+    /// release while a decode still reads it only drops the NIC's reference.
+    buffers: HashMap<u64, Arc<Vec<u8>>>,
     ring: VecDeque<RxDescriptor>,
     next_phys: u64,
     frames_ok: u64,
@@ -244,7 +246,7 @@ impl NicRx {
         };
         st.bytes_rx += wire_bytes.len() as u64;
         st.frames_ok += 1;
-        st.buffers.insert(phys_addr, frame.payload);
+        st.buffers.insert(phys_addr, Arc::new(frame.payload));
         st.ring.push_back(desc.clone());
         Ok(desc)
     }
@@ -261,8 +263,9 @@ impl NicRx {
         st.ring.drain(..take).collect()
     }
 
-    /// Reads a deposited payload (the DataReader's "DMA from DRAM").
-    pub fn fetch(&self, phys_addr: u64, len: u32) -> Result<Vec<u8>, String> {
+    /// Reads a deposited payload (the DataReader's "DMA from DRAM"): a
+    /// shared handle to the RX buffer, valid past its release.
+    pub fn fetch(&self, phys_addr: u64, len: u32) -> Result<Arc<Vec<u8>>, String> {
         let st = self.state.lock();
         let buf = st
             .buffers
@@ -274,7 +277,7 @@ impl NicRx {
                 buf.len()
             ));
         }
-        Ok(buf.clone())
+        Ok(Arc::clone(buf))
     }
 
     /// Frees a payload buffer after the decoder consumed it.
@@ -340,7 +343,7 @@ mod tests {
         assert_eq!(p.request_id, 1);
         assert_eq!(p.arrival_nanos, 10);
         let bytes = nic.fetch(p.phys_addr, p.len).unwrap();
-        assert_eq!(bytes, vec![1u8; 100]);
+        assert_eq!(*bytes, vec![1u8; 100]);
         assert!(nic.release(p.phys_addr));
         assert!(!nic.release(p.phys_addr), "double release");
         assert!(nic.fetch(p.phys_addr, p.len).is_err());

@@ -139,7 +139,7 @@ proptest! {
         // Every payload fetches back intact; release exactly once.
         for (i, d) in descs.iter().enumerate() {
             let got = nic.fetch(d.phys_addr, d.len).unwrap();
-            prop_assert_eq!(got, vec![i as u8; sizes[i]]);
+            prop_assert_eq!(&*got, &vec![i as u8; sizes[i]]);
             prop_assert!(nic.release(d.phys_addr));
             prop_assert!(!nic.release(d.phys_addr));
         }

@@ -1,26 +1,56 @@
-//! Deadline-aware dynamic batch former (Triton/Clipper-style).
+//! Deadline-aware dynamic batch former (Triton/Clipper-style), made
+//! work-conserving.
 //!
-//! A batch closes when it reaches `max_batch` items **or** when its first
-//! item has lingered `max_linger`, whichever comes first — so small
-//! batches ship promptly under light load and full batches ship under
-//! heavy load. The former is clock-domain agnostic: the DES arms a
+//! A forming batch closes on the first of three rules:
+//!
+//! | rule | closes when | [`CloseReason`] | what it is for |
+//! |---|---|---|---|
+//! | full | it holds `max_batch` items | `Full` | saturation: ship the largest batch the pipeline takes |
+//! | linger | its first item has waited `max_linger` | `Linger` | bounds the forming wait while the pipeline is busy |
+//! | idle | nothing dispatched earlier is still in flight | `Idle` | light load: waiting buys no larger batch the pipeline could use sooner |
+//!
+//! The idle rule is what makes the former work-conserving: lingering only
+//! pays while the pipeline is busy with an earlier batch (the forming one
+//! grows for free — batch-while-busy); once the pipeline has drained, every
+//! further microsecond of linger is pure latency. Idleness is *observed*,
+//! not configured — the caller hands [`BatchFormer::close_if_idle`] the
+//! requests it dispatched and has not seen complete — so there is no
+//! threshold to tune and the same `max_batch`/`max_linger` serve every
+//! load: at saturation the pipeline is never idle and the two timer rules
+//! close exactly as they would alone. An in-flight request stops counting
+//! once its deadline has passed: a lost batch (whose completion never
+//! comes) must not pin the former in timer mode forever.
+//!
+//! The former is clock-domain agnostic: the DES arms a
 //! [`BatchFormer::linger_deadline`] timer event carrying the current
 //! [`BatchFormer::generation`], and stale timers (the batch already closed
-//! full) are detected by generation mismatch.
+//! by another rule) are detected by generation mismatch.
 
 use crate::config::ServeRequest;
 use crate::instruments::ServingInstruments;
 use dlb_simcore::SimTime;
 use std::sync::Arc;
 
+/// Why a batch closed — one of the three rules, or a pipeline drain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloseReason {
+    /// It reached `max_batch` items.
+    Full,
+    /// Its first item had waited `max_linger`.
+    Linger,
+    /// Nothing dispatched earlier was still in flight downstream.
+    Idle,
+    /// [`BatchFormer::force_close`] flushed it (pipeline drain).
+    Drain,
+}
+
 /// A closed batch ready for the decode/inference pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FormedBatch {
     /// Member requests in admission order.
     pub requests: Vec<ServeRequest>,
-    /// True when the batch closed by linger expiry (or force close) rather
-    /// than by filling to `max_batch`.
-    pub closed_by_linger: bool,
+    /// The rule that closed it.
+    pub reason: CloseReason,
 }
 
 impl FormedBatch {
@@ -95,7 +125,7 @@ impl BatchFormer {
         }
         self.pending.push(req);
         if self.pending.len() >= self.max_batch as usize {
-            Some(self.close(false))
+            Some(self.close(CloseReason::Full, Some(now)))
         } else {
             None
         }
@@ -109,9 +139,25 @@ impl BatchFormer {
             return None;
         }
         match self.linger_deadline() {
-            Some(due) if now >= due => Some(self.close(true)),
+            Some(due) if now >= due => Some(self.close(CloseReason::Linger, Some(now))),
             _ => None,
         }
+    }
+
+    /// Closes the forming batch if the pipeline downstream is idle at
+    /// `now`: none of `in_flight` — the requests the caller dispatched
+    /// earlier and has not seen complete — is still within its deadline.
+    /// One past it is lost or hopelessly late; waiting on it would turn
+    /// the linger timer back on for good.
+    pub fn close_if_idle<'a>(
+        &mut self,
+        now: SimTime,
+        in_flight: impl IntoIterator<Item = &'a ServeRequest>,
+    ) -> Option<FormedBatch> {
+        if self.pending.is_empty() || in_flight.into_iter().any(|r| !r.expired(now)) {
+            return None;
+        }
+        Some(self.close(CloseReason::Idle, Some(now)))
     }
 
     /// Unconditionally closes the forming batch (pipeline drain).
@@ -119,21 +165,24 @@ impl BatchFormer {
         if self.pending.is_empty() {
             None
         } else {
-            Some(self.close(true))
+            Some(self.close(CloseReason::Drain, None))
         }
     }
 
-    fn close(&mut self, by_linger: bool) -> FormedBatch {
+    /// `now` is `None` for a drain, which has no clock: its wait was cut
+    /// short by shutdown, not chosen by a rule, and is not recorded.
+    fn close(&mut self, reason: CloseReason, now: Option<SimTime>) -> FormedBatch {
         let requests = std::mem::take(&mut self.pending);
-        self.opened_at = None;
+        let opened_at = self
+            .opened_at
+            .take()
+            .expect("a forming batch has an open time");
         self.generation += 1;
         if let Some(inst) = &self.instruments {
-            inst.on_batch_closed(requests.len() as u32, !by_linger);
+            let waited = now.map(|t| t.saturating_sub(opened_at));
+            inst.on_batch_closed(requests.len() as u32, reason, waited);
         }
-        FormedBatch {
-            requests,
-            closed_by_linger: by_linger,
-        }
+        FormedBatch { requests, reason }
     }
 }
 
@@ -158,7 +207,7 @@ mod tests {
         assert!(f.push(req(1), now).is_none());
         let b = f.push(req(2), now).unwrap();
         assert_eq!(b.len(), 3);
-        assert!(!b.closed_by_linger);
+        assert_eq!(b.reason, CloseReason::Full);
         assert_eq!(f.pending(), 0);
         assert_eq!(f.generation(), 1);
     }
@@ -175,7 +224,67 @@ mod tests {
         assert!(f.close_if_due(t0 + SimTime::from_micros(50), gen).is_none());
         let b = f.close_if_due(t0 + SimTime::from_micros(100), gen).unwrap();
         assert_eq!(b.len(), 2);
-        assert!(b.closed_by_linger);
+        assert_eq!(b.reason, CloseReason::Linger);
+    }
+
+    #[test]
+    fn idle_pipeline_closes_a_partial_batch_at_once() {
+        let mut f = BatchFormer::new(8, SimTime::from_millis(1));
+        let now = SimTime::from_micros(5);
+        assert!(f.close_if_idle(now, []).is_none(), "nothing forming");
+        f.push(req(0), now);
+        let b = f.close_if_idle(now, []).unwrap();
+        assert_eq!((b.len(), b.reason), (1, CloseReason::Idle));
+        assert_eq!(f.pending(), 0);
+        assert_eq!(f.linger_deadline(), None);
+    }
+
+    #[test]
+    fn busy_pipeline_lingers_and_the_batch_grows() {
+        let mut f = BatchFormer::new(8, SimTime::from_micros(100));
+        let in_flight = [req(0)];
+        let t0 = SimTime::from_micros(10);
+        f.push(req(1), t0);
+        assert!(f.close_if_idle(t0, &in_flight).is_none());
+        f.push(req(2), t0 + SimTime::from_micros(40));
+        assert!(f
+            .close_if_idle(t0 + SimTime::from_micros(40), &in_flight)
+            .is_none());
+        // The earlier batch completes: the grown batch ships without
+        // waiting out the rest of its linger.
+        let b = f.close_if_idle(t0 + SimTime::from_micros(60), []).unwrap();
+        assert_eq!((b.len(), b.reason), (2, CloseReason::Idle));
+    }
+
+    #[test]
+    fn linger_timer_armed_before_an_idle_close_is_stale() {
+        let mut f = BatchFormer::new(8, SimTime::from_micros(100));
+        let t0 = SimTime::ZERO;
+        f.push(req(0), t0);
+        let armed = f.generation();
+        f.close_if_idle(t0 + SimTime::from_micros(20), []).unwrap();
+        f.push(req(1), t0 + SimTime::from_micros(90));
+        // The first batch's timer fires: it must not clip the second,
+        // which has lingered only 10 us.
+        assert!(f
+            .close_if_due(t0 + SimTime::from_micros(100), armed)
+            .is_none());
+        assert_eq!(f.pending(), 1);
+    }
+
+    #[test]
+    fn in_flight_request_past_its_deadline_does_not_hold_the_batch() {
+        let mut f = BatchFormer::new(8, SimTime::from_millis(50));
+        let lost = req(0); // deadline 10 ms
+        f.push(req(1), SimTime::from_millis(9));
+        assert!(
+            f.close_if_idle(lost.deadline, [&lost]).is_none(),
+            "at its deadline it may still complete in time"
+        );
+        let b = f
+            .close_if_idle(lost.deadline + SimTime::from_nanos(1), [&lost])
+            .unwrap();
+        assert_eq!(b.reason, CloseReason::Idle);
     }
 
     #[test]
@@ -212,7 +321,7 @@ mod tests {
         assert!(f.force_close().is_none());
         f.push(req(0), SimTime::ZERO);
         let b = f.force_close().unwrap();
-        assert_eq!(b.len(), 1);
+        assert_eq!((b.len(), b.reason), (1, CloseReason::Drain));
         assert!(f.force_close().is_none());
     }
 }

@@ -1,8 +1,10 @@
 //! Functional-pipeline integration: the [`ServingBridge`] drains the NIC
 //! RX ring through admission control and the dynamic batch former, then
 //! feeds closed batches to the `DataCollector` (which the `FpgaReader`
-//! consumes). Shed requests have their NIC payload buffers released
-//! immediately, so rejected traffic cannot exhaust host memory.
+//! consumes). The bridge owns RX buffer lifetime: a shed request's payload
+//! is released at once and a served request's on the sweep after its
+//! completion, so neither rejected nor served traffic can exhaust host
+//! memory, whatever the caller does.
 
 use crate::admission::AdmissionController;
 use crate::batcher::BatchFormer;
@@ -50,9 +52,22 @@ pub struct ServingBridge {
     slo: SimTime,
     /// Descriptors for requests admitted but not yet handed downstream.
     descs: HashMap<u64, RxDescriptor>,
-    /// Requests handed downstream, awaiting [`ServingBridge::complete`].
-    inflight: HashMap<u64, ServeRequest>,
+    /// Requests handed downstream, awaiting [`ServingBridge::complete`] —
+    /// what the former's idle rule observes.
+    inflight: HashMap<u64, Dispatched>,
+    /// RX buffers of completed requests, released by the next
+    /// [`ServingBridge::ingest`] (which holds the NIC). A completed request
+    /// has been decoded, so no resubmit can still need the bytes.
+    decoded: Vec<u64>,
     instruments: Option<Arc<ServingInstruments>>,
+}
+
+#[derive(Debug)]
+struct Dispatched {
+    req: ServeRequest,
+    /// Where the NIC holds the payload (`None`: a duplicate id whose
+    /// descriptor went with the first copy).
+    phys_addr: Option<u64>,
 }
 
 impl ServingBridge {
@@ -66,6 +81,7 @@ impl ServingBridge {
             slo,
             descs: HashMap::new(),
             inflight: HashMap::new(),
+            decoded: Vec::new(),
             instruments: None,
         }
     }
@@ -83,6 +99,7 @@ impl ServingBridge {
             slo,
             descs: HashMap::new(),
             inflight: HashMap::new(),
+            decoded: Vec::new(),
             instruments: Some(instruments),
         }
     }
@@ -103,10 +120,13 @@ impl ServingBridge {
         self.inflight.len()
     }
 
-    /// One sweep at `now_nanos`: drain the NIC ring through admission
+    /// One sweep at `now_nanos`: release the payloads of requests completed
+    /// since the last sweep, drain the NIC ring through admission
     /// (releasing shed payload buffers), evict queued requests whose
     /// deadline already passed, and pump the admission queue through the
-    /// batch former into `collector`.
+    /// batch former into `collector`. A partial batch ships when its
+    /// linger expires or, sooner, when nothing dispatched earlier is still
+    /// in flight.
     pub fn ingest(
         &mut self,
         nic: &NicRx,
@@ -115,6 +135,9 @@ impl ServingBridge {
     ) -> IngestStats {
         let now = SimTime::from_nanos(now_nanos);
         let mut stats = IngestStats::default();
+        for phys_addr in self.decoded.drain(..) {
+            nic.release(phys_addr);
+        }
         while let Some(desc) = nic.poll() {
             stats.offered += 1;
             let arrival = SimTime::from_nanos(desc.arrival_nanos);
@@ -148,8 +171,14 @@ impl ServingBridge {
                 self.dispatch(batch.requests, collector);
             }
         }
-        let generation = self.former.generation();
-        if let Some(batch) = self.former.close_if_due(now, generation) {
+        let partial = self
+            .former
+            .close_if_due(now, self.former.generation())
+            .or_else(|| {
+                let in_flight = self.inflight.values().map(|d| &d.req);
+                self.former.close_if_idle(now, in_flight)
+            });
+        if let Some(batch) = partial {
             stats.batches += 1;
             self.dispatch(batch.requests, collector);
         }
@@ -171,7 +200,8 @@ impl ServingBridge {
     /// Marks `request_id` completed at `now_nanos`. Returns whether it met
     /// its SLO (`None` for ids the bridge never dispatched).
     pub fn complete(&mut self, request_id: u64, now_nanos: u64) -> Option<bool> {
-        let req = self.inflight.remove(&request_id)?;
+        let Dispatched { req, phys_addr } = self.inflight.remove(&request_id)?;
+        self.decoded.extend(phys_addr);
         let now = SimTime::from_nanos(now_nanos);
         let good = match &self.instruments {
             Some(inst) => inst.on_completed(&req, now),
@@ -181,14 +211,18 @@ impl ServingBridge {
     }
 
     fn dispatch(&mut self, requests: Vec<ServeRequest>, collector: &DataCollector) {
+        let mut metas = Vec::with_capacity(requests.len());
         for req in requests {
-            if let Some(desc) = self.descs.remove(&req.id) {
-                let mut meta = FileMeta::from_rx(&desc);
+            let desc = self.descs.remove(&req.id);
+            if let Some(desc) = &desc {
+                let mut meta = FileMeta::from_rx(desc);
                 meta.deadline_nanos = Some(req.deadline.as_nanos());
-                collector.push_meta(meta);
+                metas.push(meta);
             }
-            self.inflight.insert(req.id, req);
+            let phys_addr = desc.map(|d| d.phys_addr);
+            self.inflight.insert(req.id, Dispatched { req, phys_addr });
         }
+        collector.push_metas(metas);
     }
 
     fn release(&mut self, nic: &NicRx, request_id: u64) {
@@ -254,7 +288,6 @@ mod tests {
         let mut cfg =
             ServingConfig::single_tenant(64, SimTime::from_millis(10), ShedPolicy::DropNewest);
         cfg.queue_capacity = 1;
-        cfg.max_linger = SimTime::MAX; // keep the former from closing
         let (nic, collector, mut bridge) = setup(cfg);
         for i in 0..4 {
             nic.deliver(&wire(i, 0), 0).unwrap();
@@ -270,38 +303,104 @@ mod tests {
         );
     }
 
-    #[test]
-    fn linger_dispatches_partial_batch() {
+    /// 8-item batches, 500 us linger, 10 ms SLO.
+    fn lingering() -> (NicRx, DataCollector, ServingBridge) {
         let mut cfg =
             ServingConfig::single_tenant(8, SimTime::from_millis(10), ShedPolicy::DropNewest);
         cfg.max_linger = SimTime::from_micros(500);
-        let (nic, collector, mut bridge) = setup(cfg);
-        nic.deliver(&wire(1, 0), 0).unwrap();
-        let stats = bridge.ingest(&nic, &collector, 0);
-        assert_eq!(stats.batches, 0, "still lingering");
-        // Sweep again past the linger deadline: the partial batch ships.
-        let stats = bridge.ingest(&nic, &collector, 600_000);
-        assert_eq!(stats.batches, 1);
-        assert_eq!(collector.next_metas(8).unwrap().len(), 1);
+        setup(cfg)
     }
 
     #[test]
-    fn expired_queued_requests_are_shed_with_buffers_released() {
-        let mut cfg =
-            ServingConfig::single_tenant(64, SimTime::from_millis(1), ShedPolicy::DropOldest);
-        cfg.max_linger = SimTime::MAX;
-        // Keep them stuck in the admission queue by batching huge.
-        cfg.max_batch = 64;
-        let (nic, collector, mut bridge) = setup(cfg);
+    fn idle_pipeline_ships_on_the_first_sweep() {
+        let (nic, collector, mut bridge) = lingering();
         nic.deliver(&wire(1, 0), 0).unwrap();
-        // First sweep at t=0 admits and pumps it into the former — pop
-        // happens immediately, so queue-level expiry needs a backlog.
-        // Use a second request arriving late to trigger the sweep.
-        let _ = bridge.ingest(&nic, &collector, 0);
-        assert_eq!(bridge.queued(), 0, "pumped into the former");
-        // The former holds it (max_linger = MAX); flush dispatches.
-        assert_eq!(bridge.flush(&collector), 1);
+        let stats = bridge.ingest(&nic, &collector, 0);
+        assert_eq!(stats.batches, 1, "nothing in flight: no reason to linger");
+        assert_eq!(collector.next_metas(8).unwrap().len(), 1);
         assert_eq!(bridge.inflight(), 1);
-        assert_eq!(bridge.complete(1, 2_000_000), Some(false), "late");
+    }
+
+    #[test]
+    fn busy_pipeline_lingers_to_the_timer_and_no_longer() {
+        let (nic, collector, mut bridge) = lingering();
+        nic.deliver(&wire(1, 0), 0).unwrap();
+        bridge.ingest(&nic, &collector, 0); // request 1 is now in flight
+        nic.deliver(&wire(2, 0), 100_000).unwrap();
+        assert_eq!(bridge.ingest(&nic, &collector, 100_000).batches, 0);
+        nic.deliver(&wire(3, 0), 300_000).unwrap();
+        assert_eq!(bridge.ingest(&nic, &collector, 300_000).batches, 0);
+        // The linger runs from the forming batch's first push (100 us).
+        assert_eq!(bridge.ingest(&nic, &collector, 599_999).batches, 0);
+        assert_eq!(bridge.ingest(&nic, &collector, 600_000).batches, 1);
+        let labels: Vec<u64> = collector
+            .next_metas(8)
+            .unwrap()
+            .iter()
+            .map(|m| m.label)
+            .collect();
+        assert_eq!(labels, vec![1, 2, 3], "2 and 3 shipped as one batch");
+    }
+
+    #[test]
+    fn completion_releases_the_batch_that_grew_behind_it() {
+        let (nic, collector, mut bridge) = lingering();
+        nic.deliver(&wire(1, 0), 0).unwrap();
+        bridge.ingest(&nic, &collector, 0);
+        nic.deliver(&wire(2, 0), 100_000).unwrap();
+        nic.deliver(&wire(3, 0), 100_000).unwrap();
+        assert_eq!(bridge.ingest(&nic, &collector, 100_000).batches, 0);
+        assert_eq!(bridge.complete(1, 150_000), Some(true));
+        let stats = bridge.ingest(&nic, &collector, 160_000);
+        assert_eq!(stats.batches, 1, "well before the 600 us linger deadline");
+        assert_eq!(bridge.inflight(), 2);
+    }
+
+    #[test]
+    fn a_lost_request_stops_holding_batches_once_its_deadline_passes() {
+        let (nic, collector, mut bridge) = lingering();
+        nic.deliver(&wire(1, 0), 0).unwrap();
+        bridge.ingest(&nic, &collector, 0); // never completed; deadline 10 ms
+        nic.deliver(&wire(2, 0), 9_900_000).unwrap();
+        assert_eq!(
+            bridge.ingest(&nic, &collector, 9_900_000).batches,
+            0,
+            "request 1 may still be served in time"
+        );
+        assert_eq!(bridge.ingest(&nic, &collector, 10_000_001).batches, 1);
+        bridge.complete(2, 10_100_000);
+        nic.deliver(&wire(3, 0), 11_000_000).unwrap();
+        assert_eq!(
+            bridge.ingest(&nic, &collector, 11_000_000).batches,
+            1,
+            "back to shipping at once, with request 1 still unaccounted for"
+        );
+        assert_eq!(bridge.inflight(), 2);
+    }
+
+    #[test]
+    fn completed_requests_have_their_rx_buffers_released_by_the_next_sweep() {
+        let (nic, collector, mut bridge) = lingering();
+        nic.deliver(&wire(1, 0), 0).unwrap();
+        nic.deliver(&wire(2, 0), 0).unwrap();
+        bridge.ingest(&nic, &collector, 0);
+        assert_eq!(nic.buffers_held(), 2, "held while the decode may read them");
+        bridge.complete(1, 1_000);
+        bridge.complete(2, 1_000);
+        bridge.ingest(&nic, &collector, 2_000);
+        assert_eq!(nic.buffers_held(), 0, "with no caller-side release");
+    }
+
+    #[test]
+    fn flush_drains_a_lingering_batch() {
+        let (nic, collector, mut bridge) = lingering();
+        assert_eq!(bridge.flush(&collector), 0);
+        nic.deliver(&wire(1, 0), 0).unwrap();
+        bridge.ingest(&nic, &collector, 0);
+        nic.deliver(&wire(2, 0), 0).unwrap();
+        assert_eq!(bridge.ingest(&nic, &collector, 1_000).batches, 0);
+        assert_eq!(bridge.flush(&collector), 1);
+        assert_eq!(bridge.inflight(), 2);
+        assert_eq!(bridge.queued(), 0);
     }
 }

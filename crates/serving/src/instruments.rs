@@ -6,6 +6,7 @@
 //! `Arc<ServingInstruments>`; when absent (unit tests, microbenches) the
 //! layer runs telemetry-free with zero overhead.
 
+use crate::batcher::CloseReason;
 use crate::config::ServeRequest;
 use dlb_simcore::SimTime;
 use dlb_telemetry::{names, Counter, Gauge, Histogram, Registry};
@@ -30,7 +31,9 @@ struct TenantHandles {
 ///   admission door is either let in or turned away;
 /// * `admitted = completed + shed + inflight` — admitted requests are
 ///   conserved until they complete or are evicted;
-/// * `good ≤ completed` — goodput counts in-SLO completions only.
+/// * `good ≤ completed` — goodput counts in-SLO completions only;
+/// * `batches_formed = closed_full + closed_linger + closed_idle` — every
+///   batch closed by exactly one rule.
 #[derive(Debug)]
 pub struct ServingInstruments {
     registry: Arc<Registry>,
@@ -47,6 +50,8 @@ pub struct ServingInstruments {
     batches: Arc<Counter>,
     batches_full: Arc<Counter>,
     batches_linger: Arc<Counter>,
+    batches_idle: Arc<Counter>,
+    form_wait: Arc<Histogram>,
     tenants: Mutex<BTreeMap<u32, TenantHandles>>,
 }
 
@@ -69,6 +74,8 @@ impl ServingInstruments {
             batches: registry.counter(names::SERVING_BATCHES),
             batches_full: registry.counter(names::SERVING_BATCH_FULL),
             batches_linger: registry.counter(names::SERVING_BATCH_LINGER),
+            batches_idle: registry.counter(names::SERVING_BATCH_IDLE),
+            form_wait: registry.histogram(names::SERVING_FORM_WAIT),
             tenants: Mutex::new(BTreeMap::new()),
             registry: Arc::clone(registry),
         })
@@ -136,15 +143,20 @@ impl ServingInstruments {
         good
     }
 
-    /// The dynamic batcher closed a batch of `size` items; `full` is true
-    /// when it closed at `max_batch` (false: linger expiry / force close).
-    pub fn on_batch_closed(&self, size: u32, full: bool) {
+    /// The dynamic batcher closed a batch of `size` items for `reason`,
+    /// `waited` after its first push (`None`: a drain, which has no clock).
+    /// Drains count under linger, so the three close counters always sum
+    /// to `batches_formed`.
+    pub fn on_batch_closed(&self, size: u32, reason: CloseReason, waited: Option<SimTime>) {
         self.batches.inc();
         self.batch_size.record(u64::from(size));
-        if full {
-            self.batches_full.inc();
-        } else {
-            self.batches_linger.inc();
+        match reason {
+            CloseReason::Full => self.batches_full.inc(),
+            CloseReason::Linger | CloseReason::Drain => self.batches_linger.inc(),
+            CloseReason::Idle => self.batches_idle.inc(),
+        }
+        if let Some(waited) = waited {
+            self.form_wait.record(waited.as_nanos());
         }
     }
 
@@ -184,8 +196,10 @@ mod tests {
         for i in 1..8u64 {
             inst.on_completed(&req(i, (i % 2) as u32), SimTime::from_micros(i));
         }
-        inst.on_batch_closed(4, true);
-        inst.on_batch_closed(3, false);
+        inst.on_batch_closed(4, CloseReason::Full, Some(SimTime::from_micros(3)));
+        inst.on_batch_closed(3, CloseReason::Linger, Some(SimTime::from_micros(9)));
+        inst.on_batch_closed(1, CloseReason::Idle, Some(SimTime::ZERO));
+        inst.on_batch_closed(2, CloseReason::Drain, None);
         let snap = PipelineSnapshot::from_parts(registry.snapshot(), Vec::new());
         assert_eq!(snap.invariant_violations(), Vec::<String>::new());
         assert_eq!(snap.serving.offered, 10);
@@ -195,9 +209,12 @@ mod tests {
         assert_eq!(snap.serving.completed, 7);
         assert_eq!(snap.serving.good, 7);
         assert_eq!(snap.serving.inflight, 0);
-        assert_eq!(snap.serving.batches, 2);
+        assert_eq!(snap.serving.batches, 4);
         assert_eq!(snap.serving.batches_closed_full, 1);
-        assert_eq!(snap.serving.batches_closed_linger, 1);
+        assert_eq!(snap.serving.batches_closed_linger, 2, "linger + drain");
+        assert_eq!(snap.serving.batches_closed_idle, 1);
+        let waits = snap.serving.form_wait.expect("recorded");
+        assert_eq!(waits.count, 3, "a drain records no wait");
         assert_eq!(snap.serving.tenants.len(), 2);
     }
 

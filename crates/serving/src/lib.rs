@@ -7,10 +7,10 @@
 //!
 //! Four cooperating pieces:
 //!
-//! * [`BatchFormer`] — deadline-aware dynamic batching (Triton/Clipper
-//!   style): a batch closes at `max_batch` items or after `max_linger`,
-//!   whichever first, so small batches ship under light load and full
-//!   batches under heavy load;
+//! * [`BatchFormer`] — work-conserving dynamic batching (Triton/Clipper
+//!   style): a batch closes at `max_batch` items, after `max_linger`, or
+//!   as soon as nothing dispatched earlier is still in flight, so it
+//!   lingers only while the pipeline is busy;
 //! * [`AdmissionController`] — per-request deadlines with load shedding:
 //!   requests whose predicted queue delay makes the SLO infeasible are
 //!   rejected at admission ([`ShedPolicy::DropNewest`],
@@ -18,8 +18,9 @@
 //! * [`WeightedFairQueue`] — start-time fair queuing across tenant
 //!   classes, so one hot tenant cannot starve the rest;
 //! * [`ServingBridge`] — functional-pipeline glue: NIC ring → admission →
-//!   WFQ → batch former → `DataCollector`, releasing shed payload buffers
-//!   and scoring completions against their deadlines.
+//!   WFQ → batch former → `DataCollector`, releasing payload buffers
+//!   (shed: at once; served: after completion) and scoring completions
+//!   against their deadlines.
 //!
 //! Everything records through `dlb-telemetry` under the canonical
 //! `serving.*` names; `PipelineSnapshot` enforces the conservation
@@ -40,7 +41,7 @@ pub mod instruments;
 pub mod wfq;
 
 pub use admission::{Admission, AdmissionController};
-pub use batcher::{BatchFormer, FormedBatch};
+pub use batcher::{BatchFormer, CloseReason, FormedBatch};
 pub use bridge::{IngestStats, ServingBridge};
 pub use config::{ServeRequest, ServingConfig, ShedPolicy, TenantClass};
 pub use instruments::ServingInstruments;

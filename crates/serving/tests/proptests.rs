@@ -1,12 +1,18 @@
-//! Property tests: WFQ fairness, batch-former bounds, and admission
-//! conservation under arbitrary arrival patterns.
+//! Property tests: WFQ fairness, batch-former bounds, the bridge's
+//! work-conserving close rule, and admission conservation under arbitrary
+//! arrival patterns.
 
+use dlb_net::{Frame, NicRx, NicSpec};
 use dlb_serving::{
-    AdmissionController, BatchFormer, ServeRequest, ServingConfig, ShedPolicy, TenantClass,
-    WeightedFairQueue,
+    AdmissionController, BatchFormer, CloseReason, ServeRequest, ServingBridge, ServingConfig,
+    ShedPolicy, TenantClass, WeightedFairQueue,
 };
 use dlb_simcore::SimTime;
+use dlb_telemetry::{PipelineSnapshot, Registry};
+use dlbooster_core::DataCollector;
 use proptest::prelude::*;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 fn req(id: u64, tenant: u32, arrival_us: u64, slo_us: u64) -> ServeRequest {
     let arrival = SimTime::from_micros(arrival_us);
@@ -99,7 +105,7 @@ proptest! {
         for b in &batches {
             prop_assert!(!b.is_empty(), "empty batch emitted");
             prop_assert!(b.len() <= max_batch as usize, "oversized batch");
-            if !b.closed_by_linger {
+            if b.reason == CloseReason::Full {
                 // A full close must carry exactly max_batch items.
                 prop_assert_eq!(b.len(), max_batch as usize);
             }
@@ -107,6 +113,103 @@ proptest! {
         }
         ids.sort_unstable();
         prop_assert_eq!(ids, (0..gaps_us.len() as u64).collect::<Vec<_>>());
+    }
+
+    /// For any interleaving of arrivals, completions and sweeps the bridge
+    /// dispatches exactly what the three close rules say, sweep by sweep:
+    /// whole `max_batch` groups always; the remainder only when nothing was
+    /// in flight or the forming batch's linger has run out. So no request
+    /// waits past `min(linger deadline, first sweep with nothing in
+    /// flight)`, none ships early while the pipeline is busy, no batch
+    /// exceeds `max_batch`, and admission order is dispatch order.
+    #[test]
+    fn bridge_dispatches_by_the_three_close_rules(
+        max_batch in 1u32..6,
+        linger_us in 1u64..600,
+        ops in prop::collection::vec((0u8..4, 0u64..300), 1..250),
+    ) {
+        // An SLO beyond the horizon: nothing expires, nothing is shed.
+        let mut cfg = ServingConfig::single_tenant(max_batch, SimTime::from_secs(10), ShedPolicy::DropNewest)
+            .without_shedding();
+        cfg.max_linger = SimTime::from_micros(linger_us);
+        let registry = Arc::new(Registry::new());
+        let mut bridge = ServingBridge::with_telemetry(cfg, &registry);
+        let nic = NicRx::new(NicSpec::forty_gbps(), 0x1000);
+        let collector = DataCollector::load_from_net();
+
+        let mut now_us = 0u64;
+        let mut next_id = 0u64;
+        let mut on_wire = 0usize; // delivered, not yet swept
+        let mut forming: VecDeque<u64> = VecDeque::new(); // push time (us) per pending request
+        let mut in_flight: VecDeque<u64> = VecDeque::new(); // ids, dispatch order
+        let mut next_dispatch = 0u64;
+        // A last sweep after the generated ops, so the drain below starts
+        // from a checked state.
+        for (op, gap) in ops.into_iter().chain([(3, 0)]) {
+            now_us += gap;
+            match op {
+                0 | 1 => {
+                    let wire = Frame {
+                        request_id: next_id,
+                        client_id: 0,
+                        send_ts_nanos: 0,
+                        payload: vec![0u8; 16],
+                    }
+                    .encode();
+                    nic.deliver(&wire, now_us * 1000).expect("ring has room");
+                    next_id += 1;
+                    on_wire += 1;
+                }
+                2 => {
+                    if let Some(id) = in_flight.pop_front() {
+                        prop_assert_eq!(bridge.complete(id, now_us * 1000), Some(true));
+                    }
+                }
+                _ => {
+                    let idle = in_flight.is_empty();
+                    let due = forming.front().is_some_and(|&opened| now_us >= opened + linger_us);
+                    forming.extend(std::iter::repeat_n(now_us, std::mem::take(&mut on_wire)));
+                    let whole = forming.len() / max_batch as usize * max_batch as usize;
+                    let expect = if whole > 0 {
+                        whole
+                    } else if idle || due {
+                        forming.len()
+                    } else {
+                        0
+                    };
+                    bridge.ingest(&nic, &collector, now_us * 1000);
+                    let got: Vec<u64> = collector
+                        .next_metas(usize::MAX)
+                        .expect("stream open")
+                        .iter()
+                        .map(|m| m.label)
+                        .collect();
+                    let want: Vec<u64> = (next_dispatch..next_dispatch + expect as u64).collect();
+                    prop_assert!(
+                        got == want,
+                        "at {now_us} us (idle {idle}, due {due}) dispatched {got:?}, rules say {want:?}"
+                    );
+                    forming.drain(..expect);
+                    in_flight.extend(got);
+                    next_dispatch += expect as u64;
+                }
+            }
+        }
+        // Drain: everything still forming ships, everything completes, and
+        // the sweep after that leaves no RX buffer behind.
+        bridge.flush(&collector);
+        for id in 0..next_id {
+            bridge.complete(id, now_us * 1000);
+        }
+        bridge.ingest(&nic, &collector, now_us * 1000);
+        prop_assert_eq!(bridge.inflight(), 0);
+        prop_assert_eq!(nic.buffers_held(), 0);
+        let snap = PipelineSnapshot::from_parts(registry.snapshot(), Vec::new());
+        prop_assert_eq!(snap.invariant_violations(), Vec::<String>::new());
+        prop_assert_eq!(snap.serving.completed, next_id);
+        if let Some(sizes) = &snap.serving.batch_size {
+            prop_assert!(sizes.max <= u64::from(max_batch), "oversized batch");
+        }
     }
 
     /// Admission conservation: offered = admitted + rejected, and the

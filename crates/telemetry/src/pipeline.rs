@@ -592,12 +592,16 @@ metrics! {
             batches: Counter SERVING_BATCHES = "serving.batches_formed",
             /// Batches closed because they reached `max_batch`.
             batches_closed_full: Counter SERVING_BATCH_FULL = "serving.batches_closed_full",
-            /// Batches closed because `max_linger` expired.
+            /// Batches closed because `max_linger` expired (or by a drain).
             batches_closed_linger: Counter SERVING_BATCH_LINGER = "serving.batches_closed_linger",
+            /// Batches closed because the pipeline downstream was idle.
+            batches_closed_idle: Counter SERVING_BATCH_IDLE = "serving.batches_closed_idle",
             /// Formed-batch size distribution (items per batch).
             batch_size: Histogram SERVING_BATCH_SIZE = "serving.batch_size",
             /// Admission-queue delay distribution (ns, arrival→dequeue).
             queue_delay: Histogram SERVING_QUEUE_DELAY = "serving.queue_delay_nanos",
+            /// Batch-forming wait distribution (ns, first push→close).
+            form_wait: Histogram SERVING_FORM_WAIT = "serving.form_wait_nanos",
         }
         /// Decoded-sample cache (`dlb-cache`): admission, eviction,
         /// quarantine and residency accounting.
@@ -869,6 +873,7 @@ const LAWS: &[Law] = laws! {
     "serving admission conservation" if serving: [SERVING_OFFERED] == [SERVING_ADMITTED + SERVING_REJECTED]
     "serving conservation" if serving: [SERVING_ADMITTED] == [SERVING_COMPLETED + SERVING_SHED + SERVING_INFLIGHT]
     "serving goodput exceeds completions" if serving: [SERVING_GOOD] <= [SERVING_COMPLETED]
+    "serving batch close accounting" if serving: [SERVING_BATCHES] == [SERVING_BATCH_FULL + SERVING_BATCH_LINGER + SERVING_BATCH_IDLE]
 
     "cache lookup conservation" if cache: [CACHE_HITS + CACHE_MISSES] == [CACHE_LOOKUPS]
     "cache capacity exceeded" if cache: [hw(CACHE_RESIDENT_BYTES)] <= [CACHE_CAPACITY_BYTES]
@@ -1443,7 +1448,7 @@ mod tests {
 
     #[test]
     fn json_key_paths_match_the_frozen_wire_shape() {
-        // Populated enough that every optional shape is present: all eight
+        // Populated enough that every optional shape is present: all nine
         // histograms, one member per prefix-discovered family, one stall.
         let t = Telemetry::with_defaults();
         for h in [
@@ -1454,6 +1459,7 @@ mod tests {
             names::ENGINE_COMPUTE,
             names::SERVING_QUEUE_DELAY,
             names::SERVING_BATCH_SIZE,
+            names::SERVING_FORM_WAIT,
             names::CLUSTER_LATENCY,
         ] {
             t.registry.histogram(h).record(1_000);

@@ -27,7 +27,7 @@ use crate::calibration::{BackendKind, Calibration, Workload};
 use dlb_cache::{CachedSample, SampleCache, SampleKey};
 use dlb_gpu::{GpuTimingModel, ModelZoo, Precision};
 use dlb_serving::{
-    AdmissionController, BatchFormer, ServeRequest, ServingConfig, ServingInstruments,
+    AdmissionController, BatchFormer, FormedBatch, ServeRequest, ServingConfig, ServingInstruments,
 };
 use dlb_simcore::stats::{BusyTracker, LatencyStats};
 use dlb_simcore::{Scheduler, SimModel, SimRng, SimTime, Simulation};
@@ -263,6 +263,16 @@ struct Batch {
     /// Member requests when formed by the serving layer (empty otherwise);
     /// completions are scored against their deadlines.
     requests: Vec<ServeRequest>,
+}
+
+impl Batch {
+    /// A batch the serving layer's former closed.
+    fn formed(closed: FormedBatch) -> Self {
+        Batch {
+            arrivals: closed.requests.iter().map(|r| r.arrival).collect(),
+            requests: closed.requests,
+        }
+    }
 }
 
 /// Serving-layer state threaded through the DES (Served mode only).
@@ -678,16 +688,28 @@ impl InferenceSim {
             };
             if let Some(closed) = st.former.push(req, now) {
                 st.armed_generation = None;
-                self.decode_q.push_back(Batch {
-                    arrivals: closed.requests.iter().map(|r| r.arrival).collect(),
-                    requests: closed.requests,
-                });
+                self.decode_q.push_back(Batch::formed(closed));
                 dispatched = true;
             }
         }
+        // Work-conserving close: with nothing dispatched earlier still in
+        // the pipeline, lingering buys no batch a station could take
+        // sooner, so what has formed ships now. Any linger timer armed for
+        // it goes stale by generation.
+        let st = self.serving.as_mut().expect("checked above");
+        let in_pipeline = self
+            .decode_q
+            .iter()
+            .chain(&self.copy_q)
+            .chain(&self.infer_q)
+            .flat_map(|b| &b.requests);
+        if let Some(closed) = st.former.close_if_idle(now, in_pipeline) {
+            st.armed_generation = None;
+            self.decode_q.push_back(Batch::formed(closed));
+            dispatched = true;
+        }
         // Arm the linger timer for the batch now forming (at most one live
         // timer per generation; Scheduler::at clamps past instants to now).
-        let st = self.serving.as_mut().expect("checked above");
         if let Some(deadline) = st.former.linger_deadline() {
             let generation = st.former.generation();
             if st.armed_generation != Some(generation) {
@@ -744,10 +766,7 @@ impl SimModel for InferenceSim {
                 if let Some(st) = self.serving.as_mut() {
                     if let Some(closed) = st.former.close_if_due(now, generation) {
                         st.armed_generation = None;
-                        self.decode_q.push_back(Batch {
-                            arrivals: closed.requests.iter().map(|r| r.arrival).collect(),
-                            requests: closed.requests,
-                        });
+                        self.decode_q.push_back(Batch::formed(closed));
                         dispatched = true;
                     }
                 }

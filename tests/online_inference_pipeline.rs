@@ -173,3 +173,87 @@ fn inference_session_over_stream_backend() {
     assert!(report.modelled_throughput > 0.0);
     assert_eq!(report.latency.len(), n_requests / batch_size);
 }
+
+#[test]
+fn served_requests_ship_on_idle_grow_while_busy_and_return_their_rx_buffers() {
+    // NIC → ServingBridge → stream-mode DlBooster, paced by the pipeline
+    // itself (`next_batch` blocks), so each step below sees a known
+    // in-flight state. The linger is far longer than the test: only the
+    // idle rule can ship anything.
+    use dlbooster::serving::ServingConfig;
+    use dlbooster::simcore::SimTime;
+    let telemetry = Telemetry::with_defaults();
+    let requests = ClientPool::small(1_000.0, 31).generate_requests(6);
+    let nic = Arc::new(NicRx::new(NicSpec::forty_gbps(), 0x8_0000_0000));
+    let collector = Arc::new(DataCollector::load_from_net());
+    let mut cfg = ServingConfig::single_tenant(8, SimTime::from_secs(60), ShedPolicy::DropNewest);
+    cfg.max_linger = SimTime::from_secs(30);
+    let mut bridge = ServingBridge::with_telemetry(cfg, &telemetry.registry);
+
+    let mut device = FpgaDevice::new(DeviceSpec::arria10_ax());
+    device
+        .load_mirror(DecoderMirror::jpeg_paper_config())
+        .unwrap();
+    let engine = DecoderEngine::start_with_telemetry(
+        device,
+        Arc::new(CombinedResolver::nic_only(Arc::clone(&nic))),
+        &telemetry,
+    )
+    .unwrap();
+    let booster = DlBooster::start_with_telemetry(
+        Arc::clone(&collector),
+        FpgaChannel::init_with_telemetry(engine, 0, &telemetry),
+        DlBoosterConfig::inference(1, 8, (32, 32)),
+        Arc::clone(&telemetry),
+    )
+    .unwrap();
+
+    let mut now = 0u64;
+    let mut sweep = |bridge: &mut ServingBridge| {
+        now += 1_000;
+        bridge.ingest(&nic, &collector, now).batches
+    };
+    // Pops one decoded batch, completes its requests, returns their ids.
+    let serve = |bridge: &mut ServingBridge| -> Vec<u64> {
+        let batch = booster.next_batch(0).expect("pipeline alive");
+        let ids: Vec<u64> = batch.unit.items().iter().map(|i| i.label).collect();
+        for &id in &ids {
+            assert_eq!(bridge.complete(id, 2_000_000), Some(true));
+        }
+        booster.recycle(batch.unit);
+        ids
+    };
+
+    // Idle pipeline, reader parked on the empty stream: each request
+    // ships on the sweep that sees it and comes back alone.
+    for r in &requests[..3] {
+        nic.deliver(&r.wire_bytes, 0).unwrap();
+        assert_eq!(sweep(&mut bridge), 1);
+        assert_eq!(serve(&mut bridge), vec![r.request_id]);
+    }
+    // Busy pipeline: request 3 is in flight, so 4 and 5 wait and grow one
+    // batch, which ships the moment 3 completes.
+    nic.deliver(&requests[3].wire_bytes, 0).unwrap();
+    assert_eq!(sweep(&mut bridge), 1);
+    nic.deliver(&requests[4].wire_bytes, 0).unwrap();
+    assert_eq!(sweep(&mut bridge), 0);
+    nic.deliver(&requests[5].wire_bytes, 0).unwrap();
+    assert_eq!(sweep(&mut bridge), 0);
+    assert_eq!(serve(&mut bridge), vec![requests[3].request_id]);
+    assert_eq!(sweep(&mut bridge), 1);
+    assert_eq!(
+        serve(&mut bridge),
+        vec![requests[4].request_id, requests[5].request_id]
+    );
+
+    // The sweep after the last completion hands back the last buffers.
+    assert_eq!(sweep(&mut bridge), 0);
+    assert_eq!(nic.buffers_held(), 0, "nobody but the bridge released");
+    collector.close_stream();
+    drop(booster);
+    let snap = telemetry.pipeline_snapshot();
+    assert_eq!(snap.invariant_violations(), Vec::<String>::new());
+    assert_eq!(snap.serving.batches, 5);
+    assert_eq!(snap.serving.batches_closed_idle, 5);
+    assert_eq!(snap.serving.completed, 6);
+}

@@ -5,7 +5,9 @@
 //! p99 latency inside the SLO while goodput plateaus at ≥ 90% of the
 //! saturated throughput — deterministically across seeds. With shedding
 //! disabled the same sweep shows unbounded admission-queue growth and tail
-//! latency far beyond the deadline. `PipelineSnapshot` conservation
+//! latency far beyond the deadline; at half capacity batches close on
+//! pipeline idleness and the tail stays under `max_linger`.
+//! `PipelineSnapshot` conservation
 //! invariants (`offered = admitted + rejected`,
 //! `admitted = completed + shed + inflight`) are asserted on every run.
 
@@ -161,5 +163,34 @@ fn disabled_shedding_shows_unbounded_queue_growth() {
         "unshed tail latency {:.1} ms should blow through the {} SLO",
         p99 * 1e3,
         SLO
+    );
+}
+
+#[test]
+fn light_load_ships_on_idle_and_stays_under_the_linger() {
+    // Below the knee the pipeline drains between arrivals, so the former
+    // must close on idleness, not sit out `max_linger` (= SLO/4) with
+    // every station free: the whole tail stays under the linger alone.
+    let cal = Calibration::paper();
+    let cap = InferenceSim::saturated_throughput(
+        &cal,
+        ModelZoo::GoogLeNet,
+        BackendKind::DlBooster,
+        BATCH,
+    );
+    let cfg = sweep_cfg(ShedPolicy::DeadlineAware);
+    let linger = cfg.max_linger;
+    let (p99, s) = run_at(&cal, cfg, cap * 0.5, 7);
+    assert_conserved(&s);
+    assert_eq!(s.rejected + s.shed, 0, "half capacity sheds nothing");
+    let serving = &s.snapshot.serving;
+    assert!(
+        serving.batches_closed_idle > 0,
+        "no idle closes at half capacity: {serving:?}"
+    );
+    assert!(
+        p99 < linger.as_secs_f64(),
+        "p99 {:.2} ms at half capacity is not under the {linger} linger",
+        p99 * 1e3
     );
 }
