@@ -8,13 +8,13 @@
 //! is genuine CPU time, measured and reported through `cpu_busy_nanos`.
 
 use crate::common::{decode_rgb_into, PoolScaffold};
-use dlb_cache::{CachedSample, SampleCache};
+use dlb_cache::{SampleCache, SampleMeta};
 use dlb_codec::{DecodeScratch, JpegDecoder};
 use dlb_fpga::DataSourceResolver;
 use dlb_graph::{
     cpu_training, CompiledPipeline, DecodeDevice, GraphConfig, PipelineGraph, SampleAugmentor,
 };
-use dlb_membridge::BatchUnit;
+use dlb_membridge::{BatchUnit, MemManager};
 use dlb_telemetry::{names, Telemetry};
 use dlb_trace::{stages, SpanKind, Tracer};
 use dlbooster_core::{
@@ -222,6 +222,11 @@ impl CpuBackend {
     pub fn delivered(&self) -> u64 {
         self.scaffold.router.delivered()
     }
+
+    /// The underlying pool (tests verify conservation).
+    pub fn pool(&self) -> &MemManager {
+        &self.scaffold.pool
+    }
 }
 
 fn cpu_worker(
@@ -334,28 +339,25 @@ fn cpu_worker(
         // decoded, resized and written straight into its slot of the unit
         // (or, under augmentation, into the staging buffer the augmentor
         // reads). The per-datum small copy of §5.2 is gone; what is left of
-        // it is the cache's own copy at admission.
+        // it is the cache's copy into a slot at admission.
         for (meta, jpeg) in metas.iter().zip(&fetched) {
             let jpeg = jpeg.as_deref().map(Vec::as_slice);
             let key = config
                 .sample_cache
                 .as_ref()
                 .and_then(|cache| sample_key(&meta.src).map(|key| (cache, key)));
-            // Admission: pre-augmentation pixels, with the measured decode
-            // cost as the eviction signal.
+            // Admission: pre-augmentation pixels, copied into a recycled
+            // cache slot, with the measured decode cost as the eviction
+            // signal.
             let admit = |pixels: &[u8], cost: u64| {
                 if let Some((cache, key)) = key {
-                    cache.insert(
-                        key,
-                        CachedSample {
-                            data: Arc::new(pixels.to_vec()),
-                            label: meta.label,
-                            width: dims.0,
-                            height: dims.1,
-                            channels: 3,
-                        },
-                        cost,
-                    );
+                    let sample = SampleMeta {
+                        label: meta.label,
+                        width: dims.0,
+                        height: dims.1,
+                        channels: 3,
+                    };
+                    cache.admit(key, pixels, sample, cost);
                 }
             };
             let stats = match &augmentor {
@@ -533,7 +535,9 @@ mod tests {
                 assert_eq!(item.len, 32 * 32 * 3);
             }
             // Pixels are real, not zero-fill.
-            let nz = batch.unit.payload().iter().filter(|&&x| x != 0).count();
+            let mut payload = vec![0; batch.unit.used()];
+            batch.unit.gather_into(&mut payload);
+            let nz = payload.iter().filter(|&&x| x != 0).count();
             assert!(nz > 100);
             sequences.push(batch.sequence);
             seen += 1;
@@ -632,7 +636,9 @@ mod tests {
         let mut payloads = Vec::new();
         while let Ok(batch) = b.next_batch(0) {
             assert_eq!(batch.len(), 4);
-            payloads.push(batch.unit.payload().to_vec());
+            let mut payload = vec![0; batch.unit.used()];
+            batch.unit.gather_into(&mut payload);
+            payloads.push(payload);
             b.recycle(batch.unit);
         }
         assert_eq!(payloads.len(), 4);

@@ -3,16 +3,28 @@
 //! The paper's pipeline redecodes every sample on every pass, yet training
 //! rereads the same corpus each epoch and online inference has hot keys.
 //! This crate holds decoded pixels keyed by their *source identity* so a
-//! later pass can skip decode entirely; delivered hits still flow through
-//! the HugePage pool (`Free_Batch_Queue` lease/recycle accounting), the
-//! cache only replaces the decode work, never the transfer buffers.
+//! later pass can skip decode entirely.
+//!
+//! Resident samples live in **cache-owned slots**: each partition allocates
+//! one region of its capacity and carves it into slots, which are recycled the way pool units are — admission copies a
+//! decoded window straight into a free slot and allocates nothing once
+//! warm, and dropping the cache returns the region as a whole. A hit is a
+//! [`SlotPin`], an owned handle on the slot that a batch unit *lends*
+//! (`BatchUnit::lend`) instead of copying: one copy per warm image, slot →
+//! device, gathered by the H2D copy. The unit still leases and recycles
+//! through the HugePage pool, so `Free_Batch_Queue` back-pressure and its
+//! lease/recycle accounting are unchanged; recycling the unit drops the
+//! pins. Eviction may drop a pinned entry from the index, but its slot is
+//! not reused until the last pin is released.
 //!
 //! Three properties drive the design, each proved by the property suite in
 //! `tests/proptests.rs` and enforced as `cache.*` conservation laws in
 //! [`dlb_telemetry::PipelineSnapshot`]:
 //!
 //! * **Bounded** — resident bytes never exceed capacity, at any instant
-//!   (the registry's gauge high-water is part of the invariant check).
+//!   (the registry's gauge high-water is part of the invariant check), and
+//!   neither do resident plus evicted-but-pinned slots: both live in the
+//!   one region.
 //! * **Cost-aware eviction** — evict the *cheapest-to-redecode* sample
 //!   first, using the live per-image decode timers (`codec.huffman_ns` +
 //!   `codec.idct_ns` on the CPU path, compressed payload size on the FPGA
@@ -31,6 +43,7 @@
 use dlb_telemetry::{names, Counter, Gauge, Registry, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Identity of one decoded sample. Deliberately *not* constructible from a
@@ -66,9 +79,22 @@ impl SampleKey {
     }
 }
 
-/// One decoded sample as stored/served by the cache. Pixels are shared
-/// (`Arc`) so a hit hands back a reference without copying under the lock;
-/// the caller copies into its pool unit.
+/// Label and geometry of a decoded sample, stored beside its slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SampleMeta {
+    /// Training label / request tag.
+    pub label: u64,
+    /// Output width.
+    pub width: u32,
+    /// Output height.
+    pub height: u32,
+    /// Output channels.
+    pub channels: u8,
+}
+
+/// An owned decoded sample, as [`SampleCache::insert`] accepts it. The
+/// cache copies the pixels into one of its slots; the data path admits
+/// straight from a batch unit with [`SampleCache::admit`] instead.
 #[derive(Debug, Clone)]
 pub struct CachedSample {
     /// Decoded, resized pixel bytes.
@@ -88,10 +114,272 @@ impl CachedSample {
     pub fn bytes(&self) -> u64 {
         self.data.len() as u64
     }
+
+    /// Label and geometry.
+    pub fn meta(&self) -> SampleMeta {
+        SampleMeta {
+            label: self.label,
+            width: self.width,
+            height: self.height,
+            channels: self.channels,
+        }
+    }
+}
+
+/// One partition's slot memory: a single zeroed allocation of the
+/// partition's capacity, made when the cache is built. `calloc`'d, so only
+/// pages a slot has been written to become resident, and freed in one piece
+/// when the cache and the last pin are gone.
+struct Region {
+    base: *mut u8,
+    len: usize,
+    /// `cache.pinned_bytes`, moved by the pins of this region's slots.
+    pinned: Arc<Gauge>,
+}
+
+// SAFETY: `base`/`len` describe an allocation `Region` owns outright (no
+// thread affinity), and every access to it goes through `bytes`/
+// `bytes_mut`, whose callers guarantee that no range is written while any
+// other reference to it exists (see `Slots::fill`); `pinned` is an
+// `Arc<Gauge>`, itself `Send + Sync`.
+unsafe impl Send for Region {}
+unsafe impl Sync for Region {}
+
+impl Region {
+    fn new(len: usize, pinned: Arc<Gauge>) -> Self {
+        let mem: Box<[u8]> = vec![0u8; len].into_boxed_slice();
+        Self {
+            base: Box::into_raw(mem).cast::<u8>(),
+            len,
+            pinned,
+        }
+    }
+
+    /// # Safety
+    /// `offset..offset + len` is not written while the returned slice
+    /// lives.
+    unsafe fn bytes(&self, offset: usize, len: usize) -> &[u8] {
+        assert!(offset + len <= self.len, "slot outside its region");
+        std::slice::from_raw_parts(self.base.add(offset), len)
+    }
+
+    /// # Safety
+    /// Nothing else reads or writes `offset..offset + len` while the
+    /// returned slice lives.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn bytes_mut(&self, offset: usize, len: usize) -> &mut [u8] {
+        assert!(offset + len <= self.len, "slot outside its region");
+        std::slice::from_raw_parts_mut(self.base.add(offset), len)
+    }
+}
+
+impl Drop for Region {
+    fn drop(&mut self) {
+        // SAFETY: `base`/`len` came from `Box::into_raw` in `new`, and the
+        // last owner is dropping it.
+        drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(self.base, self.len)) });
+    }
+}
+
+/// A slot: one extent of a region holding one sample. Shared between the
+/// index (or the retired list) and its pins; the extent is reused only
+/// once the index's handle is the last one (`Arc::get_mut`).
+struct Slot {
+    region: Arc<Region>,
+    offset: usize,
+    len: usize,
+    meta: SampleMeta,
+    /// Live pins, for `cache.pinned_bytes`. Reuse safety rests on the
+    /// `Arc` count, not on this.
+    pins: AtomicU32,
+}
+
+/// A cache hit: an owned pin on the sample's slot. Its bytes stay valid
+/// and unchanged for as long as the pin lives — eviction may drop the
+/// entry from the index meanwhile, but the slot is not reused until the
+/// last pin drops. Dropping the pin releases it, wherever that happens.
+pub struct SlotPin {
+    slot: Arc<Slot>,
+}
+
+impl SlotPin {
+    /// Pins `slot`. Called under the cache lock.
+    fn new(slot: &Arc<Slot>) -> Self {
+        if slot.pins.fetch_add(1, Ordering::Relaxed) == 0 {
+            slot.region.pinned.add(slot.len as i64);
+        }
+        Self {
+            slot: Arc::clone(slot),
+        }
+    }
+
+    /// The sample's pixels.
+    pub fn bytes(&self) -> &[u8] {
+        // SAFETY: the extent is only written by `Slots::fill`, after
+        // `Arc::get_mut` proved the slot unshared — and this pin holds a
+        // clone, so no fill can reach it while the slice lives.
+        unsafe { self.slot.region.bytes(self.slot.offset, self.slot.len) }
+    }
+
+    /// The sample's label and geometry.
+    pub fn meta(&self) -> SampleMeta {
+        self.slot.meta
+    }
+}
+
+impl AsRef<[u8]> for SlotPin {
+    fn as_ref(&self) -> &[u8] {
+        self.bytes()
+    }
+}
+
+impl Drop for SlotPin {
+    fn drop(&mut self) {
+        // The last pin takes the slot's bytes off the gauge *before* the
+        // count reaches zero, so a concurrent re-pin (which adds after its
+        // increment) can never make the gauge overstate what is pinned.
+        let slot = &self.slot;
+        let len = slot.len as i64;
+        let mut pins = slot.pins.load(Ordering::Relaxed);
+        loop {
+            if pins == 1 {
+                slot.region.pinned.add(-len);
+            }
+            match slot.pins.compare_exchange_weak(
+                pins,
+                pins - 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(now) => {
+                    if pins == 1 {
+                        slot.region.pinned.add(len);
+                    }
+                    pins = now;
+                }
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for SlotPin {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SlotPin")
+            .field("offset", &self.slot.offset)
+            .field("len", &self.slot.len)
+            .field("meta", &self.slot.meta)
+            .finish()
+    }
+}
+
+/// A partition's slot memory: the region, its unused extents, and the slot
+/// records awaiting reuse.
+struct Slots {
+    region: Arc<Region>,
+    /// Unused extents `(offset, len)`, sorted by offset and coalesced.
+    free: Vec<(usize, usize)>,
+    /// Evicted slots still pinned: their extent frees once unshared.
+    retired: Vec<Arc<Slot>>,
+    /// Unshared slot records with no extent, reused by admission.
+    spare: Vec<Arc<Slot>>,
+}
+
+impl Slots {
+    fn new(capacity: u64, pinned: &Arc<Gauge>) -> Self {
+        let len = capacity as usize;
+        Self {
+            region: Arc::new(Region::new(len, Arc::clone(pinned))),
+            free: if len > 0 { vec![(0, len)] } else { Vec::new() },
+            retired: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Copies `pixels` into a free extent of the region; `None` when no
+    /// extent fits.
+    fn fill(&mut self, pixels: &[u8], meta: SampleMeta) -> Option<Arc<Slot>> {
+        self.reclaim();
+        let offset = self.take(pixels.len())?;
+        let mut slot = self.spare.pop().unwrap_or_else(|| {
+            Arc::new(Slot {
+                region: Arc::clone(&self.region),
+                offset: 0,
+                len: 0,
+                meta,
+                pins: AtomicU32::new(0),
+            })
+        });
+        let record = Arc::get_mut(&mut slot).expect("spare slots are unshared");
+        record.offset = offset;
+        record.len = pixels.len();
+        record.meta = meta;
+        // SAFETY: the extent was just taken from `free`, so no slot — and
+        // hence no pin — covers it, and the cache lock is held.
+        unsafe { self.region.bytes_mut(offset, pixels.len()) }.copy_from_slice(pixels);
+        Some(slot)
+    }
+
+    /// Returns an evicted slot's extent, or retires the slot while pins
+    /// still read it.
+    fn release(&mut self, mut slot: Arc<Slot>) {
+        match Arc::get_mut(&mut slot) {
+            Some(record) => {
+                let (offset, len) = (record.offset, record.len);
+                self.put(offset, len);
+                self.spare.push(slot);
+            }
+            None => self.retired.push(slot),
+        }
+    }
+
+    /// Frees the extents of retired slots whose last pin has dropped.
+    fn reclaim(&mut self) {
+        let mut i = 0;
+        while i < self.retired.len() {
+            if Arc::get_mut(&mut self.retired[i]).is_some() {
+                let slot = self.retired.swap_remove(i);
+                self.release(slot);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// First fit: carves `len` bytes off the lowest extent that holds them.
+    fn take(&mut self, len: usize) -> Option<usize> {
+        if len == 0 {
+            return Some(0);
+        }
+        let at = self.free.iter().position(|&(_, free)| free >= len)?;
+        let (offset, free) = self.free[at];
+        if free == len {
+            self.free.remove(at);
+        } else {
+            self.free[at] = (offset + len, free - len);
+        }
+        Some(offset)
+    }
+
+    /// Returns an extent, merging it with its neighbours.
+    fn put(&mut self, offset: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let at = self.free.partition_point(|&(o, _)| o < offset);
+        let mut len = len;
+        if at < self.free.len() && offset + len == self.free[at].0 {
+            len += self.free.remove(at).1;
+        }
+        match at.checked_sub(1).map(|p| &mut self.free[p]) {
+            Some(prev) if prev.0 + prev.1 == offset => prev.1 += len,
+            _ => self.free.insert(at, (offset, len)),
+        }
+    }
 }
 
 struct Entry {
-    sample: CachedSample,
+    slot: Arc<Slot>,
     /// Relative redecode cost. CPU path: `huffman_ns + idct_ns` for this
     /// image. FPGA path: compressed payload bytes (FINISH signals carry no
     /// per-item timing; entropy bits dominate lane service, and they scale
@@ -113,9 +401,20 @@ struct Partition {
     resident: u64,
     entries: HashMap<SampleKey, Entry>,
     tenant: Option<(u32, TenantHandles)>,
+    slots: Slots,
 }
 
 impl Partition {
+    fn new(capacity: u64, tenant: Option<(u32, TenantHandles)>, pinned: &Arc<Gauge>) -> Self {
+        Self {
+            capacity,
+            resident: 0,
+            entries: HashMap::new(),
+            tenant,
+            slots: Slots::new(capacity, pinned),
+        }
+    }
+
     /// The eviction victim: cheapest to redecode, then least recently
     /// used, then smallest key — a total order, so eviction is
     /// deterministic regardless of `HashMap` iteration order.
@@ -150,6 +449,7 @@ struct Handles {
     resident_bytes: Arc<Gauge>,
     resident_entries: Arc<Gauge>,
     capacity_bytes: Arc<Gauge>,
+    pinned_bytes: Arc<Gauge>,
 }
 
 impl Handles {
@@ -168,6 +468,7 @@ impl Handles {
             resident_bytes: registry.gauge(names::CACHE_RESIDENT_BYTES),
             resident_entries: registry.gauge(names::CACHE_RESIDENT_ENTRIES),
             capacity_bytes: registry.gauge(names::CACHE_CAPACITY_BYTES),
+            pinned_bytes: registry.gauge(names::CACHE_PINNED_BYTES),
         }
     }
 }
@@ -214,12 +515,7 @@ impl SampleCache {
         let stats = Handles::register(registry);
         let (partitions, by_tenant) = if tenants.is_empty() {
             (
-                vec![Partition {
-                    capacity: capacity_bytes,
-                    resident: 0,
-                    entries: HashMap::new(),
-                    tenant: None,
-                }],
+                vec![Partition::new(capacity_bytes, None, &stats.pinned_bytes)],
                 HashMap::new(),
             )
         } else {
@@ -231,11 +527,9 @@ impl SampleCache {
                 by_tenant.insert(*id, partitions.len());
                 use names::cache_tenant::*;
                 let key = |field: &str| names::member_key(PREFIX, id, field);
-                partitions.push(Partition {
-                    capacity: share,
-                    resident: 0,
-                    entries: HashMap::new(),
-                    tenant: Some((
+                partitions.push(Partition::new(
+                    share,
+                    Some((
                         *id,
                         TenantHandles {
                             hits: registry.counter(&key(HITS)),
@@ -244,7 +538,8 @@ impl SampleCache {
                             resident_bytes: registry.gauge(&key(RESIDENT_BYTES)),
                         },
                     )),
-                });
+                    &stats.pinned_bytes,
+                ));
             }
             (partitions, by_tenant)
         };
@@ -269,8 +564,9 @@ impl SampleCache {
     }
 
     /// Looks `key` up, counting a hit or a miss and refreshing recency on
-    /// a hit. Quarantined keys always miss.
-    pub fn lookup(&self, key: &SampleKey) -> Option<CachedSample> {
+    /// a hit. A hit pins the sample's slot for as long as the returned
+    /// [`SlotPin`] lives. Quarantined keys always miss.
+    pub fn lookup(&self, key: &SampleKey) -> Option<SlotPin> {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -284,7 +580,7 @@ impl SampleCache {
                 if let Some((_, t)) = &part.tenant {
                     t.hits.inc();
                 }
-                Some(entry.sample.clone())
+                Some(SlotPin::new(&entry.slot))
             }
             None => {
                 self.stats.misses.inc();
@@ -304,14 +600,20 @@ impl SampleCache {
         inner.partitions[idx].entries.contains_key(key)
     }
 
-    /// Admits a decoded sample with the given relative redecode `cost`,
-    /// evicting cheapest-cost entries from the key's partition until it
-    /// fits. Returns `false` (counted in `cache.rejected`) when the key is
-    /// quarantined or the sample cannot fit even an empty partition; a key
-    /// already resident is refreshed in place (recency + cost), not
-    /// double-counted.
+    /// Admits an owned sample: [`SampleCache::admit`] of its pixels.
     pub fn insert(&self, key: SampleKey, sample: CachedSample, cost: u64) -> bool {
-        let bytes = sample.bytes();
+        self.admit(key, &sample.data, sample.meta(), cost)
+    }
+
+    /// Admits a decoded sample with the given relative redecode `cost`,
+    /// copying `pixels` straight into a recycled slot, evicting
+    /// cheapest-cost entries from the key's partition until it fits.
+    /// Returns `false` (counted in `cache.rejected`) when the key is
+    /// quarantined, the sample cannot fit even an empty partition, or the
+    /// room it needs is held by evicted slots still pinned; a key already
+    /// resident is refreshed in place (recency + cost), not double-counted.
+    pub fn admit(&self, key: SampleKey, pixels: &[u8], meta: SampleMeta, cost: u64) -> bool {
+        let bytes = pixels.len() as u64;
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -331,10 +633,19 @@ impl SampleCache {
             self.stats.rejected.inc();
             return false;
         }
-        while part.resident + bytes > part.capacity {
-            let victim = part.victim().expect("resident > 0 implies an entry");
+        // Evict until the byte budget and the region both have room.
+        let slot = loop {
+            if part.resident + bytes <= part.capacity {
+                if let Some(slot) = part.slots.fill(pixels, meta) {
+                    break slot;
+                }
+            }
+            let Some(victim) = part.victim() else {
+                self.stats.rejected.inc();
+                return false;
+            };
             self.evict_locked(part, &victim);
-        }
+        };
         part.resident += bytes;
         if let Some((_, t)) = &part.tenant {
             t.resident_bytes.add(bytes as i64);
@@ -342,7 +653,7 @@ impl SampleCache {
         part.entries.insert(
             key,
             Entry {
-                sample,
+                slot,
                 cost,
                 last_use: clock,
             },
@@ -356,7 +667,7 @@ impl SampleCache {
 
     fn evict_locked(&self, part: &mut Partition, key: &SampleKey) {
         if let Some(entry) = part.entries.remove(key) {
-            let bytes = entry.sample.bytes();
+            let bytes = entry.slot.len as u64;
             part.resident -= bytes;
             self.stats.evictions.inc();
             self.stats.evicted_bytes.add(bytes);
@@ -366,6 +677,7 @@ impl SampleCache {
                 t.evictions.inc();
                 t.resident_bytes.add(-(bytes as i64));
             }
+            part.slots.release(entry.slot);
         }
     }
 
@@ -406,6 +718,11 @@ impl SampleCache {
         self.stats.resident_bytes.get().max(0) as u64
     }
 
+    /// Bytes of slots pinned by a live [`SlotPin`] right now.
+    pub fn pinned_bytes(&self) -> u64 {
+        self.stats.pinned_bytes.get().max(0) as u64
+    }
+
     /// Entries resident right now.
     pub fn len(&self) -> usize {
         self.stats.resident_entries.get().max(0) as usize
@@ -416,8 +733,10 @@ impl SampleCache {
         self.len() == 0
     }
 
-    /// `(lookups, hits, misses)` so far.
+    /// `(lookups, hits, misses)` so far, read together: the counters only
+    /// move under the cache lock, so `hits + misses == lookups` always.
     pub fn lookup_stats(&self) -> (u64, u64, u64) {
+        let _consistent = self.inner.lock();
         (
             self.stats.lookups.get(),
             self.stats.hits.get(),
@@ -425,8 +744,10 @@ impl SampleCache {
         )
     }
 
-    /// `(insertions, evictions, rejected, quarantined)` so far.
+    /// `(insertions, evictions, rejected, quarantined)` so far, read
+    /// together under the cache lock.
     pub fn churn_stats(&self) -> (u64, u64, u64, u64) {
+        let _consistent = self.inner.lock();
         (
             self.stats.insertions.get(),
             self.stats.evictions.get(),
@@ -495,8 +816,8 @@ mod tests {
         assert!(c.lookup(&key(1)).is_none());
         assert!(c.insert(key(1), test_sample(7, 100), 50));
         let got = c.lookup(&key(1)).expect("hit");
-        assert_eq!(got.data.as_slice(), &[7u8; 100]);
-        assert_eq!(got.label, 7);
+        assert_eq!(got.bytes(), &[7u8; 100]);
+        assert_eq!(got.meta().label, 7);
         let (lookups, hits, misses) = c.lookup_stats();
         assert_eq!((lookups, hits, misses), (2, 1, 1));
     }
@@ -587,6 +908,40 @@ mod tests {
         for (_, resident, capacity) in residency {
             assert!(resident <= capacity);
         }
+    }
+
+    #[test]
+    fn a_pinned_slot_outlives_eviction_and_the_cache() {
+        let c = SampleCache::new(200);
+        assert!(c.insert(key(1), test_sample(1, 100), 1));
+        assert!(c.insert(key(2), test_sample(2, 100), 5));
+        let pin = c.lookup(&key(1)).expect("hit");
+        assert_eq!(c.pinned_bytes(), 100);
+        // Key 1 is the victim, but its slot stays pinned: key 2 goes too,
+        // and key 3 takes key 2's slot.
+        assert!(c.insert(key(3), test_sample(3, 100), 9));
+        assert!(!c.contains(&key(1)) && !c.contains(&key(2)) && c.contains(&key(3)));
+        assert_eq!(c.resident_bytes(), 100);
+        drop(c);
+        assert_eq!(pin.bytes(), &[1u8; 100], "pinned bytes survive the cache");
+        assert_eq!(pin.meta().label, 1);
+    }
+
+    #[test]
+    fn admission_waits_for_the_last_pin_on_a_full_region() {
+        let c = SampleCache::new(100);
+        assert!(c.insert(key(1), test_sample(1, 100), 1));
+        let pins = [c.lookup(&key(1)).unwrap(), c.lookup(&key(1)).unwrap()];
+        assert_eq!(c.pinned_bytes(), 100, "a slot counts once, however pinned");
+        assert!(
+            !c.insert(key(2), test_sample(2, 100), 1),
+            "region held by pins"
+        );
+        assert_eq!(c.churn_stats().2, 1);
+        drop(pins);
+        assert_eq!(c.pinned_bytes(), 0);
+        assert!(c.insert(key(2), test_sample(2, 100), 1));
+        assert_eq!(c.lookup(&key(2)).unwrap().bytes(), &[2u8; 100]);
     }
 
     #[test]

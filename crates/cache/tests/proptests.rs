@@ -11,6 +11,9 @@
 //! * **Deterministic replay** — the same operation sequence on a fresh
 //!   cache reproduces identical stats and an identical resident set
 //!   (eviction must not depend on `HashMap` iteration order).
+//! * **Pins hold** — a pinned sample's bytes never change while pinned,
+//!   however the index churns around it: its slot is not handed to
+//!   admission until the last pin drops.
 //!
 //! Case count is pinned in CI; override with `PROPTEST_CASES`.
 
@@ -203,5 +206,51 @@ proptest! {
         let first = run();
         let second = run();
         prop_assert_eq!(first, second);
+    }
+
+    #[test]
+    fn pinned_bytes_never_change_while_pinned(
+        raw in vec((0u8..6, 0u64..16, 64usize..4096, 0u64..1_000, any::<prop::sample::Index>()), 1..100),
+    ) {
+        let cache = SampleCache::new(CAPACITY);
+        // Held pins with the tag their bytes must keep.
+        let mut held: Vec<(dlb_cache::SlotPin, u8)> = Vec::new();
+        for (tick, &(kind, key, len, cost, pick)) in raw.iter().enumerate() {
+            // Every admission writes its own tag, so a reused slot shows.
+            let tag = tick as u8;
+            match kind {
+                0 | 1 => {
+                    cache.insert(disk_key(key), test_sample(tag, len), cost);
+                }
+                2 | 3 => {
+                    if let Some(pin) = cache.lookup(&disk_key(key)) {
+                        let tag = pin.bytes()[0];
+                        held.push((pin, tag));
+                    }
+                }
+                4 => {
+                    if !held.is_empty() {
+                        drop(held.swap_remove(pick.index(held.len())));
+                    }
+                }
+                _ => {
+                    cache.poison(disk_key(key));
+                    prop_assert!(!cache.contains(&disk_key(key)), "quarantine must evict");
+                }
+            }
+            for (pin, tag) in &held {
+                prop_assert!(
+                    pin.bytes().iter().all(|b| b == tag),
+                    "a pinned slot was rewritten at op {}", tick
+                );
+                prop_assert_eq!(pin.bytes().len() as u32, pin.meta().width);
+            }
+            prop_assert!(cache.resident_bytes() <= cache.capacity_bytes());
+            prop_assert!(cache.pinned_bytes() <= cache.capacity_bytes());
+        }
+        drop(held);
+        prop_assert_eq!(cache.pinned_bytes(), 0);
+        let (insertions, evictions, _, _) = cache.churn_stats();
+        prop_assert_eq!(insertions, cache.len() as u64 + evictions);
     }
 }

@@ -571,10 +571,14 @@ fn run_router(reader: FpgaReader, ctx: RouterCtx) -> Option<FpgaReader> {
         let t0 = Instant::now();
         if let Some(bpe) = bpe {
             if batch.sequence < bpe {
+                // Gathered, not read off the unit's storage: a batch served
+                // from the sample cache holds lent slots, not inline bytes.
+                let mut payload = vec![0; batch.unit.used()];
+                batch.unit.gather_into(&mut payload);
                 ctx.cache.try_put(
                     batch.sequence,
                     CachedBatch {
-                        payload: batch.unit.payload().to_vec(),
+                        payload,
                         items: batch.unit.items().to_vec(),
                     },
                 );
@@ -733,11 +737,12 @@ mod tests {
         let mut payload_first: Option<Vec<u8>> = None;
         let mut payload_epoch1: Option<Vec<u8>> = None;
         while let Ok(batch) = b.next_batch(0) {
-            if batch.sequence == 0 {
-                payload_first = Some(batch.unit.payload().to_vec());
-            }
-            if batch.sequence == 2 {
-                payload_epoch1 = Some(batch.unit.payload().to_vec());
+            let mut payload = vec![0; batch.unit.used()];
+            batch.unit.gather_into(&mut payload);
+            match batch.sequence {
+                0 => payload_first = Some(payload),
+                2 => payload_epoch1 = Some(payload),
+                _ => {}
             }
             batches += 1;
             b.recycle(batch.unit);

@@ -13,7 +13,7 @@
 use crate::backend::HostBatch;
 use crate::channel::FpgaChannel;
 use crate::collector::{DataCollector, FileMeta};
-use dlb_cache::{CachedSample, SampleCache, SampleKey};
+use dlb_cache::{SampleCache, SampleKey, SampleMeta};
 use dlb_fpga::{CompletedBatch, DataRef, DecodeCmd, FpgaError, OutputFormat, Submission};
 use dlb_graph::{source_identity, SampleAugmentor};
 use dlb_membridge::{BatchUnit, BlockingQueue, MemManager};
@@ -63,39 +63,46 @@ pub fn augment_identity(src: &DataRef) -> u64 {
 
 /// The whole-batch sample-cache bypass shared by the FPGA reader and the
 /// CPU backend. When *every* item of the batch is resident, fills `unit`
-/// from memory and returns `true`: all-or-nothing keeps item order and
+/// from the cache and returns `true`: all-or-nothing keeps item order and
 /// unit layout identical to a decoded batch, and the unit recycles
 /// through the same free queue — only the decode work disappears. On any
-/// miss `unit` is untouched and the batch decodes live as a whole (both
+/// miss `unit` is left empty and the batch decodes live as a whole (both
 /// paths decode a full batch in one go, so partial hits save nothing).
 ///
-/// Cached samples are pre-augmentation pixels: with an augmentor
-/// attached, each bypassed item re-augments under its *dispense* epoch —
-/// a cache hit in epoch 3 draws epoch 3's crop, exactly as a live decode
-/// would.
+/// Each hit is *lent* to the unit, not copied into it: the unit holds the
+/// pinned slot, the H2D copy gathers it straight into the device buffer
+/// (one copy per warm image, slot → device), and recycling the unit
+/// unpins it. Cached samples are pre-augmentation pixels: with an
+/// augmentor attached, each bypassed item re-augments under its
+/// *dispense* epoch — a cache hit in epoch 3 draws epoch 3's crop, exactly
+/// as a live decode would — and the augmented bytes are written inline.
 pub fn fill_from_cache(
     cache: &SampleCache,
     metas: &[FileMeta],
     augmentor: Option<&SampleAugmentor>,
     unit: &mut BatchUnit,
 ) -> bool {
-    let cached: Option<Vec<CachedSample>> = metas
-        .iter()
-        .map(|m| sample_key(&m.src).and_then(|k| cache.lookup(&k)))
-        .collect();
-    let Some(samples) = cached else {
-        return false;
-    };
-    for (sample, meta) in samples.iter().zip(metas) {
-        let (w, h, c) = (sample.width, sample.height, sample.channels);
-        match augmentor {
-            Some(aug) => {
-                let id = augment_identity(&meta.src);
-                let out = aug.apply(meta.epoch, id, &sample.data, w, h, c);
-                unit.append(&out.data, sample.label, out.width, out.height, out.channels);
+    let lookup = |m: &FileMeta| sample_key(&m.src).and_then(|k| cache.lookup(&k));
+    match augmentor {
+        None => {
+            for meta in metas {
+                let Some(pin) = lookup(meta) else {
+                    unit.reset(); // returns the pins lent so far
+                    return false;
+                };
+                let s = pin.meta();
+                unit.lend(Box::new(pin), s.label, s.width, s.height, s.channels);
             }
-            None => {
-                unit.append(&sample.data, sample.label, w, h, c);
+        }
+        Some(aug) => {
+            let Some(pins) = metas.iter().map(lookup).collect::<Option<Vec<_>>>() else {
+                return false;
+            };
+            for (pin, meta) in pins.iter().zip(metas) {
+                let s = pin.meta();
+                let id = augment_identity(&meta.src);
+                let out = aug.apply(meta.epoch, id, pin.bytes(), s.width, s.height, s.channels);
+                unit.append(&out.data, s.label, out.width, out.height, out.channels);
             }
         }
     }
@@ -445,29 +452,26 @@ impl ReaderCore<'_> {
         let errors = done.finishes.iter().filter(|f| !f.status.is_ok()).count() as u64;
         self.stats.item_errors.add(errors);
         let mut unit = done.unit;
-        // Admission boundary: successful decodes enter the sample cache
-        // (compressed size as the redecode-cost signal — FINISH signals
-        // carry no per-item timing, and entropy bits scale with payload
-        // size); failed decodes poison their key so a corrupt source is
-        // never admitted, now or on a later epoch.
+        // Admission boundary: successful decodes are copied from the unit
+        // straight into a recycled cache slot (compressed size as the
+        // redecode-cost signal — FINISH signals carry no per-item timing,
+        // and entropy bits scale with payload size); failed decodes poison
+        // their key so a corrupt source is never admitted, now or on a
+        // later epoch.
         if let (Some(cache), Some(p)) = (self.cache.get(), &pending) {
             for (i, (finish, (src, label, _epoch))) in
                 done.finishes.iter().zip(&p.items).enumerate()
             {
                 let Some(key) = sample_key(src) else { continue };
                 if finish.status.is_ok() {
-                    let item = unit.items()[i].clone();
-                    cache.insert(
-                        key,
-                        CachedSample {
-                            data: Arc::new(unit.item_bytes(i).to_vec()),
-                            label: *label,
-                            width: item.width,
-                            height: item.height,
-                            channels: item.channels,
-                        },
-                        src_len(src),
-                    );
+                    let item = &unit.items()[i];
+                    let meta = SampleMeta {
+                        label: *label,
+                        width: item.width,
+                        height: item.height,
+                        channels: item.channels,
+                    };
+                    cache.admit(key, unit.item_bytes(i), meta, src_len(src));
                 } else {
                     cache.poison(key);
                 }
@@ -751,7 +755,11 @@ fn run_reader(
                     Instant::now(),
                 );
             }
-            if full_queue.push(batch).is_err() {
+            // On a closed queue the unit goes back to the pool (returning
+            // its pins), as on the decode path: the router's replay phase
+            // leases from it.
+            if let Err(batch) = full_queue.push_or_return(batch) {
+                let _ = pool.recycle_item(batch.unit);
                 break 'main;
             }
             continue;

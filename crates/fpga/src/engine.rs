@@ -770,7 +770,9 @@ mod tests {
             }
         }
         // Decoded pixels actually landed in the unit (not all zeros).
-        let nz = done.unit.payload().iter().filter(|&&b| b != 0).count();
+        let mut payload = vec![0; done.unit.used()];
+        done.unit.gather_into(&mut payload);
+        let nz = payload.iter().filter(|&&b| b != 0).count();
         assert!(nz > 1000, "only {nz} nonzero bytes written");
         assert_eq!(engine.stats().items_ok.get(), n as u64);
         pool.recycle_item(done.unit).unwrap();

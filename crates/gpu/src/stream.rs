@@ -18,9 +18,11 @@ use std::time::Duration;
 
 /// An operation enqueued on a stream.
 pub enum GpuOp {
-    /// Asynchronous host→device copy: moves `host.payload()` into `dev`.
-    /// Both resources travel with the op and come back on completion —
-    /// Algorithm 3's `working_queue[HST]` / `working_queue[DEV]` pattern.
+    /// Asynchronous host→device copy: gathers `host`'s payload — inline
+    /// bytes and lent windows at their item offsets — into `dev`. Both
+    /// resources travel with the op and come back on completion —
+    /// Algorithm 3's `working_queue[HST]` / `working_queue[DEV]` pattern;
+    /// recycling the unit afterwards returns its loans.
     MemcpyH2D {
         /// Source batch unit.
         host: BatchUnit,
@@ -221,7 +223,7 @@ fn execute(op: GpuOp, scale: f64, chaos: Option<&Arc<StageInjector>>, ordinal: u
             } else if n > dev.len() {
                 Some(format!("device buffer {} < payload {}", dev.len(), n))
             } else {
-                dev.bytes_mut()[..n].copy_from_slice(host.payload());
+                host.gather_into(dev.bytes_mut());
                 None
             };
             CompletedOp::MemcpyH2D { host, dev, error }

@@ -10,7 +10,10 @@
 //! give you, and copying many small pieces costs ≈20 % of training throughput
 //! (§5.2). So the pool allocates every buffer up front, slices it into
 //! fixed-size units, and the pipeline only ever moves *unit ownership*, never
-//! bytes.
+//! bytes. A unit may also *lend* items ([`BatchUnit::lend`]): bytes that
+//! already sit in host memory (a pinned sample-cache slot) keep their place
+//! in the batch layout without being copied into the unit, and the single
+//! copy to the device gathers them ([`BatchUnit::gather_into`]).
 //!
 //! ## Substitution note (no real HugePages / FPGA DMA here)
 //!
@@ -26,5 +29,5 @@
 pub mod pool;
 pub mod queue;
 
-pub use pool::{BatchUnit, ItemDesc, MemManager, PoolConfig, PoolError, PoolStats};
+pub use pool::{BatchUnit, ItemDesc, Lent, MemManager, PoolConfig, PoolError, PoolStats};
 pub use queue::{BlockingQueue, QueueClosed};

@@ -129,9 +129,38 @@ pub struct ItemDesc {
     pub channels: u8,
 }
 
+/// Bytes another owner lends a unit instead of copying them in — a pinned
+/// sample-cache slot. Read-only; dropping the box returns the loan, so a
+/// unit recycled, reset or dropped on a closed pool releases it alike.
+pub type Lent = Box<dyn AsRef<[u8]> + Send + Sync>;
+
+/// One lent item: its index in the item list, its place in the unit's
+/// layout, and the loan standing in for its bytes.
+struct LentWindow {
+    item: usize,
+    offset: usize,
+    bytes: Lent,
+}
+
+impl std::fmt::Debug for LentWindow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LentWindow")
+            .field("item", &self.item)
+            .field("offset", &self.offset)
+            .field("len", &self.bytes.as_ref().as_ref().len())
+            .finish()
+    }
+}
+
 /// An owned lease on one pool unit: a batch buffer with a stable simulated
 /// physical address. Dropping a `BatchUnit` without recycling it removes the
 /// unit from circulation (leak detection in [`PoolStats`] catches this).
+///
+/// An item is either *inline* (its bytes live in the unit's storage,
+/// written by [`BatchUnit::append`] or a device into a
+/// [`BatchUnit::reserve`]d window) or *lent* ([`BatchUnit::lend`]: it keeps
+/// its offsets in the layout, but its bytes stay with their owner until
+/// [`BatchUnit::gather_into`] copies the whole layout out).
 #[derive(Debug)]
 pub struct BatchUnit {
     /// Unit index within its pool.
@@ -146,6 +175,8 @@ pub struct BatchUnit {
     used: usize,
     /// Items packed into this unit.
     items: Vec<ItemDesc>,
+    /// Lent items, in item order; their offsets in `data` hold nothing.
+    lent: Vec<LentWindow>,
     /// Monotone sequence number assigned when the unit was filled.
     sequence: u64,
 }
@@ -178,9 +209,36 @@ impl BatchUnit {
         self.used
     }
 
-    /// Payload bytes.
+    /// Payload bytes of a unit that holds no lent items. Lent items have no
+    /// bytes in the unit's storage, so for such a unit this panics rather
+    /// than return a stale region; [`BatchUnit::gather_into`] exports any
+    /// unit.
     pub fn payload(&self) -> &[u8] {
+        assert!(
+            self.lent.is_empty(),
+            "unit {} lends {} items: read it with gather_into",
+            self.id,
+            self.lent.len()
+        );
         &self.data[..self.used]
+    }
+
+    /// Copies the unit's payload — inline bytes and lent windows, each at
+    /// its item offset — into `dst[..used]`. The one way bytes leave a
+    /// unit: a unit that lends nothing is one contiguous copy.
+    ///
+    /// Panics if `dst` is shorter than [`BatchUnit::used`].
+    pub fn gather_into(&self, dst: &mut [u8]) {
+        let dst = &mut dst[..self.used];
+        let mut at = 0;
+        for window in &self.lent {
+            let bytes = window.bytes.as_ref().as_ref();
+            let end = window.offset + bytes.len();
+            dst[at..window.offset].copy_from_slice(&self.data[at..window.offset]);
+            dst[window.offset..end].copy_from_slice(bytes);
+            at = end;
+        }
+        dst[at..].copy_from_slice(&self.data[at..self.used]);
     }
 
     /// Full mutable storage (the "DMA target").
@@ -259,16 +317,36 @@ impl BatchUnit {
         Some(offset)
     }
 
-    /// Bytes of item `idx`.
-    pub fn item_bytes(&self, idx: usize) -> &[u8] {
-        let it = &self.items[idx];
-        &self.data[it.offset..it.offset + it.len]
+    /// Lends `bytes` as the next item: it takes its offsets in the layout
+    /// exactly as [`BatchUnit::append`] would, but nothing is copied — the
+    /// loan is held until the unit is reset, recycled or dropped. Returns
+    /// the item index, or `None` (the loan dropped) if the layout is full.
+    pub fn lend(
+        &mut self,
+        bytes: Lent,
+        label: u64,
+        width: u32,
+        height: u32,
+        channels: u8,
+    ) -> Option<usize> {
+        let len = bytes.as_ref().as_ref().len();
+        let offset = self.reserve(len, label, width, height, channels)?;
+        let item = self.items.len() - 1;
+        self.lent.push(LentWindow {
+            item,
+            offset,
+            bytes,
+        });
+        Some(item)
     }
 
-    /// Mutable bytes of item `idx` (device writeback target).
-    pub fn item_bytes_mut(&mut self, idx: usize) -> &mut [u8] {
-        let it = self.items[idx].clone();
-        &mut self.data[it.offset..it.offset + it.len]
+    /// Bytes of item `idx`, inline or lent.
+    pub fn item_bytes(&self, idx: usize) -> &[u8] {
+        if let Ok(at) = self.lent.binary_search_by_key(&idx, |w| w.item) {
+            return self.lent[at].bytes.as_ref().as_ref();
+        }
+        let it = &self.items[idx];
+        &self.data[it.offset..it.offset + it.len]
     }
 
     /// Number of packed items.
@@ -310,10 +388,12 @@ impl BatchUnit {
         Ok(())
     }
 
-    /// Clears payload/items for reuse (done automatically on recycle).
+    /// Clears payload/items for reuse, returning every loan (done
+    /// automatically on recycle).
     pub fn reset(&mut self) {
         self.used = 0;
         self.items.clear();
+        self.lent.clear();
         self.sequence = 0;
     }
 }
@@ -419,6 +499,7 @@ impl MemManager {
                 data,
                 used: 0,
                 items: Vec::new(),
+                lent: Vec::new(),
                 sequence: 0,
             };
             virt_table.push(unit.virt_addr());
@@ -716,7 +797,8 @@ mod tests {
         let mut unit = pool.get_item().unwrap();
         unit.append(&[1, 2, 3, 4], 7, 2, 2, 1).unwrap();
         unit.append(&[5, 6], 8, 1, 2, 1).unwrap();
-        let payload = unit.payload().to_vec();
+        let mut payload = vec![0; unit.used()];
+        unit.gather_into(&mut payload);
         let items = unit.items().to_vec();
         pool.recycle_item(unit).unwrap();
         // Replay into a fresh lease.
@@ -727,6 +809,26 @@ mod tests {
         assert_eq!(unit.item_bytes(0), &[1, 2, 3, 4]);
         assert_eq!(unit.item_bytes(1), &[5, 6]);
         assert_eq!(unit.items()[1].label, 8);
+        pool.recycle_item(unit).unwrap();
+    }
+
+    #[test]
+    fn lent_items_keep_their_layout_and_gather_between_inline_ones() {
+        let pool = small_pool();
+        let mut unit = pool.get_item().unwrap();
+        unit.append(&[1, 2], 0, 1, 2, 1).unwrap();
+        assert_eq!(unit.lend(Box::new(vec![7u8, 8, 9]), 1, 1, 3, 1), Some(1));
+        unit.append(&[4], 2, 1, 1, 1).unwrap();
+        assert_eq!(unit.items()[1].offset, 2);
+        assert_eq!(unit.items()[2].offset, 5);
+        assert_eq!(unit.item_bytes(1), &[7, 8, 9]);
+        let mut out = vec![0; unit.used()];
+        unit.gather_into(&mut out);
+        assert_eq!(out, [1, 2, 7, 8, 9, 4]);
+        // The inline region behind a lent item is stale: refused, not read.
+        let stale = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unit.payload().len()));
+        assert!(stale.is_err());
+        assert!(unit.lend(Box::new(vec![0u8; 2000]), 3, 1, 1, 1).is_none());
         pool.recycle_item(unit).unwrap();
     }
 
@@ -791,6 +893,7 @@ mod tests {
             data: vec![0u8; 16].into_boxed_slice(),
             used: 0,
             items: Vec::new(),
+            lent: Vec::new(),
             sequence: 0,
         };
         pool.recycle_item(unit).unwrap();

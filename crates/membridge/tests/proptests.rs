@@ -1,11 +1,42 @@
 //! Property tests: the pool never double-leases, always conserves units,
-//! address translation is a bijection over the pool's range, and every
-//! misuse path (recycle-after-close, bad restore input) fails with a
-//! typed error instead of a panic.
+//! address translation is a bijection over the pool's range, every misuse
+//! path (recycle-after-close, bad restore input) fails with a typed error
+//! instead of a panic, and a unit mixing inline, reserved and lent items
+//! exports exactly its items and returns every loan.
 
 use dlb_membridge::{ItemDesc, MemManager, PoolConfig, PoolError};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// A loan that counts how many of its kind are still outstanding.
+struct Counted {
+    bytes: Vec<u8>,
+    live: Arc<AtomicUsize>,
+}
+
+impl Counted {
+    fn new(bytes: Vec<u8>, live: &Arc<AtomicUsize>) -> Box<Self> {
+        live.fetch_add(1, Ordering::SeqCst);
+        Box::new(Self {
+            bytes,
+            live: Arc::clone(live),
+        })
+    }
+}
+
+impl AsRef<[u8]> for Counted {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -222,5 +253,63 @@ proptest! {
             Err(other) => prop_assert!(false, "unexpected error {:?}", other),
         }
         pool.recycle_item(unit).unwrap();
+    }
+
+    /// For any mix of inline, reserved and lent items, the gathered
+    /// payload is the concatenation of `item_bytes` in item order, and
+    /// recycling (or resetting) the unit returns every loan.
+    #[test]
+    fn gather_concatenates_items_and_recycle_returns_every_loan(
+        items in prop::collection::vec((0u8..3, 0usize..40, any::<u8>()), 0..24),
+        reset_instead in any::<bool>(),
+    ) {
+        let pool = MemManager::new(PoolConfig {
+            unit_size: 512,
+            unit_count: 1,
+            phys_base: 0,
+        }).unwrap();
+        let live = Arc::new(AtomicUsize::new(0));
+        let mut lent = 0;
+        let mut unit = pool.get_item().unwrap();
+        for (i, &(kind, len, tag)) in items.iter().enumerate() {
+            let bytes = vec![tag; len];
+            let placed = match kind {
+                0 => unit.append(&bytes, i as u64, 1, 1, 1),
+                1 => unit.reserve(len, i as u64, 1, 1, 1).map(|offset| {
+                    // A device writing its window after the fact.
+                    unit.storage_mut()[offset..offset + len].fill(tag);
+                    unit.item_count() - 1
+                }),
+                _ => {
+                    let idx = unit.lend(Counted::new(bytes.clone(), &live), i as u64, 1, 1, 1);
+                    lent += idx.is_some() as usize;
+                    idx
+                }
+            };
+            if let Some(idx) = placed {
+                prop_assert_eq!(unit.item_bytes(idx), &bytes[..]);
+            }
+        }
+        let expected: Vec<u8> = (0..unit.item_count())
+            .flat_map(|i| unit.item_bytes(i).to_vec())
+            .collect();
+        prop_assert_eq!(expected.len(), unit.used());
+        let mut gathered = vec![0xEE; unit.used() + 8];
+        unit.gather_into(&mut gathered);
+        prop_assert_eq!(&gathered[..unit.used()], &expected[..]);
+        prop_assert!(gathered[unit.used()..].iter().all(|&b| b == 0xEE));
+        prop_assert_eq!(live.load(Ordering::SeqCst), lent);
+        if reset_instead {
+            unit.reset();
+            prop_assert_eq!(live.load(Ordering::SeqCst), 0);
+        }
+        pool.recycle_item(unit).unwrap();
+        prop_assert_eq!(live.load(Ordering::SeqCst), 0);
+        // A unit dropped on a closed pool returns its loans too.
+        let mut unit = pool.get_item().unwrap();
+        unit.lend(Counted::new(vec![1; 4], &live), 0, 1, 1, 1).unwrap();
+        pool.close();
+        prop_assert!(pool.recycle_item(unit).is_err());
+        prop_assert_eq!(live.load(Ordering::SeqCst), 0);
     }
 }

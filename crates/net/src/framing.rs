@@ -68,8 +68,41 @@ impl Frame {
         out
     }
 
-    /// Parses a complete frame from `bytes`.
+    /// Parses a complete frame from `bytes` into an owned frame (the
+    /// payload copied out of the wire bytes). The RX path parses in place
+    /// with [`FrameView::parse`] instead.
     pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
+        FrameView::parse(bytes).map(|view| Frame {
+            request_id: view.request_id,
+            client_id: view.client_id,
+            send_ts_nanos: view.send_ts_nanos,
+            payload: view.payload.to_vec(),
+        })
+    }
+
+    /// Total wire bytes of this frame.
+    pub fn wire_len(&self) -> usize {
+        FRAME_HEADER_LEN + self.payload.len()
+    }
+}
+
+/// One request frame parsed in place: the header fields, and the payload
+/// as a view of the wire bytes — nothing copied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameView<'a> {
+    /// Globally unique request id.
+    pub request_id: u64,
+    /// Which client sent it.
+    pub client_id: u32,
+    /// Client-side send timestamp (nanoseconds).
+    pub send_ts_nanos: u64,
+    /// JPEG payload, borrowed from the wire bytes.
+    pub payload: &'a [u8],
+}
+
+impl<'a> FrameView<'a> {
+    /// Parses a complete frame from `bytes`, borrowing its payload.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, FrameError> {
         if bytes.len() < FRAME_HEADER_LEN {
             return Err(FrameError::Truncated);
         }
@@ -85,17 +118,12 @@ impl Frame {
         if declared as usize != present {
             return Err(FrameError::LengthMismatch { declared, present });
         }
-        Ok(Frame {
+        Ok(FrameView {
             request_id,
             client_id,
             send_ts_nanos,
-            payload: bytes[FRAME_HEADER_LEN..].to_vec(),
+            payload: &bytes[FRAME_HEADER_LEN..],
         })
-    }
-
-    /// Total wire bytes of this frame.
-    pub fn wire_len(&self) -> usize {
-        FRAME_HEADER_LEN + self.payload.len()
     }
 }
 
@@ -147,6 +175,24 @@ mod tests {
             Frame::decode(&bytes),
             Err(FrameError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn view_borrows_the_payload_in_place() {
+        let f = Frame {
+            request_id: 9,
+            client_id: 2,
+            send_ts_nanos: 77,
+            payload: vec![3; 12],
+        };
+        let bytes = f.encode();
+        let view = FrameView::parse(&bytes).unwrap();
+        assert_eq!(view.payload.as_ptr(), bytes[FRAME_HEADER_LEN..].as_ptr());
+        assert_eq!(
+            (view.request_id, view.client_id, view.send_ts_nanos),
+            (9, 2, 77)
+        );
+        assert_eq!(Frame::decode(&bytes).unwrap(), f);
     }
 
     #[test]

@@ -20,5 +20,5 @@ pub mod framing;
 pub mod nic;
 
 pub use client::{ClientPool, Request};
-pub use framing::{Frame, FrameError, FRAME_HEADER_LEN};
+pub use framing::{Frame, FrameError, FrameView, FRAME_HEADER_LEN};
 pub use nic::{NicRx, NicSpec, RxDescriptor, RxError, DEFAULT_RX_RING_CAPACITY};

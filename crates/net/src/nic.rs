@@ -1,6 +1,6 @@
 //! NIC RX engine: 40 Gbps wire model + host-memory payload placement.
 
-use crate::framing::{Frame, FrameError};
+use crate::framing::{FrameError, FrameView};
 use dlb_chaos::{FaultKind, StageInjector};
 use dlb_simcore::queueing::SerialPipe;
 use dlb_simcore::SimTime;
@@ -112,6 +112,9 @@ struct RxState {
     /// Shared so a fetch hands out the buffer itself, not a copy; a
     /// release while a decode still reads it only drops the NIC's reference.
     buffers: HashMap<u64, Arc<Vec<u8>>>,
+    /// Released buffers nobody else holds, refilled by the next delivery:
+    /// a warm RX path allocates nothing.
+    spare: Vec<Arc<Vec<u8>>>,
     ring: VecDeque<RxDescriptor>,
     next_phys: u64,
     frames_ok: u64,
@@ -134,6 +137,7 @@ impl NicRx {
             ring_capacity: ring_capacity.max(1),
             state: Mutex::new(RxState {
                 buffers: HashMap::new(),
+                spare: Vec::new(),
                 ring: VecDeque::new(),
                 next_phys: phys_base,
                 frames_ok: 0,
@@ -176,9 +180,10 @@ impl NicRx {
     }
 
     /// Delivers raw wire bytes (one frame). On success the payload is
-    /// placed in a fresh buffer and a descriptor is queued. Frames
-    /// arriving to a full descriptor ring are dropped and counted — the
-    /// backpressure signal the serving layer's drain loop responds to.
+    /// copied — the modelled DMA, its only copy — into a recycled RX
+    /// buffer and a descriptor is queued. Frames arriving to a full
+    /// descriptor ring are dropped and counted — the backpressure signal
+    /// the serving layer's drain loop responds to.
     pub fn deliver(&self, wire_bytes: &[u8], arrival_nanos: u64) -> Result<RxDescriptor, RxError> {
         let mut corrupted: Vec<u8>;
         let mut wire_bytes = wire_bytes;
@@ -214,7 +219,7 @@ impl NicRx {
                 None => {}
             }
         }
-        let frame = match Frame::decode(wire_bytes) {
+        let frame = match FrameView::parse(wire_bytes) {
             Ok(f) => f,
             Err(e) => {
                 self.state.lock().frames_bad += 1;
@@ -224,9 +229,14 @@ impl NicRx {
                 return Err(RxError::Frame(e));
             }
         };
+        let mut buf = self.state.lock().spare.pop().unwrap_or_default();
+        let payload = Arc::get_mut(&mut buf).expect("spare RX buffers are unshared");
+        payload.clear();
+        payload.extend_from_slice(frame.payload);
         let mut st = self.state.lock();
         if st.ring.len() >= self.ring_capacity {
             st.frames_dropped += 1;
+            st.spare.push(buf);
             if let Some(c) = &self.drop_counter {
                 c.inc();
             }
@@ -246,7 +256,7 @@ impl NicRx {
         };
         st.bytes_rx += wire_bytes.len() as u64;
         st.frames_ok += 1;
-        st.buffers.insert(phys_addr, Arc::new(frame.payload));
+        st.buffers.insert(phys_addr, buf);
         st.ring.push_back(desc.clone());
         Ok(desc)
     }
@@ -280,9 +290,18 @@ impl NicRx {
         Ok(Arc::clone(buf))
     }
 
-    /// Frees a payload buffer after the decoder consumed it.
+    /// Frees a payload buffer after the decoder consumed it. When the NIC
+    /// held the last reference, the buffer goes back to the spare list for
+    /// the next delivery; one a fetch still holds is simply dropped.
     pub fn release(&self, phys_addr: u64) -> bool {
-        self.state.lock().buffers.remove(&phys_addr).is_some()
+        let mut st = self.state.lock();
+        let Some(mut buf) = st.buffers.remove(&phys_addr) else {
+            return false;
+        };
+        if Arc::get_mut(&mut buf).is_some() && st.spare.len() < self.ring_capacity {
+            st.spare.push(buf);
+        }
+        true
     }
 
     /// Descriptors waiting.
@@ -321,6 +340,7 @@ impl NicRx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::Frame;
 
     fn frame(id: u64, payload_len: usize) -> Vec<u8> {
         Frame {
@@ -453,6 +473,25 @@ mod tests {
         assert_eq!(a, run(7), "same seed, same frame sequence → same faults");
         assert!(a.iter().any(|&o| o != 0), "a 50% rate must inject");
         assert!(a.iter().any(|&o| o == 0), "a 50% rate must pass frames");
+    }
+
+    #[test]
+    fn released_buffers_are_refilled_not_reallocated() {
+        let nic = NicRx::new(NicSpec::forty_gbps(), 0);
+        let d = nic.deliver(&frame(1, 100), 0).unwrap();
+        let storage = nic.fetch(d.phys_addr, d.len).unwrap().as_ptr();
+        assert!(nic.release(d.phys_addr));
+        // The next payload lands in the same storage.
+        let d = nic.deliver(&frame(2, 80), 0).unwrap();
+        let held = nic.fetch(d.phys_addr, d.len).unwrap();
+        assert_eq!(held.as_ptr(), storage);
+        assert_eq!(*held, vec![2u8; 80]);
+        // Released while a decode still reads it: the reader keeps its
+        // bytes, and the NIC does not reuse them.
+        assert!(nic.release(d.phys_addr));
+        let d = nic.deliver(&frame(3, 80), 0).unwrap();
+        assert_ne!(nic.fetch(d.phys_addr, d.len).unwrap().as_ptr(), storage);
+        assert_eq!(*held, vec![2u8; 80]);
     }
 
     #[test]

@@ -634,6 +634,11 @@ metrics! {
             resident_entries: Gauge CACHE_RESIDENT_ENTRIES = "cache.resident_entries",
             /// Configured capacity in bytes (set at construction).
             capacity_bytes: Gauge CACHE_CAPACITY_BYTES = "cache.capacity_bytes",
+            /// Bytes of slots a hit has pinned (lent to an in-flight batch
+            /// unit) at snapshot time.
+            pinned_bytes: Gauge CACHE_PINNED_BYTES = "cache.pinned_bytes",
+            /// Most slot bytes ever pinned at once.
+            pinned_bytes_high_water: HighWater CACHE_PINNED_BYTES,
         }
         /// Shard router (`dlb-cluster`): consistent-hash routing, tenant
         /// quotas, hedging, and node-kill replay accounting.
@@ -832,8 +837,9 @@ struct Law {
 /// The law table's grammar:
 /// `"name" [if layer] [each family]: [A + B] == [C + hw(D) + sum(family, F)]`
 /// with `==` or `<=`; terms are [`names`] constants (the family's field
-/// constants under `each`).
+/// constants under `each`), and `[0]` is the empty side.
 macro_rules! laws {
+    (@side [0]) => { &[] };
     (@term hw($c:ident)) => { Term::HighWater($c) };
     (@term sum($fam:ident, $c:ident)) => { Term::Sum(names::$fam::PREFIX, names::$fam::$c) };
     (@term $c:ident) => { Term::Metric($c) };
@@ -880,6 +886,8 @@ const LAWS: &[Law] = laws! {
     "cache byte conservation" if cache: [CACHE_INSERTED_BYTES] == [CACHE_RESIDENT_BYTES + CACHE_EVICTED_BYTES]
     "cache entry conservation" if cache: [CACHE_INSERTIONS] == [CACHE_RESIDENT_ENTRIES + CACHE_EVICTIONS]
     "cache partition conservation" if cache: [sum(cache_tenant, RESIDENT_BYTES)] == [CACHE_RESIDENT_BYTES]
+    "cache pins held at quiescence" if cache: [CACHE_PINNED_BYTES] == [0]
+    "cache pinned beyond capacity" if cache: [hw(CACHE_PINNED_BYTES)] <= [CACHE_CAPACITY_BYTES]
 
     "cluster request conservation" if cluster: [CLUSTER_REQUESTS + CLUSTER_HEDGE_DUPS] == [CLUSTER_SERVED + CLUSTER_REPLAYED + CLUSTER_SHED + CLUSTER_INFLIGHT]
     "cluster dispatch composition" if cluster: [CLUSTER_DISPATCHES] == [CLUSTER_ADMITTED + CLUSTER_HEDGES + CLUSTER_REPLAYS]
@@ -968,6 +976,9 @@ fn side(
         total += value;
         let plus = if text.is_empty() { "" } else { " + " };
         let _ = write!(text, "{plus}{label} {value}");
+    }
+    if text.is_empty() {
+        text.push('0');
     }
     Some((total, text))
 }

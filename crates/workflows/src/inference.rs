@@ -24,7 +24,7 @@
 //!   inference kernels (decode and inference overlap on one device).
 
 use crate::calibration::{BackendKind, Calibration, Workload};
-use dlb_cache::{CachedSample, SampleCache, SampleKey};
+use dlb_cache::{SampleCache, SampleKey, SampleMeta};
 use dlb_gpu::{GpuTimingModel, ModelZoo, Precision};
 use dlb_serving::{
     AdmissionController, BatchFormer, FormedBatch, ServeRequest, ServingConfig, ServingInstruments,
@@ -574,19 +574,15 @@ impl InferenceSim {
                     cache.note_bypass_batch();
                 }
                 let cost = st.per_image_decode.as_nanos();
-                let img = Workload::Ilsvrc;
+                let pixels = vec![0u8; Workload::Ilsvrc.decoded_bytes() as usize];
+                let meta = SampleMeta {
+                    label: 0,
+                    width: 224,
+                    height: 224,
+                    channels: 3,
+                };
                 for key in misses {
-                    cache.insert(
-                        key,
-                        CachedSample {
-                            data: Arc::new(vec![0u8; img.decoded_bytes() as usize]),
-                            label: 0,
-                            width: 224,
-                            height: 224,
-                            channels: 3,
-                        },
-                        cost,
-                    );
+                    cache.admit(key, &pixels, meta, cost);
                 }
             }
         }

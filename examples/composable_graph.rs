@@ -43,7 +43,9 @@ fn run(disk: &Arc<NvmeDisk>, dataset: &Dataset, graph: &PipelineGraph, seed: u64
     .expect("graph mounts on the CPU backend");
     let mut payloads = Vec::new();
     while let Ok(batch) = backend.next_batch(0) {
-        payloads.push(batch.unit.payload().to_vec());
+        let mut payload = vec![0; batch.unit.used()];
+        batch.unit.gather_into(&mut payload);
+        payloads.push(payload);
         backend.recycle(batch.unit);
     }
     payloads

@@ -326,7 +326,9 @@ fn sample_cache_eliminates_epoch2_decode_with_identical_batches() {
                 .unwrap();
         let mut payloads = Vec::new();
         while let Ok(batch) = booster.next_batch(0) {
-            payloads.push(batch.unit.payload().to_vec());
+            let mut payload = vec![0; batch.unit.used()];
+            batch.unit.gather_into(&mut payload);
+            payloads.push(payload);
             booster.recycle(batch.unit);
         }
         let cache = booster.sample_cache();
@@ -390,7 +392,9 @@ fn hybrid_cache_serves_later_epochs_in_full_pipeline() {
     .unwrap();
     let mut payloads = Vec::new();
     while let Ok(batch) = booster.next_batch(0) {
-        payloads.push(batch.unit.payload().to_vec());
+        let mut payload = vec![0; batch.unit.used()];
+        batch.unit.gather_into(&mut payload);
+        payloads.push(payload);
         booster.recycle(batch.unit);
     }
     assert_eq!(payloads.len(), 6);

@@ -53,7 +53,9 @@ fn fpga_training_run(
             .unwrap();
     let mut payloads = Vec::new();
     while let Ok(batch) = booster.next_batch(0) {
-        payloads.push(batch.unit.payload().to_vec());
+        let mut payload = vec![0; batch.unit.used()];
+        batch.unit.gather_into(&mut payload);
+        payloads.push(payload);
         booster.recycle(batch.unit);
     }
     drop(booster); // join reader + router → quiescent counters
