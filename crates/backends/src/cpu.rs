@@ -307,7 +307,7 @@ fn cpu_worker(
                 scaffold
                     .cpu_busy_nanos
                     .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if !scaffold.router.deliver_traced(unit, arrivals, trace_id) {
+                if !scaffold.router.deliver(unit, arrivals, trace_id) {
                     break;
                 }
                 continue;
@@ -448,7 +448,7 @@ fn cpu_worker(
         scaffold
             .cpu_busy_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if !scaffold.router.deliver_traced(unit, arrivals, trace_id) {
+        if !scaffold.router.deliver(unit, arrivals, trace_id) {
             break;
         }
     }
@@ -704,6 +704,81 @@ mod tests {
             b.recycle(batch.unit);
         }
         assert_eq!(seen, 8);
+    }
+
+    #[test]
+    fn a_worker_blocked_delivering_at_drop_returns_its_unit() {
+        use dlb_graph::{Chain, SourceKind, StageSpec};
+        use std::time::{Duration, Instant};
+        // One worker, a one-deep slot queue nobody pops: batch 0 fills it
+        // and the worker blocks delivering batch 1 when the backend drops.
+        let disk = Arc::new(NvmeDisk::new(NvmeSpec::optane_900p()));
+        let ds = Dataset::build(DatasetSpec::ilsvrc_small(16, 5), &disk).unwrap();
+        let graph = Chain::new()
+            .then(
+                "manifest",
+                StageSpec::Source {
+                    kind: SourceKind::Disk,
+                },
+            )
+            .then(
+                "cpu-decode",
+                StageSpec::Decode {
+                    device: DecodeDevice::Cpu,
+                },
+            )
+            .then(
+                "resize",
+                StageSpec::Resize {
+                    width: 32,
+                    height: 32,
+                },
+            )
+            .then("dispatch", StageSpec::Sink)
+            .queue_depth(1)
+            .build()
+            .unwrap();
+        let telemetry = Telemetry::with_defaults();
+        let tracer = Arc::new(Tracer::new());
+        telemetry.install_tracer(Arc::clone(&tracer));
+        let b = CpuBackend::from_graph_with_telemetry(
+            Arc::new(DataCollector::load_from_disk(&ds.records, 0)),
+            Arc::new(CombinedResolver::disk_only(disk)),
+            CpuBackendConfig {
+                n_engines: 1,
+                batch_size: 4,
+                target_w: 32,
+                target_h: 32,
+                workers: 1,
+                max_batches: None,
+                sample_cache: None,
+            },
+            &graph,
+            0,
+            telemetry,
+        )
+        .unwrap();
+        let pool = b.pool().clone();
+        // The worker closes a batch's decode span right before delivering
+        // it: after batch 1's, only the push into the full queue is left.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let decoded = || {
+            let trace = tracer.snapshot();
+            trace
+                .events
+                .iter()
+                .filter(|e| e.stage == stages::CPU_DECODE)
+                .count()
+        };
+        while decoded() < 2 {
+            assert!(Instant::now() < deadline, "batch 1 never decoded");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        drop(b);
+        let stats = pool.stats();
+        assert_eq!(stats.lease_ops, 2);
+        assert_eq!(stats.recycle_ops, stats.lease_ops, "every lease recycled");
     }
 
     #[test]

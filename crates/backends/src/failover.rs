@@ -10,15 +10,16 @@
 //!
 //! The accounting that makes "no loss, no dup" exact:
 //!
-//! * `quiesce()` joins the primary's router thread, so
-//!   [`DlBooster::delivered`] is the *final* count of batches that will
-//!   ever leave the primary (consumed already + residue still queued).
+//! * `quiesce()` closes the primary's slot queues and waits out any
+//!   delivery in progress, so [`DlBooster::delivered`] is the *final*
+//!   count of batches that will ever leave the primary (consumed already,
+//!   plus residue still queued).
 //! * The fallback is constructed with `max_batches = total − delivered`,
 //!   so primary + fallback together emit exactly the configured total.
 //! * Residue batches stay poppable from the primary's closed slot
 //!   queues and are served before the fallback's output; their units
 //!   recycle into the primary's still-open pool (recycles are routed by
-//!   [`MemManager::owns`]).
+//!   [`MemManager::owns`](dlb_membridge::MemManager::owns)).
 
 use dlb_chaos::CancelToken;
 use dlb_membridge::BatchUnit;
@@ -101,9 +102,8 @@ impl FailoverBackend {
         if self.failed_over.load(Ordering::Acquire) {
             return Ok(());
         }
-        // Release chaos-injected stalls first: quiesce joins the router,
-        // which in turn waits on the reader, which may be riding out an
-        // injected multi-second lane delay.
+        // Release chaos-injected stalls first, so the reader is not left
+        // riding out an injected multi-second lane delay.
         if let Some(cancel) = &self.chaos_cancel {
             cancel.cancel();
         }
@@ -264,14 +264,13 @@ mod tests {
         engine.attach_chaos(plan.injector(dlb_chaos::Stage::Fpga, &telemetry).unwrap());
 
         let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
-        let mut config = DlBoosterConfig::training(
+        let config = DlBoosterConfig::training(
             1,
             BATCH,
             (SIDE, SIDE),
             (TOTAL as usize) * BATCH,
             Some(TOTAL),
         );
-        config.cache_bytes = 0;
         let primary = Arc::new(
             DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
                 .unwrap(),
@@ -363,8 +362,7 @@ mod tests {
         let engine =
             DecoderEngine::start(dev, Arc::new(CombinedResolver::disk_only(disk))).unwrap();
         let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
-        let mut config = DlBoosterConfig::training(1, 4, (16, 16), 16, Some(4));
-        config.cache_bytes = 0;
+        let config = DlBoosterConfig::training(1, 4, (16, 16), 16, Some(4));
         let primary = Arc::new(
             DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
                 .unwrap(),

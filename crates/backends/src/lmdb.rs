@@ -149,7 +149,7 @@ fn lmdb_reader(
         scaffold
             .cpu_busy_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if !scaffold.router.deliver(unit, arrivals) {
+        if !scaffold.router.deliver(unit, arrivals, 0) {
             break;
         }
     }

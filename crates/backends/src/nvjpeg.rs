@@ -1,6 +1,6 @@
 //! The nvJPEG GPU-decoding backend.
 //!
-//! NVIDIA's nvJPEG (paper §5.3 and [16]) moves JPEG decode onto the GPU.
+//! NVIDIA's nvJPEG (paper §5.3 and \[16\]) moves JPEG decode onto the GPU.
 //! Host CPU cost collapses (≈1.5 cores: kernel launches only), but the
 //! decode kernels hold ≈30 % of the device, so the *inference engine's* own
 //! kernels stretch — "the CUDA cores are competed between the inference
@@ -170,7 +170,7 @@ fn nvjpeg_worker(
         scaffold
             .cpu_busy_nanos
             .fetch_add(launch.as_nanos(), Ordering::Relaxed);
-        if !scaffold.router.deliver(unit, arrivals) {
+        if !scaffold.router.deliver(unit, arrivals, 0) {
             break;
         }
     }

@@ -36,7 +36,7 @@ enum Op {
 
 fn decode((kind, key, len, cost): (u8, u64, usize, u64)) -> Op {
     match kind % 5 {
-        0 | 1 | 2 => Op::Insert { key, len, cost },
+        0..=2 => Op::Insert { key, len, cost },
         3 => Op::Lookup { key },
         _ => Op::Poison { key },
     }

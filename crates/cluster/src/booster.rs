@@ -5,7 +5,7 @@
 //! the *real* machinery: N live `DlBooster` nodes behind a
 //! [`HashRing`], each with a delivery budget. Killing a node reuses the
 //! exact quiesce/recycle contract `FailoverBackend` established —
-//! [`DlBooster::quiesce`] stops the router and finalises `delivered()`,
+//! [`DlBooster::quiesce`] closes the slot queues and finalises `delivered()`,
 //! residue already routed to slot queues stays poppable, and the
 //! shortfall (`budget − delivered`) is re-provisioned on a replacement
 //! node built by the caller from the undelivered tail of the dead
@@ -133,8 +133,8 @@ impl BoosterCluster {
         self.shards[id as usize].booster.recycle(batch.unit);
     }
 
-    /// Chaos-kills node `id`: quiesces it (router joined, `delivered()`
-    /// final), drains the residue its slot queues still hold, removes it
+    /// Chaos-kills node `id`: quiesces it (slot queues closed,
+    /// `delivered()` final), drains the residue its slot queues still hold, removes it
     /// from the ring, and — when `replacement` returns a booster sized
     /// for the shortfall — splices the replacement in as a new node.
     ///
@@ -154,7 +154,7 @@ impl BoosterCluster {
         shard.alive = false;
         shard.booster.quiesce();
         let delivered = shard.booster.delivered();
-        // Residue: batches the router delivered before the kill that the
+        // Residue: batches the node delivered before the kill that the
         // consumer never popped. quiesce closes the slot queues but they
         // drain to empty first.
         let mut residue = 0;

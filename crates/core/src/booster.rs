@@ -4,34 +4,42 @@
 //!
 //! ```text
 //!   DataCollector ─► FPGAReader ─► FpgaChannel ─► decoder engine (FPGA)
-//!        ▲                │   Full_Batch_Queue ◄────────┘
-//!   disk manifest /       ▼
-//!   NIC descriptors     router (round-robin, hybrid cache) ─► per-engine
-//!                                                             slot queues
+//!        ▲             │    ▲                           │
+//!   disk manifest /    │    └────── FINISH ◄────────────┘
+//!   NIC descriptors    ▼
+//!               SlotRouter (round-robin) ─► per-engine slot queues
 //! ```
 //!
-//! The router implements the *hybrid* service of §3.1: during the first
-//! epoch every decoded batch is offered to the [`EpochCache`]; if the whole
-//! epoch fits ("as it can"), the FPGA path is shut down and later epochs
-//! replay from memory — the reason MNIST-scale training shows near-zero
-//! preprocessing cost for every backend in Fig. 6(a).
+//! The reader delivers every finished batch through the [`SlotRouter`]
+//! itself; no thread sits between it and the engines.
+//!
+//! The *hybrid* service of §3.1 ("preprocesses all data in the first epoch
+//! and caches them in memory as it can") is the reader's decoded-sample
+//! cache: [`DlBoosterConfig::training`] sizes it to one decoded epoch, every
+//! sample decoded in epoch 0 is admitted, and once a batch's samples are
+//! all resident the reader serves it from memory without touching the
+//! device. With the whole dataset resident the FPGA path is idle — the
+//! reason MNIST-scale training shows near-zero preprocessing cost for every
+//! backend in Fig. 6(a) — while each epoch still gets the collector's own
+//! shuffle and augmentation draws.
 
 use crate::backend::{BackendError, HostBatch, PreprocessBackend};
-use crate::cache::{CachedBatch, EpochCache};
 use crate::channel::FpgaChannel;
 use crate::collector::DataCollector;
 use crate::reader::{FpgaReader, ReaderConfig};
+use crate::router::SlotRouter;
 use dlb_cache::SampleCache;
 use dlb_fpga::OutputFormat;
 use dlb_graph::{CompiledPipeline, DecodeDevice, GraphConfig, PipelineGraph};
-use dlb_membridge::{BatchUnit, BlockingQueue, MemManager, PoolConfig};
-use dlb_telemetry::{names, Counter, PipelineSnapshot, Telemetry};
-use dlb_trace::{stages, SpanKind, Tracer};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
+use dlb_membridge::{BatchUnit, MemManager, PoolConfig};
+use dlb_telemetry::{names, PipelineSnapshot, Telemetry};
+use dlb_trace::{stages, SpanKind};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Upper bound of the decoded-sample cache [`DlBoosterConfig::training`]
+/// reserves: one decoded epoch "as it can" (§3.1).
+const HYBRID_CACHE_MAX_BYTES: u64 = 2 << 30;
 
 /// DLBooster assembly parameters.
 #[derive(Debug, Clone)]
@@ -48,18 +56,20 @@ pub struct DlBoosterConfig {
     pub format: OutputFormat,
     /// Batch buffers in the HugePage pool.
     pub pool_units: usize,
-    /// Memory-cache budget in bytes (0 disables the hybrid cache).
+    /// Ignored. It once sized a batch-indexed replay cache; the hybrid
+    /// mode is now the sample cache `sample_cache_bytes` sizes, and this
+    /// field stays only so callers that assign it still compile.
     pub cache_bytes: u64,
-    /// Decoded-sample cache budget in bytes (0 disables it). Unlike the
-    /// batch-indexed hybrid cache above, this one is keyed per *sample*
-    /// (disk offset), evicts cheapest-to-redecode entries first, and
-    /// quarantines sources whose decode failed. Hits bypass the FPGA
-    /// entirely at the reader. An externally built cache (e.g. a
-    /// per-tenant partitioned one) can be attached instead via
-    /// [`DlBooster::attach_sample_cache`].
+    /// Decoded-sample cache budget in bytes (0 disables it) — the hybrid
+    /// mode of §3.1. Keyed per *sample* (disk offset), so every epoch keeps
+    /// its own shuffle and augmentation draws; evicts cheapest-to-redecode
+    /// entries first and quarantines sources whose decode failed. A batch
+    /// whose every sample is resident bypasses the FPGA entirely at the
+    /// reader. [`DlBoosterConfig::training`] sets it to one decoded epoch.
+    /// An externally built cache (e.g. a per-tenant partitioned one) can be
+    /// attached instead via [`DlBooster::attach_sample_cache`].
     pub sample_cache_bytes: u64,
-    /// Batches per epoch (dataset mode; None for streaming — disables the
-    /// cache).
+    /// Batches per epoch (dataset mode; None for streaming).
     pub batches_per_epoch: Option<u64>,
     /// Total batches to deliver before closing (None = run until the
     /// collector ends or shutdown).
@@ -70,7 +80,9 @@ pub struct DlBoosterConfig {
 }
 
 impl DlBoosterConfig {
-    /// A config sized for the given dataset-mode experiment.
+    /// A config sized for the given dataset-mode experiment. The sample
+    /// cache holds one decoded epoch of `n_records` images (at most 2 GiB),
+    /// so a dataset that fits is decoded once and served from memory after.
     pub fn training(
         n_engines: usize,
         batch_size: usize,
@@ -78,15 +90,18 @@ impl DlBoosterConfig {
         n_records: usize,
         max_batches: Option<u64>,
     ) -> Self {
+        let format = OutputFormat::Rgb8;
+        let epoch_bytes =
+            n_records as u64 * target.0 as u64 * target.1 as u64 * format.bytes_per_pixel() as u64;
         Self {
             n_engines,
             batch_size,
             target_w: target.0,
             target_h: target.1,
-            format: OutputFormat::Rgb8,
+            format,
             pool_units: (n_engines * 3).max(4),
-            cache_bytes: 2 << 30,
-            sample_cache_bytes: 0,
+            cache_bytes: 0,
+            sample_cache_bytes: epoch_bytes.min(HYBRID_CACHE_MAX_BYTES),
             batches_per_epoch: Some((n_records as u64).div_ceil(batch_size as u64)),
             max_batches,
             cmd_timeout: None,
@@ -136,23 +151,31 @@ impl DlBoosterConfig {
     }
 }
 
+/// What [`DlBooster::cache`] returns: the statistics of the batch-indexed
+/// cache DLBooster no longer has, all zero. The hybrid mode's numbers are
+/// on [`DlBooster::sample_cache`].
+#[derive(Debug, Clone, Copy)]
+pub struct NoBatchCache;
+
+impl NoBatchCache {
+    /// `(hits, misses, rejected inserts)`: always zero.
+    pub fn stats(&self) -> (u64, u64, u64) {
+        (0, 0, 0)
+    }
+
+    /// Bytes held: always zero.
+    pub fn used_bytes(&self) -> u64 {
+        0
+    }
+}
+
 /// The DLBooster preprocessing backend (paper Fig. 3).
 pub struct DlBooster {
     pool: MemManager,
-    slot_queues: Vec<BlockingQueue<HostBatch>>,
-    full_queue: BlockingQueue<HostBatch>,
-    router: Mutex<Option<JoinHandle<Option<FpgaReader>>>>,
-    /// A reader returned by a quiesced router whose daemon may still be
-    /// parked on `pool.get_item()`; joined at drop, after `pool.close()`
-    /// guarantees the park is released.
-    parked_reader: Mutex<Option<FpgaReader>>,
-    stop: Arc<AtomicBool>,
-    quiesced: AtomicBool,
-    cache: Arc<EpochCache>,
-    sample_cache_cell: Arc<OnceLock<Arc<SampleCache>>>,
-    router_cpu_nanos: Arc<AtomicU64>,
-    reader_cpu_nanos: Arc<AtomicU64>,
-    delivered: Arc<Counter>,
+    router: Arc<SlotRouter>,
+    /// Dropped after [`Drop::drop`] has closed the pool, which releases a
+    /// reader parked on a lease, so joining it cannot hang.
+    reader: FpgaReader,
     telemetry: Arc<Telemetry>,
 }
 
@@ -190,10 +213,9 @@ impl DlBooster {
     /// must decode on the FPGA (`DecodeDevice::Fpga`); its resize geometry
     /// overrides `config.target_w/h`, its queue-depth knobs override the
     /// substrate defaults, and any augmentation stages run host-side after
-    /// FINISH with per-(epoch, sample) seeded draws. Augmentation disables
-    /// the hybrid batch cache (replaying epoch-1 batches would freeze
-    /// epoch-1's crops); the per-*sample* cache stays usable because it
-    /// stores pre-augmentation pixels.
+    /// FINISH with per-(epoch, sample) seeded draws. The sample cache stores
+    /// pre-augmentation pixels, so a resident sample re-augments under the
+    /// epoch that dispenses it.
     pub fn from_graph(
         collector: Arc<DataCollector>,
         channel: FpgaChannel,
@@ -241,7 +263,7 @@ impl DlBooster {
     fn start_wired(
         collector: Arc<DataCollector>,
         channel: FpgaChannel,
-        mut config: DlBoosterConfig,
+        config: DlBoosterConfig,
         compiled: &CompiledPipeline,
         telemetry: Arc<Telemetry>,
     ) -> Result<Self, String> {
@@ -260,12 +282,6 @@ impl DlBooster {
             }
             None => config.unit_size(),
         };
-        // An augmented pipeline must not replay whole batches from the
-        // hybrid cache: cached payloads carry epoch-1's crops/flips, and
-        // serving them again would freeze the augmentation stream.
-        if augmentor.is_some() {
-            config.cache_bytes = 0;
-        }
         let pool = MemManager::with_telemetry(
             PoolConfig {
                 unit_size,
@@ -275,11 +291,21 @@ impl DlBooster {
             &telemetry,
         )
         .map_err(|e| e.to_string())?;
-
+        let router = Arc::new(SlotRouter::new(
+            pool.clone(),
+            config.n_engines,
+            compiled.slot_depth.max(1),
+            config.max_batches,
+            telemetry.registry.counter(names::ROUTER_DELIVERED),
+        ));
+        for i in 0..config.n_engines {
+            router.queue(i).instrument(&telemetry, &format!("slot{i}"));
+        }
         let reader = FpgaReader::start_with_telemetry(
             collector,
             pool.clone(),
             channel,
+            Arc::clone(&router),
             ReaderConfig {
                 batch_size: config.batch_size,
                 target_w: config.target_w,
@@ -290,68 +316,27 @@ impl DlBooster {
                 // depend on when shutdown caught the reader.
                 max_batches: config.max_batches,
                 cmd_timeout: config.cmd_timeout,
-                full_queue_depth: compiled.ingest_depth,
                 augmentor,
             },
             &telemetry,
         );
-        let sample_cache_cell = reader.sample_cache_cell();
         if config.sample_cache_bytes > 0 {
-            let _ = sample_cache_cell.set(SampleCache::with_telemetry(
+            reader.attach_sample_cache(SampleCache::with_telemetry(
                 config.sample_cache_bytes,
                 &telemetry,
             ));
         }
-        let reader_cpu_nanos = Arc::new(AtomicU64::new(0));
-        let slot_queues: Vec<BlockingQueue<HostBatch>> = (0..config.n_engines)
-            .map(|i| {
-                let q = BlockingQueue::bounded(compiled.slot_depth.max(1));
-                q.instrument(&telemetry, &format!("slot{i}"));
-                q
-            })
-            .collect();
-        let cache = Arc::new(EpochCache::new(config.cache_bytes));
-        let stop = Arc::new(AtomicBool::new(false));
-        let router_cpu_nanos = Arc::new(AtomicU64::new(0));
-        let delivered = telemetry.registry.counter(names::ROUTER_DELIVERED);
-
-        let ctx = RouterCtx {
-            pool: pool.clone(),
-            slot_queues: slot_queues.clone(),
-            cache: Arc::clone(&cache),
-            stop: Arc::clone(&stop),
-            cpu_nanos: Arc::clone(&router_cpu_nanos),
-            reader_cpu_nanos: Arc::clone(&reader_cpu_nanos),
-            delivered: Arc::clone(&delivered),
-            config: config.clone(),
-            tracer_cell: telemetry.tracer_cell(),
-        };
-        let full_queue = reader.full_queue().clone();
-        let router = std::thread::Builder::new()
-            .name("dlbooster-router".into())
-            .spawn(move || run_router(reader, ctx))
-            .expect("spawn router");
-
         Ok(Self {
             pool,
-            slot_queues,
-            full_queue,
-            router: Mutex::new(Some(router)),
-            parked_reader: Mutex::new(None),
-            stop,
-            quiesced: AtomicBool::new(false),
-            cache,
-            sample_cache_cell,
-            router_cpu_nanos,
-            reader_cpu_nanos,
-            delivered,
+            router,
+            reader,
             telemetry,
         })
     }
 
-    /// The hybrid cache (inspection).
-    pub fn cache(&self) -> &EpochCache {
-        &self.cache
+    /// The batch-indexed cache this backend no longer has: all-zero stats.
+    pub fn cache(&self) -> NoBatchCache {
+        NoBatchCache
     }
 
     /// Attaches a decoded-sample cache to the reader (first attach wins,
@@ -360,12 +345,12 @@ impl DlBooster {
     /// cache across backends — e.g. primary and CPU fallback in a
     /// failover pair — or to attach a per-tenant partitioned cache.
     pub fn attach_sample_cache(&self, cache: Arc<SampleCache>) {
-        let _ = self.sample_cache_cell.set(cache);
+        self.reader.attach_sample_cache(cache);
     }
 
     /// The attached decoded-sample cache, if any.
     pub fn sample_cache(&self) -> Option<Arc<SampleCache>> {
-        self.sample_cache_cell.get().cloned()
+        self.reader.sample_cache()
     }
 
     /// The pipeline telemetry registry every stage records into.
@@ -381,7 +366,7 @@ impl DlBooster {
 
     /// Batches delivered so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered.get()
+        self.router.delivered()
     }
 
     /// The underlying pool (tests verify conservation).
@@ -398,7 +383,9 @@ impl DlBooster {
         slot: usize,
         timeout: std::time::Duration,
     ) -> Result<Option<HostBatch>, BackendError> {
-        let got = self.slot_queues[slot]
+        let got = self
+            .router
+            .queue(slot)
             .pop_timeout(timeout)
             .map_err(|_| BackendError::Exhausted)?;
         if let Some(b) = &got {
@@ -407,8 +394,8 @@ impl DlBooster {
         Ok(got)
     }
 
-    /// Records the decoded→consumed wait (full-queue + slot-queue
-    /// residency) for a popped batch. One branch when tracing is off.
+    /// Records the delivered→consumed wait (slot-queue residency) for a
+    /// popped batch. One branch when tracing is off.
     fn trace_delivery(&self, batch: &HostBatch) {
         if let Some(t) = self.telemetry.tracer() {
             if batch.trace != 0 {
@@ -423,45 +410,19 @@ impl DlBooster {
         }
     }
 
-    /// Retires a wedged pipeline for failover: stops the router, drains
-    /// the reader's output back into the (still open) pool, and joins the
-    /// router thread so [`DlBooster::delivered`] is final when this
-    /// returns.
+    /// Retires a wedged pipeline for failover: closes the slot queues, so
+    /// the reader's next delivery is refused (its unit recycled) and the
+    /// reader winds down, and returns once no delivery is in progress, so
+    /// [`DlBooster::delivered`] is final.
     ///
     /// Unlike [`PreprocessBackend::shutdown`] the pool stays **open**:
-    /// batches already routed to the slot queues remain poppable, and the
-    /// consumer can still recycle their units normally. The count of
+    /// batches already delivered to the slot queues remain poppable, and
+    /// the consumer can still recycle their units normally. The count of
     /// batches that will *ever* leave this backend is therefore exactly
     /// `delivered()` — the failover layer sizes its fallback budget off
     /// that. Idempotent.
     pub fn quiesce(&self) {
-        if self.quiesced.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake a reader blocked pushing decoded batches and a router
-        // blocked popping them; recycle whatever the reader had finished
-        // but the router never routed (those were never counted
-        // delivered, so the fallback re-produces them — no loss).
-        self.full_queue.close();
-        for stranded in self.full_queue.drain() {
-            let _ = self.pool.recycle_item(stranded.unit);
-        }
-        // Wake a router blocked pushing into a full slot queue; residue
-        // already queued stays drainable (close only stops new pushes).
-        for q in &self.slot_queues {
-            q.close();
-        }
-        let handle = self.router.lock().take();
-        if let Some(h) = handle {
-            if let Ok(Some(reader)) = h.join() {
-                // The reader daemon may still be parked on
-                // `pool.get_item()` waiting for a unit that only frees
-                // once the consumer recycles residue. Park it; drop joins
-                // it after `pool.close()` releases the wait.
-                *self.parked_reader.lock() = Some(reader);
-            }
-        }
+        self.router.close();
     }
 }
 
@@ -471,7 +432,9 @@ impl PreprocessBackend for DlBooster {
     }
 
     fn next_batch(&self, slot: usize) -> Result<HostBatch, BackendError> {
-        let batch = self.slot_queues[slot]
+        let batch = self
+            .router
+            .queue(slot)
             .pop()
             .map_err(|_| BackendError::Exhausted)?;
         self.trace_delivery(&batch);
@@ -488,15 +451,11 @@ impl PreprocessBackend for DlBooster {
     }
 
     fn cpu_busy_nanos(&self) -> u64 {
-        self.router_cpu_nanos.load(Ordering::Relaxed)
-            + self.reader_cpu_nanos.load(Ordering::Relaxed)
+        self.reader.stats().cpu_busy_nanos.get()
     }
 
     fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for q in &self.slot_queues {
-            q.close();
-        }
+        self.router.close();
         // Unblock a reader parked on `pool.get_item()` (no work in flight,
         // consumers gone).
         self.pool.close();
@@ -505,180 +464,11 @@ impl PreprocessBackend for DlBooster {
 
 impl Drop for DlBooster {
     fn drop(&mut self) {
-        self.shutdown();
-        if let Some(h) = self.router.lock().take() {
-            // The router returns the reader (if still live) so its drop
-            // joins the daemon cleanly.
-            let _ = h.join();
-        }
-        // A reader parked by quiesce(): pool.close() above released any
-        // get_item() wait, so joining is now safe.
-        drop(self.parked_reader.lock().take());
+        // Nobody pops the residue any more: its units go home before the
+        // pool closes. The `reader` field drops next and joins the daemon.
+        self.router.retire();
+        self.pool.close();
     }
-}
-
-struct RouterCtx {
-    pool: MemManager,
-    slot_queues: Vec<BlockingQueue<HostBatch>>,
-    cache: Arc<EpochCache>,
-    stop: Arc<AtomicBool>,
-    cpu_nanos: Arc<AtomicU64>,
-    reader_cpu_nanos: Arc<AtomicU64>,
-    delivered: Arc<Counter>,
-    config: DlBoosterConfig,
-    tracer_cell: Arc<OnceLock<Arc<Tracer>>>,
-}
-
-fn run_router(reader: FpgaReader, ctx: RouterCtx) -> Option<FpgaReader> {
-    let n = ctx.slot_queues.len();
-    let mut seq_out: u64 = 0;
-    let bpe = ctx
-        .config
-        .batches_per_epoch
-        .filter(|_| ctx.config.cache_bytes > 0);
-
-    // Count a batch delivered only once it actually lands in a slot
-    // queue: on a closed queue (shutdown or quiesce) the batch comes
-    // back and its unit is recycled, so `delivered` stays an exact count
-    // of batches the consumer can still pop — the failover layer sizes
-    // its fallback budget off it.
-    let deliver = |mut batch: HostBatch, seq_out: &mut u64| -> bool {
-        let slot = (*seq_out % n as u64) as usize;
-        batch.sequence = *seq_out;
-        batch.unit.seal(*seq_out);
-        match ctx.slot_queues[slot].push_or_return(batch) {
-            Ok(()) => {
-                *seq_out += 1;
-                ctx.delivered.inc();
-                true
-            }
-            Err(returned) => {
-                let _ = ctx.pool.recycle_item(returned.unit);
-                false
-            }
-        }
-    };
-
-    let reached_max = |seq_out: u64| ctx.config.max_batches.is_some_and(|m| seq_out >= m);
-
-    // Phase 1: live decode through the FPGA.
-    let mut cache_complete = false;
-    while !ctx.stop.load(Ordering::SeqCst) && !reached_max(seq_out) {
-        let batch = match reader.full_queue().pop() {
-            Ok(b) => b,
-            Err(_) => break, // collector exhausted; reader closed the queue
-        };
-        let t0 = Instant::now();
-        if let Some(bpe) = bpe {
-            if batch.sequence < bpe {
-                // Gathered, not read off the unit's storage: a batch served
-                // from the sample cache holds lent slots, not inline bytes.
-                let mut payload = vec![0; batch.unit.used()];
-                batch.unit.gather_into(&mut payload);
-                ctx.cache.try_put(
-                    batch.sequence,
-                    CachedBatch {
-                        payload,
-                        items: batch.unit.items().to_vec(),
-                    },
-                );
-                if batch.sequence + 1 == bpe && ctx.cache.covers_epoch(bpe) {
-                    cache_complete = true;
-                }
-            }
-        }
-        ctx.cpu_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if !deliver(batch, &mut seq_out) {
-            break;
-        }
-        if cache_complete {
-            break;
-        }
-    }
-
-    // Publish reader CPU time and shut the FPGA path down if we are going
-    // cache-only (the decoder is no longer needed — §3.1's offline phase).
-    ctx.reader_cpu_nanos
-        .store(reader.stats().cpu_busy_nanos.get(), Ordering::Relaxed);
-    if !cache_complete {
-        // Live phase ended (exhausted / stopped / max reached).
-        for q in &ctx.slot_queues {
-            q.close();
-        }
-        return Some(reader);
-    }
-    // Going cache-only: the reader has raced ahead into the next epoch.
-    // Close its output queue (so further pushes fail and it exits), recycle
-    // whatever it already queued, then join it and release the device.
-    let fq = reader.full_queue().clone();
-    fq.close();
-    for stranded in fq.drain() {
-        let _ = ctx.pool.recycle_item(stranded.unit);
-    }
-    drop(reader.stop()); // recycle the channel/device
-
-    // Phase 2: serve from the memory cache.
-    let bpe = bpe.expect("cache_complete implies dataset mode");
-    let mut key = seq_out % bpe;
-    while !ctx.stop.load(Ordering::SeqCst) && !reached_max(seq_out) {
-        let Some(cached) = ctx.cache.get(key) else {
-            break; // should not happen: coverage was checked
-        };
-        key = (key + 1) % bpe;
-        // Stop-aware acquisition: a plain get_item() could park forever
-        // with every unit captive in the slot queues while quiesce()
-        // waits to join this thread.
-        let unit = loop {
-            if ctx.stop.load(Ordering::SeqCst) {
-                break None;
-            }
-            match ctx.pool.try_get_item() {
-                Some(u) => break Some(u),
-                None => std::thread::sleep(std::time::Duration::from_micros(200)),
-            }
-        };
-        let Some(mut unit) = unit else {
-            break;
-        };
-        let t0 = Instant::now();
-        if unit.restore(&cached.payload, &cached.items).is_err() {
-            let _ = ctx.pool.recycle_item(unit);
-            break;
-        }
-        ctx.cpu_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        // A replayed batch is a fresh delivery: it gets its own trace
-        // ordinal, with the restore cost recorded as its service time.
-        let trace = match ctx.tracer_cell.get() {
-            Some(t) => {
-                let id = t.next_batch_id();
-                t.span(
-                    id,
-                    stages::CACHE_REPLAY,
-                    SpanKind::Service,
-                    t0,
-                    Instant::now(),
-                );
-                id
-            }
-            None => 0,
-        };
-        let batch = HostBatch {
-            unit,
-            sequence: seq_out,
-            ready_at: Instant::now(),
-            arrivals: Vec::new(),
-            trace,
-        };
-        if !deliver(batch, &mut seq_out) {
-            break;
-        }
-    }
-    for q in &ctx.slot_queues {
-        q.close();
-    }
-    None
 }
 
 #[cfg(test)]
@@ -688,12 +478,14 @@ mod tests {
     use dlb_fpga::{DecoderEngine, DecoderMirror, DeviceSpec, FpgaDevice};
     use dlb_storage::{Dataset, DatasetSpec, NvmeDisk, NvmeSpec};
 
+    /// An unshuffled booster over `n_images` at 32×32; `tweak` adjusts the
+    /// default training config before start.
     fn booster(
         n_images: usize,
         n_engines: usize,
         batch: usize,
-        cache_bytes: u64,
         max_batches: Option<u64>,
+        tweak: impl FnOnce(&mut DlBoosterConfig),
     ) -> DlBooster {
         let disk = Arc::new(NvmeDisk::new(NvmeSpec::optane_900p()));
         let ds = Dataset::build(DatasetSpec::ilsvrc_small(n_images, 33), &disk).unwrap();
@@ -705,13 +497,25 @@ mod tests {
         let channel = FpgaChannel::init(engine, 0);
         let mut config =
             DlBoosterConfig::training(n_engines, batch, (32, 32), n_images, max_batches);
-        config.cache_bytes = cache_bytes;
+        tweak(&mut config);
         DlBooster::start(collector, channel, config).unwrap()
     }
 
     #[test]
+    fn training_config_reserves_one_decoded_epoch() {
+        let config = DlBoosterConfig::training(1, 4, (32, 32), 16, None);
+        assert_eq!(config.sample_cache_bytes, 16 * 32 * 32 * 3);
+        let huge = DlBoosterConfig::training(1, 4, (224, 224), 1 << 20, None);
+        assert_eq!(huge.sample_cache_bytes, HYBRID_CACHE_MAX_BYTES);
+        assert_eq!(
+            DlBoosterConfig::inference(1, 4, (32, 32)).sample_cache_bytes,
+            0
+        );
+    }
+
+    #[test]
     fn serves_round_robin_across_engines() {
-        let b = booster(16, 2, 4, 0, Some(8));
+        let b = booster(16, 2, 4, Some(8), |_| {});
         let mut seq0 = Vec::new();
         let mut seq1 = Vec::new();
         while let Ok(batch) = b.next_batch(0) {
@@ -730,9 +534,11 @@ mod tests {
 
     #[test]
     fn hybrid_cache_takes_over_after_first_epoch() {
-        // 8 images, batch 4 ⇒ 2 batches/epoch; run 10 batches with a
-        // generous cache: epochs 1+ must come from memory.
-        let b = booster(8, 1, 4, 64 << 20, Some(10));
+        // 8 images, batch 4 ⇒ 2 batches/epoch; run 10 batches under the
+        // default budget. One pool unit serialises the reader behind the
+        // consumer, so every epoch-0 admission lands before the first
+        // epoch-1 lookup: epochs 1+ must come from memory.
+        let b = booster(8, 1, 4, Some(10), |c| c.pool_units = 1);
         let mut batches = 0;
         let mut payload_first: Option<Vec<u8>> = None;
         let mut payload_epoch1: Option<Vec<u8>> = None;
@@ -748,28 +554,46 @@ mod tests {
             b.recycle(batch.unit);
         }
         assert_eq!(batches, 10);
-        let (hits, _, _) = b.cache().stats();
-        assert!(hits >= 8, "cache replay expected, hits = {hits}");
-        // Unshuffled collector ⇒ epoch-1 batch 0 replays epoch-0 batch 0.
+        let cache = b.sample_cache().expect("training builds the hybrid cache");
+        assert_eq!(cache.bypass_batches(), 8, "epochs 1+ bypass the decoder");
+        assert_eq!(b.reader.stats().batches_submitted.get(), 2);
+        // Unshuffled collector ⇒ epoch-1 batch 0 holds epoch-0 batch 0.
         assert_eq!(payload_first.unwrap(), payload_epoch1.unwrap());
+        assert_eq!(b.cache().stats(), (0, 0, 0));
     }
 
     #[test]
     fn zero_cache_never_replays() {
-        let b = booster(8, 1, 4, 0, Some(6));
+        let b = booster(8, 1, 4, Some(6), |c| c.sample_cache_bytes = 0);
         let mut batches = 0;
         while let Ok(batch) = b.next_batch(0) {
             batches += 1;
             b.recycle(batch.unit);
         }
         assert_eq!(batches, 6);
-        let (hits, _, _) = b.cache().stats();
-        assert_eq!(hits, 0);
+        assert!(b.sample_cache().is_none());
+        assert_eq!(b.reader.stats().batches_submitted.get(), 6);
+    }
+
+    #[test]
+    fn quiesce_finalises_delivered_and_keeps_residue_poppable() {
+        let b = booster(16, 1, 4, None, |_| {});
+        let first = b.next_batch(0).unwrap();
+        b.recycle(first.unit);
+        b.quiesce();
+        let delivered = b.delivered();
+        let mut popped = 1;
+        while let Ok(batch) = b.next_batch(0) {
+            popped += 1;
+            b.recycle(batch.unit);
+        }
+        assert_eq!(popped, delivered, "everything delivered is poppable");
+        assert_eq!(b.delivered(), delivered, "nothing delivered after quiesce");
     }
 
     #[test]
     fn shutdown_releases_consumers() {
-        let b = Arc::new(booster(16, 1, 4, 0, None));
+        let b = Arc::new(booster(16, 1, 4, None, |_| {}));
         let b2 = Arc::clone(&b);
         let consumer = std::thread::spawn(move || {
             let mut n = 0;
@@ -784,8 +608,8 @@ mod tests {
         });
         assert!(consumer.join().unwrap() >= 2);
         b.shutdown();
-        // Closing the slot queues still drains batches the router had
-        // already prefetched; after the residue, every pop is Exhausted.
+        // Closing the slot queues still drains batches the reader had
+        // already delivered; after the residue, every pop is Exhausted.
         while let Ok(batch) = b.next_batch(0) {
             b.recycle(batch.unit);
         }

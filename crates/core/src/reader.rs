@@ -5,18 +5,21 @@
 //! * lease a memory holder from the free pool (`free_batch_queue.peak/pop`,
 //!   lines 5–10) — and while none is available, *drain completed batches out
 //!   of the decoder instead of spinning* (lines 6–9), which simultaneously
-//!   applies back-pressure and keeps the full queue fed;
+//!   applies back-pressure and keeps the engines fed;
 //! * generate cmds carrying `mem_holder.phyaddr() + offset` (line 12);
-//! * submit asynchronously and push whatever came back (lines 13–15);
+//! * submit asynchronously and deliver whatever came back (lines 13–15);
 //! * on shutdown, drain everything and recycle (lines 16–19).
+//!
+//! Finished batches go straight to the per-engine slot queues through a
+//! [`SlotRouter`], in the order the collector dispensed them.
 
-use crate::backend::HostBatch;
 use crate::channel::FpgaChannel;
 use crate::collector::{DataCollector, FileMeta};
+use crate::router::SlotRouter;
 use dlb_cache::{SampleCache, SampleKey, SampleMeta};
 use dlb_fpga::{CompletedBatch, DataRef, DecodeCmd, FpgaError, OutputFormat, Submission};
 use dlb_graph::{source_identity, SampleAugmentor};
-use dlb_membridge::{BatchUnit, BlockingQueue, MemManager};
+use dlb_membridge::{BatchUnit, MemManager};
 use dlb_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
 use dlb_trace::{stages, SpanKind, Tracer};
 use std::collections::{HashMap, HashSet};
@@ -128,10 +131,6 @@ pub struct ReaderConfig {
     /// (fresh ids, fresh buffer); the late original is dropped on arrival,
     /// so no batch is ever lost *or* duplicated. None disables the watchdog.
     pub cmd_timeout: Option<Duration>,
-    /// Depth of the full-batch queue between the reader and its consumer —
-    /// the prefetch window a compiled graph sets from the source stage's
-    /// `queue_depth` knob (64 when the graph leaves it unset).
-    pub full_queue_depth: usize,
     /// Host-side per-sample augmentation applied after FINISH (and to
     /// cache-bypassed samples), keyed by `(epoch, source identity)` so
     /// every draw replays bitwise from the run seed. `None` delivers raw
@@ -151,7 +150,7 @@ impl ReaderConfig {
 pub struct ReaderStats {
     /// Batches submitted to the decoder.
     pub batches_submitted: Arc<Counter>,
-    /// Batches pushed to the full queue.
+    /// Batches the decoder completed.
     pub batches_completed: Arc<Counter>,
     /// Batches submitted but never completed (pipeline torn down with
     /// work in flight).
@@ -195,7 +194,6 @@ impl ReaderStats {
 /// The running reader daemon.
 pub struct FpgaReader {
     handle: Option<JoinHandle<FpgaChannel>>,
-    full_queue: BlockingQueue<HostBatch>,
     stats: Arc<ReaderStats>,
     stop: Arc<std::sync::atomic::AtomicBool>,
     /// Kept to wake a daemon parked on an idle stream at shutdown.
@@ -204,30 +202,34 @@ pub struct FpgaReader {
 }
 
 impl FpgaReader {
-    /// Spawns the daemon. Completed batches appear on the returned
-    /// [`FpgaReader::full_queue`]. Metrics land in a private registry; use
-    /// [`FpgaReader::start_with_telemetry`] to share the pipeline's.
+    /// Spawns the daemon. Completed batches are delivered through
+    /// `router`, whose queues close when the reader stops. Metrics land in
+    /// a private registry; use [`FpgaReader::start_with_telemetry`] to share
+    /// the pipeline's.
     pub fn start(
         collector: Arc<DataCollector>,
         pool: MemManager,
         channel: FpgaChannel,
+        router: Arc<SlotRouter>,
         config: ReaderConfig,
     ) -> Self {
         Self::start_with_telemetry(
             collector,
             pool,
             channel,
+            router,
             config,
             &Telemetry::with_defaults(),
         )
     }
 
-    /// Like [`FpgaReader::start`], but recording `reader.*` metrics and the
-    /// full-queue occupancy into the shared pipeline `telemetry`.
+    /// Like [`FpgaReader::start`], but recording `reader.*` metrics into
+    /// the shared pipeline `telemetry`.
     pub fn start_with_telemetry(
         collector: Arc<DataCollector>,
         pool: MemManager,
         channel: FpgaChannel,
+        router: Arc<SlotRouter>,
         config: ReaderConfig,
         telemetry: &Telemetry,
     ) -> Self {
@@ -249,13 +251,9 @@ impl FpgaReader {
                 out
             );
         }
-        let full_queue: BlockingQueue<HostBatch> =
-            BlockingQueue::bounded(config.full_queue_depth.max(1));
-        full_queue.instrument(telemetry, "reader_full");
         let stats = Arc::new(ReaderStats::register(telemetry));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let cache_cell: Arc<OnceLock<Arc<SampleCache>>> = Arc::new(OnceLock::new());
-        let fq = full_queue.clone();
         let st = Arc::clone(&stats);
         let sp = Arc::clone(&stop);
         let cc = Arc::clone(&cache_cell);
@@ -263,11 +261,10 @@ impl FpgaReader {
         let co = Arc::clone(&collector);
         let handle = std::thread::Builder::new()
             .name("fpga-reader".into())
-            .spawn(move || run_reader(co, pool, channel, config, fq, st, sp, cc, tc))
+            .spawn(move || run_reader(co, pool, channel, config, router, st, sp, cc, tc))
             .expect("spawn reader");
         Self {
             handle: Some(handle),
-            full_queue,
             stats,
             stop,
             collector,
@@ -285,15 +282,9 @@ impl FpgaReader {
         let _ = self.cache_cell.set(cache);
     }
 
-    /// The shared attach cell (the booster keeps a clone so it can attach
-    /// after the reader has moved into the router thread).
-    pub fn sample_cache_cell(&self) -> Arc<OnceLock<Arc<SampleCache>>> {
-        Arc::clone(&self.cache_cell)
-    }
-
-    /// The `Full_Batch_Queue` this reader fills.
-    pub fn full_queue(&self) -> &BlockingQueue<HostBatch> {
-        &self.full_queue
+    /// The attached decoded-sample cache, if any.
+    pub fn sample_cache(&self) -> Option<Arc<SampleCache>> {
+        self.cache_cell.get().cloned()
     }
 
     /// Reader counters.
@@ -326,7 +317,7 @@ impl Drop for FpgaReader {
 impl std::fmt::Debug for FpgaReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FpgaReader")
-            .field("full_queue_len", &self.full_queue.len())
+            .field("running", &self.handle.is_some())
             .finish()
     }
 }
@@ -349,12 +340,11 @@ struct ReaderCore<'a> {
     pool: &'a MemManager,
     channel: &'a FpgaChannel,
     config: &'a ReaderConfig,
-    full_queue: &'a BlockingQueue<HostBatch>,
+    router: &'a SlotRouter,
     stats: &'a ReaderStats,
     cache: &'a OnceLock<Arc<SampleCache>>,
     tracer: &'a OnceLock<Arc<Tracer>>,
     next_cmd_id: u64,
-    next_sequence: u64,
     /// In-flight submissions by first cmd id.
     pending: HashMap<u64, Pending>,
     /// First cmd ids of submissions abandoned after a timeout; their late
@@ -418,8 +408,8 @@ impl ReaderCore<'_> {
     }
 
     /// Routes one completion: abandoned originals are dropped (unit
-    /// recycled), live batches are sealed and pushed. Returns false when
-    /// the full queue is closed (time to stop).
+    /// recycled), live batches are delivered. Returns false when the
+    /// router refused the batch (closed or done: time to stop).
     fn on_completion(&mut self, done: CompletedBatch) -> bool {
         let key = done.finishes.first().map(|f| f.cmd_id).unwrap_or(u64::MAX);
         if self.abandoned.remove(&key) {
@@ -518,32 +508,31 @@ impl ReaderCore<'_> {
                 );
             }
         }
-        unit.seal(self.next_sequence);
-        let batch = HostBatch {
-            unit,
-            sequence: self.next_sequence,
-            ready_at: Instant::now(),
-            arrivals,
-            trace,
-        };
-        self.next_sequence += 1;
         self.stats.batches_completed.inc();
-        match self.full_queue.push_or_return(batch) {
-            Ok(()) => true,
-            // Downstream closed the queue (shutdown, or the router going
-            // cache-only): the unit goes back to the pool, not down with
-            // the batch — the router's replay phase leases from it.
-            Err(batch) => {
-                let _ = self.pool.recycle_item(batch.unit);
-                false
+        self.router.deliver(unit, arrivals, trace)
+    }
+
+    /// Waits out every submission in flight, delivering each. Returns
+    /// false when a delivery was refused or the engine is gone.
+    fn flush(&mut self) -> bool {
+        while self.channel.in_flight() > 0 {
+            match self.wait_completion() {
+                WaitOutcome::Got(done) => {
+                    if !self.on_completion(done) {
+                        return false;
+                    }
+                }
+                WaitOutcome::Idle => {}
+                WaitOutcome::EngineGone | WaitOutcome::QueueDown => return false,
             }
         }
+        true
     }
 
     /// Timeout watchdog: if the oldest in-flight submission is past the
     /// deadline and a fresh unit is free, abandon it and re-issue its cmds
-    /// under fresh ids. Returns false when the full queue closed while
-    /// routing the resubmission's opportunistic completions.
+    /// under fresh ids. Returns false when the router refused one of the
+    /// resubmission's opportunistic completions.
     fn check_timeouts(&mut self, timeout: Duration) -> bool {
         let Some(key) = self
             .pending
@@ -622,7 +611,7 @@ fn run_reader(
     pool: MemManager,
     channel: FpgaChannel,
     config: ReaderConfig,
-    full_queue: BlockingQueue<HostBatch>,
+    router: Arc<SlotRouter>,
     stats: Arc<ReaderStats>,
     stop: Arc<std::sync::atomic::AtomicBool>,
     cache_cell: Arc<OnceLock<Arc<SampleCache>>>,
@@ -632,12 +621,11 @@ fn run_reader(
         pool: &pool,
         channel: &channel,
         config: &config,
-        full_queue: &full_queue,
+        router: &router,
         stats: &stats,
         cache: &cache_cell,
         tracer: &tracer_cell,
         next_cmd_id: 0,
-        next_sequence: 0,
         pending: HashMap::new(),
         abandoned: HashSet::new(),
     };
@@ -735,15 +723,6 @@ fn run_reader(
             .get()
             .is_some_and(|c| fill_from_cache(c, &metas, config.augmentor.as_ref(), &mut unit));
         if bypass {
-            unit.seal(core.next_sequence);
-            let batch = HostBatch {
-                unit,
-                sequence: core.next_sequence,
-                ready_at: Instant::now(),
-                arrivals,
-                trace: trace_id,
-            };
-            core.next_sequence += 1;
             bypassed += 1;
             stats.cpu_busy_nanos.add(t0.elapsed().as_nanos() as u64);
             if let Some(t) = tracer_cell.get() {
@@ -755,11 +734,14 @@ fn run_reader(
                     Instant::now(),
                 );
             }
-            // On a closed queue the unit goes back to the pool (returning
-            // its pins), as on the decode path: the router's replay phase
-            // leases from it.
-            if let Err(batch) = full_queue.push_or_return(batch) {
-                let _ = pool.recycle_item(batch.unit);
+            // Batches still decoding were dispensed first: deliver them
+            // before this one, so the engines see collector order whether
+            // a batch was decoded or resident.
+            if !core.flush() {
+                let _ = pool.recycle_item(unit);
+                break 'main;
+            }
+            if !router.deliver(unit, arrivals, trace_id) {
                 break 'main;
             }
             continue;
@@ -783,16 +765,16 @@ fn run_reader(
     }
 
     // Drain everything still in flight, then close (Alg. 1 lines 16–19).
-    // Once the full queue is closed nobody will take the batches, but their
-    // units are still collected here and recycled; they count as lost below.
+    // Once the router is closed nobody will take the batches: their units
+    // are recycled untouched (no cache admission or poisoning of a decode
+    // a failover cut short), and they count as lost below.
     while channel.in_flight() > 0 {
         match core.wait_completion() {
+            WaitOutcome::Got(done) if router.is_closed() => {
+                let _ = pool.recycle_item(done.unit);
+            }
             WaitOutcome::Got(done) => {
-                if full_queue.is_closed() {
-                    let _ = pool.recycle_item(done.unit);
-                } else {
-                    core.on_completion(done);
-                }
+                core.on_completion(done);
             }
             WaitOutcome::Idle => {}
             WaitOutcome::EngineGone | WaitOutcome::QueueDown => break,
@@ -806,7 +788,7 @@ fn run_reader(
         .saturating_sub(stats.batches_completed.get());
     stats.batch_errors.add(lost);
     stats.inflight.set(0);
-    full_queue.close();
+    router.close();
     channel
 }
 
@@ -818,11 +800,17 @@ mod tests {
     use dlb_membridge::PoolConfig;
     use dlb_storage::{Dataset, DatasetSpec, NvmeDisk, NvmeSpec};
 
+    /// A one-slot router over `pool`, deep enough to take every batch a
+    /// test produces without blocking the reader.
+    fn router(pool: &MemManager) -> Arc<SlotRouter> {
+        Arc::new(SlotRouter::new(pool.clone(), 1, 64, None, Arc::default()))
+    }
+
     fn pipeline(
         n_images: usize,
         batch: usize,
         max_batches: Option<u64>,
-    ) -> (FpgaReader, MemManager) {
+    ) -> (FpgaReader, Arc<SlotRouter>, MemManager) {
         let disk = Arc::new(NvmeDisk::new(NvmeSpec::optane_900p()));
         let ds = Dataset::build(DatasetSpec::ilsvrc_small(n_images, 21), &disk).unwrap();
         let collector = Arc::new(DataCollector::load_from_disk(&ds.records, 3));
@@ -837,10 +825,12 @@ mod tests {
             phys_base: 0x4_0000_0000,
         })
         .unwrap();
+        let router = router(&pool);
         let reader = FpgaReader::start(
             collector,
             pool.clone(),
             channel,
+            Arc::clone(&router),
             ReaderConfig {
                 batch_size: batch,
                 target_w: 64,
@@ -848,27 +838,22 @@ mod tests {
                 format: OutputFormat::Rgb8,
                 max_batches,
                 cmd_timeout: None,
-                full_queue_depth: 64,
                 augmentor: None,
             },
         );
-        (reader, pool)
+        (reader, router, pool)
     }
 
     #[test]
-    fn closing_the_full_queue_returns_every_unit_to_the_pool() {
-        // What the router does when it goes cache-only: close the reader's
-        // output mid-epoch with batches queued and in flight. None of their
-        // units may leave circulation, or the replay phase starves.
+    fn closing_the_router_returns_every_unit_to_the_pool() {
+        // What quiesce does: close the reader's output mid-epoch with
+        // batches queued and in flight. None of their units may leave
+        // circulation — a failover's residue recycles into this pool.
         for _ in 0..8 {
-            let (reader, pool) = pipeline(64, 4, None);
-            let first = reader.full_queue().pop().unwrap();
+            let (reader, router, pool) = pipeline(64, 4, None);
+            let first = router.queue(0).pop().unwrap();
             pool.recycle_item(first.unit).unwrap();
-            let fq = reader.full_queue().clone();
-            fq.close();
-            for stranded in fq.drain() {
-                pool.recycle_item(stranded.unit).unwrap();
-            }
+            router.retire();
             drop(reader.stop());
             assert_eq!(pool.free_count(), pool.unit_count());
         }
@@ -876,10 +861,10 @@ mod tests {
 
     #[test]
     fn produces_decoded_batches_with_backpressure() {
-        let (reader, pool) = pipeline(16, 4, Some(6));
+        let (reader, router, pool) = pipeline(16, 4, Some(6));
         let mut seen = 0u64;
         let mut sequences = Vec::new();
-        while let Ok(batch) = reader.full_queue().pop() {
+        while let Ok(batch) = router.queue(0).pop() {
             assert_eq!(batch.len(), 4);
             sequences.push(batch.sequence);
             // Every item is a 64×64 RGB region.
@@ -899,9 +884,9 @@ mod tests {
     #[test]
     fn epoch_wrapping_keeps_feeding() {
         // 8 images, batch 4, 5 batches ⇒ wraps into the second epoch.
-        let (reader, pool) = pipeline(8, 4, Some(5));
+        let (reader, router, pool) = pipeline(8, 4, Some(5));
         let mut seen = 0;
-        while let Ok(batch) = reader.full_queue().pop() {
+        while let Ok(batch) = router.queue(0).pop() {
             seen += 1;
             pool.recycle_item(batch.unit).unwrap();
         }
@@ -929,10 +914,12 @@ mod tests {
             phys_base: 0x4_0000_0000,
         })
         .unwrap();
+        let router = router(&pool);
         let reader = FpgaReader::start(
             collector,
             pool.clone(),
             channel,
+            Arc::clone(&router),
             ReaderConfig {
                 batch_size: 4,
                 target_w: 64,
@@ -940,7 +927,6 @@ mod tests {
                 format: OutputFormat::Rgb8,
                 max_batches: Some(6),
                 cmd_timeout: None,
-                full_queue_depth: 64,
                 augmentor: None,
             },
         );
@@ -948,11 +934,10 @@ mod tests {
         reader.attach_sample_cache(Arc::clone(&cache));
         // Pixel bytes per label, recorded on first sight: a cache hit must
         // reproduce the decode bit-for-bit even though the collector
-        // reshuffles every epoch (sample keys are order-independent —
-        // unlike the batch-indexed hybrid cache).
+        // reshuffles every epoch (sample keys are order-independent).
         let mut by_label: std::collections::HashMap<u64, Vec<u8>> = Default::default();
         let mut delivered = 0;
-        while let Ok(batch) = reader.full_queue().pop() {
+        while let Ok(batch) = router.queue(0).pop() {
             assert_eq!(batch.len(), 4);
             for (i, item) in batch.unit.items().iter().enumerate() {
                 let pixels = batch.unit.item_bytes(i).to_vec();
@@ -988,6 +973,7 @@ mod tests {
         n: u64,
     ) -> (
         FpgaReader,
+        Arc<SlotRouter>,
         MemManager,
         Arc<DataCollector>,
         Vec<dlb_net::RxDescriptor>,
@@ -1023,10 +1009,12 @@ mod tests {
             phys_base: 0x4_0000_0000,
         })
         .unwrap();
+        let router = router(&pool);
         let reader = FpgaReader::start(
             Arc::clone(&collector),
             pool.clone(),
             FpgaChannel::init(engine, 0),
+            Arc::clone(&router),
             ReaderConfig {
                 batch_size: 4,
                 target_w: 16,
@@ -1034,24 +1022,23 @@ mod tests {
                 format: OutputFormat::Rgb8,
                 max_batches: None,
                 cmd_timeout: None,
-                full_queue_depth: 8,
                 augmentor: None,
             },
         );
-        (reader, pool, collector, descs)
+        (reader, router, pool, collector, descs)
     }
 
     #[test]
     fn idle_stream_reader_delivers_a_meta_pushed_after_a_quiet_period() {
-        let (reader, pool, collector, descs) = stream_pipeline(2);
+        let (reader, router, pool, collector, descs) = stream_pipeline(2);
         for d in &descs {
             // Long enough for the daemon to park on the empty stream (the
             // second time with nothing in flight either); the outcome does
             // not depend on it having done so.
             std::thread::sleep(Duration::from_millis(30));
             collector.push_from_net(d);
-            let batch = reader
-                .full_queue()
+            let batch = router
+                .queue(0)
                 .pop_timeout(Duration::from_secs(10))
                 .expect("reader alive")
                 .expect("the push woke the reader");
@@ -1060,14 +1047,14 @@ mod tests {
             pool.recycle_item(batch.unit).unwrap();
         }
         collector.close_stream();
-        assert!(reader.full_queue().pop().is_err(), "closed and drained");
+        assert!(router.queue(0).pop().is_err(), "closed and drained");
         drop(reader.stop());
         assert_eq!(pool.free_count(), 2);
     }
 
     #[test]
     fn shutdown_of_a_reader_parked_on_an_idle_stream_returns_promptly() {
-        let (reader, pool, _collector, _) = stream_pipeline(0);
+        let (reader, _router, pool, _collector, _) = stream_pipeline(0);
         std::thread::sleep(Duration::from_millis(30)); // let it park
         let (tx, stopped) = std::sync::mpsc::channel();
         let stopper = std::thread::spawn(move || {
@@ -1111,10 +1098,12 @@ mod tests {
             phys_base: 0x4_0000_0000,
         })
         .unwrap();
+        let router = router(&pool);
         let reader = FpgaReader::start_with_telemetry(
             collector,
             pool.clone(),
             channel,
+            Arc::clone(&router),
             ReaderConfig {
                 batch_size: 2,
                 target_w: 32,
@@ -1122,13 +1111,12 @@ mod tests {
                 format: OutputFormat::Rgb8,
                 max_batches: Some(8),
                 cmd_timeout: Some(Duration::from_millis(40)),
-                full_queue_depth: 64,
                 augmentor: None,
             },
             &telemetry,
         );
         let mut sequences = Vec::new();
-        while let Ok(batch) = reader.full_queue().pop() {
+        while let Ok(batch) = router.queue(0).pop() {
             assert_eq!(batch.len(), 2);
             sequences.push(batch.sequence);
             pool.recycle_item(batch.unit).unwrap();
@@ -1172,8 +1160,9 @@ mod tests {
             .unwrap();
             FpgaReader::start(
                 collector,
-                pool,
+                pool.clone(),
                 FpgaChannel::init(engine, 0),
+                router(&pool),
                 ReaderConfig {
                     batch_size: 256,
                     target_w: 224,
@@ -1181,7 +1170,6 @@ mod tests {
                     format: OutputFormat::Rgb8,
                     max_batches: Some(1),
                     cmd_timeout: None,
-                    full_queue_depth: 64,
                     augmentor: None,
                 },
             )

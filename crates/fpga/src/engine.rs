@@ -21,7 +21,7 @@
 //! through the completion queue. Ownership transfer in/out of the engine is
 //! the Rust-safe analogue of the paper's DMA-into-pinned-HugePage protocol;
 //! the one thing the borrow checker cannot see — that a long-lived lane
-//! thread may write into a unit the orchestrator holds — is the [`Window`]
+//! thread may write into a unit the orchestrator holds — is the `Window`
 //! type's documented contract.
 
 use crate::cmd::{DataRef, DecodeCmd, FinishSignal, ItemStatus, OutputFormat, CMD_WIRE_BYTES};

@@ -415,7 +415,7 @@ mod tests {
         let n = 30;
         for i in 0..n {
             let mut unit = pool.get_item().unwrap();
-            unit.append(&[i as u8; 16], i as u64, 4, 4, 1).unwrap();
+            unit.append(&[i as u8; 16], i, 4, 4, 1).unwrap();
             let buf = dev.alloc(4096).unwrap();
             stream.enqueue(GpuOp::MemcpyH2D {
                 host: unit,

@@ -182,7 +182,7 @@ impl GpuTimingModel {
     }
 }
 
-/// The nvJPEG GPU decode backend model (paper §5.3 and [16]).
+/// The nvJPEG GPU decode backend model (paper §5.3 and \[16\]).
 #[derive(Debug, Clone)]
 pub struct NvJpegModel {
     /// Fraction of the device the decode kernels occupy while active.

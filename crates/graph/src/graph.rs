@@ -547,7 +547,6 @@ impl PipelineGraph {
             decode_parallelism: stages[decode_pos]
                 .parallelism
                 .unwrap_or(config.default_decode_parallelism.max(1)),
-            ingest_depth: source_node.queue_depth.unwrap_or(64),
             slot_depth: sink_node.queue_depth.unwrap_or(8),
             resize: (rw, rh),
             output,
@@ -616,9 +615,6 @@ pub struct CompiledPipeline {
     pub decode: DecodeDevice,
     /// Decode worker threads.
     pub decode_parallelism: usize,
-    /// Depth of the queue after the source/decode stage (the reader's
-    /// `Full_Batch_Queue`).
-    pub ingest_depth: usize,
     /// Depth of each per-engine sink slot queue.
     pub slot_depth: usize,
     /// The fused decode-resize geometry.

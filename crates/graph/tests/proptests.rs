@@ -145,7 +145,7 @@ proptest! {
         engines in 1usize..4,
     ) {
         let (graph, chain) = build(&raw);
-        let (_, _, _, par, src_depth, sink_depth, _, _) = &raw;
+        let (_, _, _, par, _, sink_depth, _, _) = &raw;
         let config = GraphConfig {
             batch_size: batch,
             n_engines: engines,
@@ -160,7 +160,6 @@ proptest! {
             if chain.expect_tensor { DataKind::Tensor } else { DataKind::DecodedImage }
         );
         prop_assert_eq!(c.decode_parallelism, *par);
-        prop_assert_eq!(c.ingest_depth, *src_depth);
         prop_assert_eq!(c.slot_depth, *sink_depth);
         prop_assert_eq!(c.batch_size, batch);
         prop_assert_eq!(c.n_engines, engines);

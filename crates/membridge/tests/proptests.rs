@@ -248,7 +248,7 @@ proptest! {
             }
             Err(PoolError::RestoreLayout { offset, len, payload: p }) => {
                 prop_assert_eq!(p, payload.len());
-                prop_assert!(offset.checked_add(len).map_or(true, |end| end > p));
+                prop_assert!(offset.checked_add(len).is_none_or(|end| end > p));
             }
             Err(other) => prop_assert!(false, "unexpected error {:?}", other),
         }

@@ -472,7 +472,7 @@ mod tests {
         let a = run(7);
         assert_eq!(a, run(7), "same seed, same frame sequence → same faults");
         assert!(a.iter().any(|&o| o != 0), "a 50% rate must inject");
-        assert!(a.iter().any(|&o| o == 0), "a 50% rate must pass frames");
+        assert!(a.contains(&0), "a 50% rate must pass frames");
     }
 
     #[test]

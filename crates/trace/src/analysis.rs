@@ -1,4 +1,4 @@
-//! Critical-path analysis: fold a [`TraceSnapshot`](crate::TraceSnapshot)
+//! Critical-path analysis: fold a [`TraceSnapshot`]
 //! into per-batch latency attribution and a pipeline-level bottleneck report.
 //!
 //! ## Attribution model
@@ -13,7 +13,7 @@
 //! "sums to end-to-end within tolerance" acceptance criterion holds with
 //! zero error.
 //!
-//! [`SpanKind::Link`](crate::SpanKind::Link) records re-key a duplicate
+//! [`SpanKind::Link`] records re-key a duplicate
 //! ordinal's spans onto the winning ordinal before attribution, so hedged
 //! duplicates and re-decodes fold into the surviving copy's timeline.
 

@@ -83,10 +83,8 @@ pub mod stages {
     pub const AUGMENT: &str = "augment";
     /// Whole batch served from the decoded-sample cache (decode bypassed).
     pub const CACHE_BYPASS: &str = "cache.bypass";
-    /// Router replaying a cached batch in a later epoch.
-    pub const CACHE_REPLAY: &str = "cache.replay";
-    /// Decoded batch waiting between ready and consumer pick-up
-    /// (full queue + slot queue residency).
+    /// Decoded batch waiting between delivery and consumer pick-up
+    /// (slot queue residency).
     pub const QUEUE_DELIVER: &str = "queue.deliver";
     /// Dispatcher host-to-device copy of a batch.
     pub const DISPATCH_H2D: &str = "dispatch.h2d";

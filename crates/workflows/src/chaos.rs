@@ -120,7 +120,8 @@ pub fn run_degraded_training(params: &ChaosParams) -> Result<ChaosOutcome, Strin
         n_images,
         Some(params.total_batches),
     );
-    config.cache_bytes = 0;
+    // The fault plan keys on decode jobs: every batch must reach the FPGA.
+    config.sample_cache_bytes = 0;
     let primary = Arc::new(DlBooster::start_with_telemetry(
         collector,
         channel,

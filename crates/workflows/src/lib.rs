@@ -12,7 +12,7 @@
 //! * [`inference`] — the online-inference DES (Figs. 7, 8, 9): Poisson
 //!   clients over the 40 Gbps NIC, batch assembly, backend decode station,
 //!   PCIe copy, contended GPU service, per-request latency — plus the
-//!   beyond-paper [`DriveMode::Served`](inference::DriveMode::Served)
+//!   beyond-paper [`DriveMode::Served`]
 //!   overload sweeps through the `dlb-serving` layer (dynamic batching,
 //!   admission control, load shedding, per-tenant WFQ).
 //! * [`figures`] — per-figure sweep drivers producing [`report`] tables with

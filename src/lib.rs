@@ -32,7 +32,7 @@
 //!     Arc::new(CombinedResolver::disk_only(Arc::clone(&disk))),
 //! ).unwrap();
 //!
-//! // 3. DLBooster: collector → FPGAReader → router → per-engine queues.
+//! // 3. DLBooster: collector → FPGAReader → per-engine slot queues.
 //! let collector = Arc::new(DataCollector::load_from_disk(&dataset.records, 1));
 //! let booster = DlBooster::start(
 //!     collector,

@@ -184,14 +184,13 @@ fn fpga_and_cpu_paths_agree_under_augmentation() {
         Arc::new(CombinedResolver::disk_only(Arc::clone(&f.disk))),
     )
     .unwrap();
-    let mut config = DlBoosterConfig::training(
+    let config = DlBoosterConfig::training(
         1,
         BATCH,
         (RESIZE.0 as u16, RESIZE.1 as u16),
         N_IMAGES,
         Some(BATCHES_PER_EPOCH),
     );
-    config.cache_bytes = 0;
     let booster = DlBooster::from_graph(
         collector,
         FpgaChannel::init(engine, 0),
@@ -249,14 +248,13 @@ fn chaos_failover_redecodes_replay_the_same_augmentations() {
     let cancel = plan.cancel_token();
     engine.attach_chaos(plan.injector(Stage::Fpga, &telemetry).unwrap());
     let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
-    let mut config = DlBoosterConfig::training(
+    let config = DlBoosterConfig::training(
         1,
         BATCH,
         (RESIZE.0 as u16, RESIZE.1 as u16),
         N_IMAGES,
         Some(BATCHES_PER_EPOCH),
     );
-    config.cache_bytes = 0;
     let primary = Arc::new(
         DlBooster::from_graph_with_telemetry(
             collector,

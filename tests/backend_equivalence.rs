@@ -48,14 +48,13 @@ fn dlbooster_pixels(f: &Fixture) -> HashMap<u64, Vec<u8>> {
         Arc::new(CombinedResolver::disk_only(Arc::clone(&f.disk))),
     )
     .unwrap();
-    let mut config = DlBoosterConfig::training(
+    let config = DlBoosterConfig::training(
         1,
         BATCH,
         (TARGET as u16, TARGET as u16),
         N_IMAGES,
         Some((N_IMAGES / BATCH) as u64),
     );
-    config.cache_bytes = 0;
     let booster = DlBooster::start(collector, FpgaChannel::init(engine, 0), config).unwrap();
     collect(&booster, N_IMAGES / BATCH)
 }
@@ -132,14 +131,13 @@ fn dlbooster_pixels_via_graph(f: &Fixture, graph: &PipelineGraph) -> HashMap<u64
         Arc::new(CombinedResolver::disk_only(Arc::clone(&f.disk))),
     )
     .unwrap();
-    let mut config = DlBoosterConfig::training(
+    let config = DlBoosterConfig::training(
         1,
         BATCH,
         (TARGET as u16, TARGET as u16),
         N_IMAGES,
         Some((N_IMAGES / BATCH) as u64),
     );
-    config.cache_bytes = 0;
     let booster =
         DlBooster::from_graph(collector, FpgaChannel::init(engine, 0), config, graph, 0).unwrap();
     collect(&booster, N_IMAGES / BATCH)

@@ -73,7 +73,8 @@ fn training_run(seed: u64) -> Outcome {
         TRAIN_BATCHES as usize * BATCH,
         Some(TRAIN_BATCHES),
     );
-    config.cache_bytes = 0;
+    // The replay compares decoder item counts: every batch is decoded.
+    config.sample_cache_bytes = 0;
     let booster =
         DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
             .unwrap();
@@ -262,15 +263,14 @@ fn corrupted_samples_are_quarantined_and_never_admitted() {
         .unwrap();
         engine.attach_chaos(plan.injector(Stage::Fpga, &telemetry).unwrap());
         let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
-        let mut config = DlBoosterConfig::training(
+        // The training default arms a sample cache holding one epoch.
+        let config = DlBoosterConfig::training(
             1,
             BATCH,
             (32, 32),
             TRAIN_BATCHES as usize * BATCH,
             Some(3 * TRAIN_BATCHES), // three epochs: quarantine must hold on replay
         );
-        config.cache_bytes = 0;
-        config.sample_cache_bytes = 256 << 20;
         let booster =
             DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
                 .unwrap();

@@ -20,7 +20,7 @@ const BATCH: usize = 4;
 const BUDGET: u64 = 10; // batches per node
 
 /// One live node over its own disk shard: `records` feeds the
-/// collector, `max_batches` caps the router at the node's budget.
+/// collector, `max_batches` caps its deliveries at the node's budget.
 fn start_node(disk: &Arc<NvmeDisk>, records: &[Record], max_batches: u64) -> DlBooster {
     let collector = Arc::new(DataCollector::load_from_disk(records, 0));
     let mut device = FpgaDevice::new(DeviceSpec::arria10_ax());
@@ -33,9 +33,7 @@ fn start_node(disk: &Arc<NvmeDisk>, records: &[Record], max_batches: u64) -> DlB
     )
     .unwrap();
     let channel = FpgaChannel::init(engine, 0);
-    let mut config =
-        DlBoosterConfig::training(1, BATCH, (32, 32), records.len(), Some(max_batches));
-    config.cache_bytes = 0;
+    let config = DlBoosterConfig::training(1, BATCH, (32, 32), records.len(), Some(max_batches));
     DlBooster::start(collector, channel, config).unwrap()
 }
 

@@ -188,8 +188,7 @@ fn reader_counts_item_errors_and_keeps_flowing() {
         Arc::new(CombinedResolver::disk_only(Arc::clone(&disk))),
     )
     .unwrap();
-    let mut config = DlBoosterConfig::training(1, 4, (32, 32), 8, Some(2));
-    config.cache_bytes = 0;
+    let config = DlBoosterConfig::training(1, 4, (32, 32), 8, Some(2));
     let booster = DlBooster::start(collector, FpgaChannel::init(engine, 0), config).unwrap();
     let mut delivered = 0;
     while let Ok(batch) = booster.next_batch(0) {
@@ -227,7 +226,8 @@ fn corrupt_payloads_surface_in_telemetry_counters() {
     .unwrap();
     let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
     let mut config = DlBoosterConfig::training(1, 4, (32, 32), 8, Some(2));
-    config.cache_bytes = 0;
+    // Counts decoder item errors: every item is decoded.
+    config.sample_cache_bytes = 0;
     let booster =
         DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
             .unwrap();
@@ -301,8 +301,7 @@ fn mid_run_shutdown_terminates_cleanly() {
     .unwrap();
     // Unbounded run, killed from outside after two batches.
     let telemetry = Telemetry::with_defaults();
-    let mut config = DlBoosterConfig::training(1, 4, (32, 32), 16, None);
-    config.cache_bytes = 0;
+    let config = DlBoosterConfig::training(1, 4, (32, 32), 16, None);
     let booster = Arc::new(
         DlBooster::start_with_telemetry(
             collector,
@@ -327,7 +326,7 @@ fn mid_run_shutdown_terminates_cleanly() {
             }
         }
     }
-    drop(booster); // join reader/router so exit-time accounting lands
+    drop(booster); // join the reader so exit-time accounting lands
                    // Batches in flight at kill time are charged to batch_errors, so
                    // conservation still balances after a forced shutdown.
     let snap = telemetry.pipeline_snapshot();
@@ -394,9 +393,7 @@ fn killed_fpga_fails_over_to_cpu_and_completes_the_run() {
     engine.attach_chaos(plan.injector(Stage::Fpga, &telemetry).unwrap());
 
     let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
-    let mut config =
-        DlBoosterConfig::training(1, batch, (32, 32), total as usize * batch, Some(total));
-    config.cache_bytes = 0;
+    let config = DlBoosterConfig::training(1, batch, (32, 32), total as usize * batch, Some(total));
     let primary = Arc::new(
         DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
             .unwrap(),
@@ -516,7 +513,8 @@ fn failover_shares_the_sample_cache_with_the_cpu_fallback() {
 
     let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
     let mut config = DlBoosterConfig::training(1, batch, (32, 32), per_epoch * batch, Some(total));
-    config.cache_bytes = 0;
+    // The shared cache attached below stands in for the built-in one.
+    config.sample_cache_bytes = 0;
     let primary = Arc::new(
         DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
             .unwrap(),
@@ -630,7 +628,6 @@ fn pool_exhaustion_applies_backpressure_not_failure() {
     )
     .unwrap();
     let mut config = DlBoosterConfig::training(1, 4, (32, 32), 8, Some(4));
-    config.cache_bytes = 0;
     config.pool_units = 2; // tight pool → real backpressure
     let booster = DlBooster::start(collector, FpgaChannel::init(engine, 0), config).unwrap();
     let mut seen = 0;

@@ -4,7 +4,8 @@
 //! equal the one-image `decode` + `resize` + `to_rgb` of its source bytes —
 //! the definition of "correct" the pipeline benchmark uses —
 //! across every mode the substrate runs in: training, served/streaming,
-//! epoch-cache replay, chaos-driven failover and the CPU backend; and the
+//! later epochs served from the sample cache, chaos-driven failover and
+//! the CPU backend; and the
 //! [`PipelineSnapshot`] conservation laws must hold at quiescence.
 //! Seed-swept so the equality is not an artifact of one dataset.
 
@@ -110,21 +111,20 @@ fn training_mode_delivers_the_oracle_in_collector_order() {
         let disk = Arc::new(NvmeDisk::new(NvmeSpec::optane_900p()));
         let dataset = Dataset::build(DatasetSpec::ilsvrc_small(8, data_seed), &disk).unwrap();
         let telemetry = Telemetry::with_defaults();
-        let mut config = DlBoosterConfig::training(1, 4, (40, 40), 8, Some(4));
-        config.cache_bytes = 0; // live decode; cache mode is covered below
+        let config = DlBoosterConfig::training(1, 4, (40, 40), 8, Some(4));
         let booster = fpga_booster(&dataset.records, &disk, shuffle, config, &telemetry);
         let delivered = drain_batches(&booster);
-        drop(booster); // join reader + router → quiescent counters
+        drop(booster); // join the reader → quiescent counters
         let snap = telemetry.pipeline_snapshot();
         assert!(
             delivered == expected_batches(&dataset.records, &disk, shuffle, 4, 4, (40, 40)),
             "seed {data_seed}/shuffle {shuffle}: training batches diverge from the oracle"
         );
         assert_eq!(conservation(&snap), (true, true, 0));
-        // A bounded run submits what it delivers and nothing more: the
-        // reader stops at the budget instead of running ahead of the router.
+        // A bounded run decodes or bypasses what it delivers and nothing
+        // more: the reader stops at the budget instead of running ahead.
         assert_eq!(
-            snap.reader.batches_submitted,
+            snap.reader.batches_submitted + snap.cache.bypass_batches,
             snap.router_delivered + snap.reader.batch_errors,
             "seed {data_seed}: reader ran ahead of the delivery bound"
         );
@@ -179,27 +179,30 @@ fn served_mode_delivers_the_oracle_in_arrival_order() {
 
 #[test]
 fn cache_enabled_mode_replays_the_oracle_epoch() {
-    // The hybrid epoch cache stays on (training default): epoch 1 decodes,
-    // epochs 2-3 replay epoch 1's batches from memory, in epoch 1's order.
+    // The training default's sample cache holds the epoch: epoch 1
+    // decodes, epochs 2-3 are served from memory — each in its own
+    // collector order. One pool unit lets every epoch-1 admission land
+    // before the first epoch-2 lookup.
     for &(data_seed, shuffle) in &SWEEP {
         let disk = Arc::new(NvmeDisk::new(NvmeSpec::optane_900p()));
         let dataset = Dataset::build(DatasetSpec::ilsvrc_small(8, data_seed), &disk).unwrap();
         let telemetry = Telemetry::with_defaults();
-        let config = DlBoosterConfig::training(1, 4, (32, 32), 8, Some(6));
+        let mut config = DlBoosterConfig::training(1, 4, (32, 32), 8, Some(6));
+        config.pool_units = 1;
         let booster = fpga_booster(&dataset.records, &disk, shuffle, config, &telemetry);
         let delivered = drain_batches(&booster);
-        let hits = booster.cache().stats().0;
         drop(booster);
-        let epoch = expected_batches(&dataset.records, &disk, shuffle, 4, 2, (32, 32));
-        assert_eq!(delivered.len(), 6);
-        for (k, batch) in delivered.iter().enumerate() {
-            assert!(
-                *batch == epoch[k % 2],
-                "seed {data_seed}: batch {k} diverges from the oracle epoch"
-            );
-        }
-        assert!(hits >= 4, "later epochs must replay from the cache");
-        assert!(conservation(&telemetry.pipeline_snapshot()).0);
+        let snap = telemetry.pipeline_snapshot();
+        let oracle = expected_batches(&dataset.records, &disk, shuffle, 4, 6, (32, 32));
+        assert!(
+            delivered == oracle,
+            "seed {data_seed}/shuffle {shuffle}: batches diverge from the oracle"
+        );
+        assert_eq!(
+            snap.cache.bypass_batches, 4,
+            "later epochs must bypass the decoder"
+        );
+        assert_eq!(conservation(&snap), (true, true, 0));
     }
 }
 
@@ -231,9 +234,7 @@ fn failover_mode_delivers_the_oracle_per_label() {
     let cancel = plan.cancel_token();
     engine.attach_chaos(plan.injector(Stage::Fpga, &telemetry).unwrap());
     let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
-    let mut config =
-        DlBoosterConfig::training(1, batch, (32, 32), total as usize * batch, Some(total));
-    config.cache_bytes = 0;
+    let config = DlBoosterConfig::training(1, batch, (32, 32), total as usize * batch, Some(total));
     let primary = Arc::new(
         DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
             .unwrap(),
@@ -362,8 +363,7 @@ fn from_graph_with_canned_chain_equals_start() {
             &Telemetry::with_defaults(),
         );
         let channel = FpgaChannel::init(engine, 0);
-        let mut config = DlBoosterConfig::training(1, 4, (40, 40), 8, Some(2));
-        config.cache_bytes = 0;
+        let config = DlBoosterConfig::training(1, 4, (40, 40), 8, Some(2));
         let booster = if use_from_graph {
             let graph = dlbooster::graph::fpga_training(40, 40);
             DlBooster::from_graph(collector, channel, config, &graph, 0)

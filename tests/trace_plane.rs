@@ -46,7 +46,7 @@ fn fpga_training_run(
     .unwrap();
     let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
     let mut config = DlBoosterConfig::training(1, 4, (32, 32), 8, Some(4));
-    config.cache_bytes = 0;
+    // Compares decoder counts and charges every batch to fpga.decode.
     config.sample_cache_bytes = 0;
     let booster =
         DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
@@ -58,7 +58,7 @@ fn fpga_training_run(
         payloads.push(payload);
         booster.recycle(batch.unit);
     }
-    drop(booster); // join reader + router → quiescent counters
+    drop(booster); // join the reader → quiescent counters
     (
         payloads,
         telemetry.pipeline_snapshot(),
@@ -308,9 +308,8 @@ fn chaos_failover_run(
     let cancel = plan.cancel_token();
     engine.attach_chaos(plan.injector(Stage::Fpga, &telemetry).unwrap());
     let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
-    let mut config =
+    let config =
         DlBoosterConfig::training(1, BATCH, (32, 32), (TOTAL as usize) * BATCH, Some(TOTAL));
-    config.cache_bytes = 0;
     let primary = Arc::new(
         DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
             .unwrap(),

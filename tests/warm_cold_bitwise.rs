@@ -5,9 +5,10 @@
 //! decoded into its unit and copied whole. The `DeviceBatch` bytes of every
 //! batch must be identical either way — on the FPGA-functional path, the CPU
 //! backend, and the CPU backend with an augmentor — and must stay so when a
-//! chaos-failed copy drops a batch or the hybrid `EpochCache` captures a
-//! batch that was served from cache. At quiescence every pool lease has
-//! been recycled and no cache slot is still pinned.
+//! chaos-failed copy drops a batch. The training default's hybrid mode (a
+//! sample cache holding one epoch) must keep every later epoch's shuffle and
+//! augmentation draws. At quiescence every pool lease has been recycled and
+//! no cache slot is still pinned.
 
 use dlbooster::gpu::StreamSet;
 use dlbooster::prelude::*;
@@ -18,7 +19,10 @@ const BATCH: usize = 4;
 const EPOCH: u64 = (N_IMAGES / BATCH) as u64;
 const EPOCHS: u64 = 3;
 const TARGET: (u16, u16) = (32, 32);
+const ITEM_BYTES: usize = TARGET.0 as usize * TARGET.1 as usize * 3;
 const SAMPLE_CACHE: u64 = 64 << 20;
+/// Collector shuffle seed of the shuffled runs (reshuffles every epoch).
+const SHUFFLE: u64 = 5;
 
 /// `(sequence, device bytes)` of every delivered batch, in sequence order.
 type DeviceBytes = Vec<(u64, Vec<u8>)>;
@@ -74,8 +78,6 @@ struct Run {
     batches: DeviceBytes,
     copy_errors: u64,
     cache: Option<Arc<SampleCache>>,
-    /// Hits of the hybrid batch cache (`EpochCache`).
-    replayed: u64,
 }
 
 /// Asserts the quiescent pipeline kept its books: every conservation law
@@ -93,18 +95,35 @@ fn assert_quiescent(telemetry: &Telemetry, cache: Option<&SampleCache>) {
     }
 }
 
-/// A three-epoch FPGA-functional run, unshuffled, through the dispatcher.
 /// One pool unit serialises the reader behind the copy engine, so every
 /// epoch-1 admission lands before the first epoch-2 lookup.
+fn serial(config: &mut DlBoosterConfig) {
+    config.pool_units = 1;
+}
+
+/// [`serial`], decoding every batch.
+fn serial_cold(config: &mut DlBoosterConfig) {
+    serial(config);
+    no_cache(config);
+}
+
+/// Decodes every batch: no sample cache.
+fn no_cache(config: &mut DlBoosterConfig) {
+    config.sample_cache_bytes = 0;
+}
+
+/// A three-epoch FPGA-functional run through the dispatcher over a
+/// collector with shuffle seed `shuffle`: the canned chain, or `graph` with
+/// run seed 7. `setup` adjusts the default training config.
 fn fpga_run(
-    sample_cache_bytes: u64,
-    cache_bytes: u64,
-    warm: Option<Arc<SampleCache>>,
+    shuffle: u64,
+    graph: Option<&PipelineGraph>,
+    setup: impl FnOnce(&mut DlBoosterConfig),
     gpu_chaos: Option<FaultPlan>,
 ) -> Run {
     let telemetry = Telemetry::with_defaults();
     let (disk, dataset) = dataset();
-    let collector = Arc::new(DataCollector::load_from_disk(&dataset.records, 0));
+    let collector = Arc::new(DataCollector::load_from_disk(&dataset.records, shuffle));
     let mut device = FpgaDevice::new(DeviceSpec::arria10_ax());
     device
         .load_mirror(DecoderMirror::jpeg_paper_config())
@@ -117,26 +136,25 @@ fn fpga_run(
     .unwrap();
     let channel = FpgaChannel::init_with_telemetry(engine, 0, &telemetry);
     let mut config = DlBoosterConfig::training(1, BATCH, TARGET, N_IMAGES, Some(EPOCH * EPOCHS));
-    config.cache_bytes = cache_bytes;
-    config.sample_cache_bytes = sample_cache_bytes;
-    config.pool_units = 1;
+    setup(&mut config);
+    let shared = Arc::clone(&telemetry);
     let booster = Arc::new(
-        DlBooster::start_with_telemetry(collector, channel, config, Arc::clone(&telemetry))
-            .unwrap(),
+        match graph {
+            Some(graph) => {
+                DlBooster::from_graph_with_telemetry(collector, channel, config, graph, 7, shared)
+            }
+            None => DlBooster::start_with_telemetry(collector, channel, config, shared),
+        }
+        .unwrap(),
     );
-    if let Some(cache) = warm {
-        booster.attach_sample_cache(cache);
-    }
     let (batches, copy_errors) = device_batches(booster.clone(), &telemetry, gpu_chaos);
     let cache = booster.sample_cache();
-    let replayed = booster.cache().stats().0;
-    drop(booster); // joins router + reader: quiescent
+    drop(booster); // joins the reader: quiescent
     assert_quiescent(&telemetry, cache.as_deref());
     Run {
         batches,
         copy_errors,
         cache,
-        replayed,
     }
 }
 
@@ -185,7 +203,6 @@ fn cpu_run(cache: Option<Arc<SampleCache>>, augmented: bool) -> Run {
         batches,
         copy_errors,
         cache,
-        replayed: 0,
     }
 }
 
@@ -207,10 +224,23 @@ fn bypassed(run: &Run) -> u64 {
     run.cache.as_ref().expect("cached run").bypass_batches()
 }
 
+/// Each epoch's items in delivery order, every item `item_bytes` long.
+fn epoch_items(run: &Run, item_bytes: usize) -> Vec<Vec<&[u8]>> {
+    run.batches
+        .chunks(EPOCH as usize)
+        .map(|epoch| {
+            epoch
+                .iter()
+                .flat_map(|(_, bytes)| bytes.chunks(item_bytes))
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn fpga_path_resident_epochs_equal_decoded_epochs() {
-    let cold = fpga_run(0, 0, None, None);
-    let warm = fpga_run(SAMPLE_CACHE, 0, None, None);
+    let cold = fpga_run(0, None, serial_cold, None);
+    let warm = fpga_run(0, None, serial, None);
     assert_eq!(cold.batches.len() as u64, EPOCH * EPOCHS);
     assert_eq!(warm.batches.len(), cold.batches.len());
     assert_bitwise(&warm, &cold);
@@ -240,12 +270,12 @@ fn cpu_backend_with_augmentor_resident_epochs_equal_decoded_epochs() {
 
 #[test]
 fn a_failed_h2d_copy_still_unpins_its_slots() {
-    let cold = fpga_run(0, 0, None, None);
+    let cold = fpga_run(0, None, serial_cold, None);
     let mut plan = FaultPlan::disabled();
     plan.seed = 3;
     plan.gpu = dlbooster::chaos::StageSpec::rate(0.4);
     // `fpga_run` asserts nothing is pinned once the pipeline is quiet.
-    let warm = fpga_run(SAMPLE_CACHE, 0, None, Some(plan));
+    let warm = fpga_run(0, None, serial, Some(plan));
     assert!(warm.copy_errors > 0, "a 40% rate must fail some copies");
     assert!(bypassed(&warm) > 0);
     assert_eq!(
@@ -257,37 +287,48 @@ fn a_failed_h2d_copy_still_unpins_its_slots() {
 }
 
 #[test]
-fn epoch_cache_replays_a_resident_epoch_bitwise() {
-    // The default hybrid batch cache beside a sample cache of twice the
-    // corpus: epoch 1 is captured and epochs 2+ replay from it.
-    let cold = fpga_run(0, 0, None, None);
-    let corpus = (N_IMAGES * TARGET.0 as usize * TARGET.1 as usize * 3) as u64;
-    let default_cache_bytes =
-        DlBoosterConfig::training(1, BATCH, TARGET, N_IMAGES, None).cache_bytes;
-    let hybrid = fpga_run(2 * corpus, default_cache_bytes, None, None);
+fn hybrid_mode_keeps_each_epochs_shuffle_and_equals_a_cold_run() {
+    // The default training config, untouched: its sample cache holds the
+    // whole corpus. Later epochs come from memory, yet each keeps the
+    // collector's own shuffle — the batches equal a cold run's, seed for
+    // seed.
+    let warm = fpga_run(SHUFFLE, None, |_| {}, None);
+    let cold = fpga_run(SHUFFLE, None, no_cache, None);
+    assert_eq!(warm.batches.len() as u64, EPOCH * EPOCHS);
+    assert_eq!(warm.batches.len(), cold.batches.len());
+    let epochs = epoch_items(&warm, ITEM_BYTES);
     assert!(
-        hybrid.replayed > 0,
-        "later epochs replay from the EpochCache"
+        epochs[1] != epochs[0],
+        "epoch 1 must not replay epoch 0's order"
     );
-    assert_bitwise(&hybrid, &cold);
+    let (mut first, mut second) = (epochs[0].clone(), epochs[1].clone());
+    first.sort_unstable();
+    second.sort_unstable();
+    assert!(first == second, "every epoch covers the same samples");
+    assert_bitwise(&warm, &cold);
+    assert!(
+        bypassed(&warm) >= EPOCH,
+        "the third epoch is resident and bypasses the decoder"
+    );
+}
 
-    // The same, with the sample cache already warm: epoch 1 itself is
-    // served from lent slots, so the EpochCache captures bypassed batches
-    // — gathered, never read off the units' stale inline storage.
-    let warm_cache = fpga_run(SAMPLE_CACHE, 0, None, None)
-        .cache
-        .expect("cached run");
-    let bypassed_before = warm_cache.bypass_batches();
-    let replay = fpga_run(0, default_cache_bytes, Some(Arc::clone(&warm_cache)), None);
-    assert!(
-        warm_cache.bypass_batches() > bypassed_before,
-        "epoch 1 must come from lent slots"
-    );
-    assert!(
-        replay.replayed > 0,
-        "later epochs replay from the EpochCache"
-    );
-    assert_eq!(replay.batches.len(), cold.batches.len());
-    assert_bitwise(&replay, &cold);
-    assert_eq!(warm_cache.pinned_bytes(), 0);
+#[test]
+fn hybrid_mode_redraws_augmentation_per_epoch_and_equals_a_cold_run() {
+    // Cached samples are pre-augmentation pixels: a resident sample
+    // re-augments under the epoch that dispenses it, exactly as its live
+    // decode would have.
+    let graph = dlbooster::graph::augmented_training(
+        DecodeDevice::Fpga,
+        (TARGET.0 as u32, TARGET.1 as u32),
+        (24, 24),
+        0.5,
+        None,
+        1,
+    )
+    .unwrap();
+    let warm = fpga_run(SHUFFLE, Some(&graph), |_| {}, None);
+    let cold = fpga_run(SHUFFLE, Some(&graph), no_cache, None);
+    assert_eq!(warm.batches.len(), cold.batches.len());
+    assert_bitwise(&warm, &cold);
+    assert!(bypassed(&warm) >= EPOCH, "the third epoch is resident");
 }
