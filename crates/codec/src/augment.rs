@@ -49,28 +49,6 @@ pub fn crop(src: &Image, rect: CropRect) -> CodecResult<Image> {
     Image::from_vec(rect.width, rect.height, src.color(), out)
 }
 
-/// Center crop of the given size.
-pub fn center_crop(src: &Image, width: u32, height: u32) -> CodecResult<Image> {
-    if width > src.width() || height > src.height() {
-        return Err(CodecError::InvalidArgument {
-            detail: format!(
-                "center crop {width}x{height} larger than image {}x{}",
-                src.width(),
-                src.height()
-            ),
-        });
-    }
-    crop(
-        src,
-        CropRect {
-            x: (src.width() - width) / 2,
-            y: (src.height() - height) / 2,
-            width,
-            height,
-        },
-    )
-}
-
 /// Horizontal mirror (the classic training-time augmentation).
 pub fn hflip(src: &Image) -> Image {
     let c = src.channels();
@@ -210,14 +188,6 @@ mod tests {
         ] {
             assert!(crop(&img, rect).is_err(), "{rect:?}");
         }
-    }
-
-    #[test]
-    fn center_crop_is_centered() {
-        let img = numbered(10, 10);
-        let out = center_crop(&img, 4, 4).unwrap();
-        assert_eq!(out.pixel(0, 0), img.pixel(3, 3));
-        assert!(center_crop(&img, 11, 4).is_err());
     }
 
     #[test]

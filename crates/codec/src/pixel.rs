@@ -122,12 +122,6 @@ impl Image {
         &self.data
     }
 
-    /// Mutably borrow the raw interleaved pixel data.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// Consume the image, returning the raw buffer.
     #[inline]
     pub fn into_vec(self) -> Vec<u8> {

@@ -2,7 +2,6 @@
 
 use crate::framing::{FrameError, FrameView};
 use dlb_chaos::{FaultKind, StageInjector};
-use dlb_simcore::queueing::SerialPipe;
 use dlb_simcore::SimTime;
 use dlb_telemetry::{names, Counter, Registry};
 use parking_lot::Mutex;
@@ -323,11 +322,6 @@ impl NicRx {
     pub fn counters(&self) -> (u64, u64, u64) {
         let st = self.state.lock();
         (st.frames_ok, st.frames_bad, st.bytes_rx)
-    }
-
-    /// Wire timing pipe for the DES layer.
-    pub fn wire_pipe(&self) -> SerialPipe {
-        SerialPipe::new(self.spec.wire_bytes_per_sec, self.spec.packet_latency)
     }
 
     /// Modelled wire time of one frame of `bytes` on an idle link.

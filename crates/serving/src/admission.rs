@@ -73,11 +73,6 @@ impl AdmissionController {
         self.queue.len()
     }
 
-    /// Queued requests for one tenant.
-    pub fn tenant_depth(&self, tenant: u32) -> usize {
-        self.queue.tenant_len(tenant)
-    }
-
     /// Predicted completion time for a request admitted at `now` behind
     /// `backlog` queued items.
     pub fn predicted_completion(&self, now: SimTime, backlog: usize) -> SimTime {

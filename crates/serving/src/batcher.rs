@@ -315,6 +315,83 @@ mod tests {
         );
     }
 
+    /// Drives `n` Poisson arrivals at `rate` req/s through a former with
+    /// batch 32 and 2 ms linger, firing each due linger timer before the
+    /// next arrival, and returns (mean batch size, fraction of batches not
+    /// closed full, mean first-push-to-close time in ms). Only the two
+    /// timer rules run: no pipeline is modelled, so the idle rule never
+    /// fires. The trailing partial batch is drained at the last arrival.
+    fn close_sweep_point(rate: f64, n: u64, seed: u64) -> (f64, f64, f64) {
+        let mut f = BatchFormer::new(32, SimTime::from_millis(2));
+        let mut rng = dlb_simcore::SimRng::new(seed);
+        let (mut now, mut opened) = (SimTime::ZERO, SimTime::ZERO);
+        let (mut batches, mut items, mut lingered) = (0u64, 0u64, 0u64);
+        let mut waited = SimTime::ZERO;
+        let mut record = |b: FormedBatch, wait: SimTime| {
+            batches += 1;
+            items += b.len() as u64;
+            lingered += u64::from(b.reason != CloseReason::Full);
+            waited += wait;
+        };
+        for id in 0..n {
+            let arrival = now + SimTime::from_secs_f64(rng.exponential(1.0 / rate));
+            if let Some(due) = f.linger_deadline().filter(|&due| due <= arrival) {
+                if let Some(b) = f.close_if_due(due, f.generation()) {
+                    record(b, due - opened);
+                }
+            }
+            now = arrival;
+            if f.pending() == 0 {
+                opened = now;
+            }
+            let request = ServeRequest {
+                id,
+                tenant: (id % 5) as u32,
+                arrival: now,
+                deadline: now + SimTime::from_millis(50),
+            };
+            if let Some(b) = f.push(request, now) {
+                record(b, now - opened);
+            }
+        }
+        if let Some(b) = f.force_close() {
+            record(b, now - opened);
+        }
+        let per_batch = |x: f64| x / batches as f64;
+        (
+            per_batch(items as f64),
+            per_batch(lingered as f64),
+            per_batch(waited.as_secs_f64() * 1e3),
+        )
+    }
+
+    #[test]
+    fn close_rule_follows_arrival_rate() {
+        // (rate, mean batch, linger closes, mean close ms): light load
+        // closes by linger at 2 ms, heavy load fills batches of 32.
+        let expected = [
+            (500.0, "2.0", "100%", "2.000"),
+            (2_000.0, "5.0", "100%", "2.000"),
+            (8_000.0, "16.9", "100%", "2.000"),
+            (16_000.0, "30.1", "40%", "1.826"),
+            (32_000.0, "32.0", "0%", "0.970"),
+            (64_000.0, "32.0", "0%", "0.485"),
+        ];
+        for (rate, mean, linger, close_ms) in expected {
+            let (m, l, c) = close_sweep_point(rate, 50_000, 17);
+            let got = (
+                format!("{m:.1}"),
+                format!("{:.0}%", l * 100.0),
+                format!("{c:.3}"),
+            );
+            assert_eq!(
+                got,
+                (mean.into(), linger.into(), close_ms.into()),
+                "{rate} req/s"
+            );
+        }
+    }
+
     #[test]
     fn force_close_flushes_partial() {
         let mut f = BatchFormer::new(4, SimTime::from_millis(1));

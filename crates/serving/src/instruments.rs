@@ -3,8 +3,8 @@
 //! completion path record into, pre-resolved from a [`Registry`].
 //!
 //! All serving components record through an optional
-//! `Arc<ServingInstruments>`; when absent (unit tests, microbenches) the
-//! layer runs telemetry-free with zero overhead.
+//! `Arc<ServingInstruments>`; when absent (unit tests) the layer runs
+//! telemetry-free with zero overhead.
 
 use crate::batcher::CloseReason;
 use crate::config::ServeRequest;

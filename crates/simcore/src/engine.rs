@@ -72,13 +72,6 @@ impl<E> Scheduler<E> {
         self.next_seq += 1;
         self.pending.push(Entry { at, seq, event });
     }
-
-    /// Posts `event` to fire immediately (after currently queued same-time
-    /// events).
-    #[inline]
-    pub fn now_event(&mut self, event: E) {
-        self.at(self.now, event);
-    }
 }
 
 /// Outcome of a simulation run.
@@ -124,11 +117,6 @@ impl<M: SimModel> Simulation<M> {
     /// Borrow the model (for inspection between runs).
     pub fn model(&self) -> &M {
         &self.model
-    }
-
-    /// Mutably borrow the model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
     }
 
     /// Consume the simulation, returning the model.
@@ -193,11 +181,6 @@ impl<M: SimModel> Simulation<M> {
             "simulation did not drain within {CAP} events — model is likely self-perpetuating"
         );
         summary
-    }
-
-    /// Total events dispatched over the simulation's lifetime.
-    pub fn total_events(&self) -> u64 {
-        self.dispatched
     }
 }
 

@@ -62,12 +62,6 @@ impl SimRng {
         self.next_u64() % bound
     }
 
-    /// Uniform in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Exponential variate with the given mean (inter-arrival times of the
     /// paper's online inference clients).
     #[inline]

@@ -24,11 +24,6 @@ impl BusyTracker {
         self.intervals += 1;
     }
 
-    /// Total busy time.
-    pub fn busy_time(&self) -> SimTime {
-        self.busy
-    }
-
     /// Number of recorded intervals.
     pub fn intervals(&self) -> u64 {
         self.intervals

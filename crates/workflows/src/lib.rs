@@ -15,8 +15,9 @@
 //!   beyond-paper [`DriveMode::Served`]
 //!   overload sweeps through the `dlb-serving` layer (dynamic batching,
 //!   admission control, load shedding, per-tenant WFQ).
-//! * [`figures`] — per-figure sweep drivers producing [`report`] tables with
-//!   paper-expected values alongside measured ones.
+//! * [`figures`] — per-figure sweep drivers and the §3.3/§3.4 design-choice
+//!   ablations, producing [`report`] tables with paper-expected values
+//!   alongside measured ones; the `figures` binary prints every one.
 //! * [`economics`] — the cost model of §5.4.
 //! * [`report`] — plain-text table rendering and JSON export.
 //! * [`chaos`] — beyond-paper degraded-mode runs: seeded FPGA wedges with

@@ -139,8 +139,8 @@ fn all_figures_render_without_panicking() {
     let reports = figures::all_figures(&cal());
     assert_eq!(
         reports.len(),
-        9,
-        "7 paper figures + the overload sweep + the cluster degradation sweep"
+        14,
+        "7 paper figures + the overload sweep + the cluster degradation sweep + 5 ablations"
     );
     for rep in &reports {
         assert!(!rep.rows.is_empty(), "{} has no rows", rep.id);
