@@ -14,7 +14,7 @@ use std::thread::JoinHandle;
 /// A missing or undecodable source leaves the whole window zero-filled and
 /// returns `None`, so a failed item never shows pixels of whatever the
 /// memory held before.
-pub fn decode_rgb_into(
+pub(crate) fn decode_rgb_into(
     decoder: &JpegDecoder,
     scratch: &mut DecodeScratch,
     jpeg: Option<&[u8]>,
@@ -34,7 +34,7 @@ pub fn decode_rgb_into(
 }
 
 /// The shared skeleton of a worker-pool backend.
-pub struct PoolScaffold {
+pub(crate) struct PoolScaffold {
     /// Batch-buffer pool.
     pub pool: MemManager,
     /// Slot delivery.
@@ -48,7 +48,7 @@ pub struct PoolScaffold {
 impl PoolScaffold {
     /// Builds the scaffold with `pool_units` buffers of `unit_size` bytes
     /// and the default slot-queue depth of 8.
-    pub fn new(
+    pub(crate) fn new(
         n_slots: usize,
         unit_size: usize,
         pool_units: usize,
@@ -59,7 +59,7 @@ impl PoolScaffold {
 
     /// Like [`PoolScaffold::new`] with an explicit per-slot queue depth —
     /// the knob a compiled pipeline graph sets from its sink stage.
-    pub fn with_slot_depth(
+    pub(crate) fn with_slot_depth(
         n_slots: usize,
         slot_depth: usize,
         unit_size: usize,
@@ -90,7 +90,7 @@ impl PoolScaffold {
     }
 
     /// `PreprocessBackend::next_batch`: blocks on engine `slot`'s queue.
-    pub fn next_batch(&self, slot: usize) -> Result<HostBatch, BackendError> {
+    pub(crate) fn next_batch(&self, slot: usize) -> Result<HostBatch, BackendError> {
         self.router
             .queue(slot)
             .pop()
@@ -98,23 +98,23 @@ impl PoolScaffold {
     }
 
     /// `PreprocessBackend::recycle`: returns a consumed unit to the pool.
-    pub fn recycle(&self, unit: BatchUnit) {
+    pub(crate) fn recycle(&self, unit: BatchUnit) {
         let _ = self.pool.recycle_item(unit);
     }
 
     /// `PreprocessBackend::max_batch_bytes`: one pool unit.
-    pub fn max_batch_bytes(&self) -> usize {
+    pub(crate) fn max_batch_bytes(&self) -> usize {
         self.pool.unit_size()
     }
 
     /// `PreprocessBackend::cpu_busy_nanos`: accumulated worker busy time.
-    pub fn cpu_busy_nanos(&self) -> u64 {
+    pub(crate) fn cpu_busy_nanos(&self) -> u64 {
         self.cpu_busy_nanos.load(Ordering::Relaxed)
     }
 
     /// `PreprocessBackend::shutdown`: raises the stop flag and closes the
     /// queues and the pool so blocked workers and consumers wake.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.router.close();
         self.pool.close();
@@ -123,7 +123,7 @@ impl PoolScaffold {
     /// The backends' join-on-drop: stops the workers, returns the residue
     /// nobody will pop to the pool, closes the pool (releasing a worker
     /// parked on a lease), then joins every worker.
-    pub fn join(&self, workers: &mut Vec<JoinHandle<()>>) {
+    pub(crate) fn join(&self, workers: &mut Vec<JoinHandle<()>>) {
         self.stop.store(true, Ordering::SeqCst);
         self.router.retire();
         self.pool.close();

@@ -89,11 +89,6 @@ impl FailoverBackend {
         self.failed_over.load(Ordering::Acquire)
     }
 
-    /// The wrapped primary (inspection).
-    pub fn primary(&self) -> &Arc<DlBooster> {
-        &self.primary
-    }
-
     /// Performs the primary→fallback swap exactly once; concurrent
     /// callers (one per slot) serialize on the factory lock and all but
     /// the first find the work already done.

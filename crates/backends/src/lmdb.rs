@@ -43,9 +43,6 @@ impl LmdbBackendConfig {
 pub struct LmdbBackend {
     scaffold: Arc<PoolScaffold>,
     readers: Vec<JoinHandle<()>>,
-    store: Arc<LmdbStore>,
-    /// Wall-clock seconds the offline conversion took (the §2.2 cost).
-    conversion_secs: f64,
 }
 
 impl LmdbBackend {
@@ -59,9 +56,7 @@ impl LmdbBackend {
             return Err("readers, batch_size and n_engines must be positive".into());
         }
         let store = Arc::new(LmdbStore::new());
-        let t0 = Instant::now();
         store.convert(dataset, disk, config.target_w, config.target_h)?;
-        let conversion_secs = t0.elapsed().as_secs_f64();
 
         let scaffold = Arc::new(PoolScaffold::new(
             config.n_engines,
@@ -84,27 +79,7 @@ impl LmdbBackend {
                     .expect("spawn lmdb reader"),
             );
         }
-        Ok(Self {
-            scaffold,
-            readers,
-            store,
-            conversion_secs,
-        })
-    }
-
-    /// The conversion cost in seconds.
-    pub fn conversion_secs(&self) -> f64 {
-        self.conversion_secs
-    }
-
-    /// The underlying store (read statistics).
-    pub fn store(&self) -> &LmdbStore {
-        &self.store
-    }
-
-    /// Batches delivered.
-    pub fn delivered(&self) -> u64 {
-        self.scaffold.router.delivered()
+        Ok(Self { scaffold, readers })
     }
 }
 
@@ -213,8 +188,6 @@ mod tests {
     #[test]
     fn conversion_then_serving() {
         let b = setup(Some(4));
-        assert!(b.conversion_secs() > 0.0);
-        assert_eq!(b.store().len(), 10);
         let mut seen = 0;
         while let Ok(batch) = b.next_batch(0) {
             assert_eq!(batch.len(), 5);
@@ -225,8 +198,6 @@ mod tests {
             b.recycle(batch.unit);
         }
         assert_eq!(seen, 4);
-        let (reads, _) = b.store().read_stats();
-        assert!(reads >= 20, "per-datum reads expected, got {reads}");
         assert!(b.cpu_busy_nanos() > 0);
     }
 

@@ -113,11 +113,6 @@ impl NvJpegBackend {
     pub fn gpu_background_share(&self) -> f64 {
         self.sm_share
     }
-
-    /// Batches delivered.
-    pub fn delivered(&self) -> u64 {
-        self.scaffold.router.delivered()
-    }
 }
 
 fn nvjpeg_worker(

@@ -71,7 +71,7 @@ pub enum SampleKey {
 
 impl SampleKey {
     /// The tenant this key belongs to, when it carries one.
-    pub fn tenant(&self) -> Option<u32> {
+    pub(crate) fn tenant(&self) -> Option<u32> {
         match self {
             SampleKey::Disk { .. } => None,
             SampleKey::Object { tenant, .. } => Some(*tenant),
@@ -110,13 +110,8 @@ pub struct CachedSample {
 }
 
 impl CachedSample {
-    /// Bytes this sample occupies.
-    pub fn bytes(&self) -> u64 {
-        self.data.len() as u64
-    }
-
     /// Label and geometry.
-    pub fn meta(&self) -> SampleMeta {
+    pub(crate) fn meta(&self) -> SampleMeta {
         SampleMeta {
             label: self.label,
             width: self.width,

@@ -86,8 +86,9 @@ impl Stage {
         }
     }
 
-    /// All stages, for iteration in plans/tests.
-    pub const ALL: [Stage; 5] = [
+    /// All stages, for iteration in tests.
+    #[cfg(test)]
+    const ALL: [Stage; 5] = [
         Stage::Storage,
         Stage::Net,
         Stage::Fpga,
@@ -103,7 +104,7 @@ pub enum FaultKind {
     /// Fail the operation with a typed, recoverable error.
     Error,
     /// Delay the operation (slow read, delayed recycle, slow copy slot,
-    /// FPGA lane stall). Always serviced through [`CancelToken::sleep`].
+    /// FPGA lane stall). Always serviced through `CancelToken::sleep`.
     Delay(Duration),
     /// Corrupt payload bytes before they are parsed (NIC frames).
     Corrupt,
@@ -129,7 +130,7 @@ pub struct StageSpec {
 
 impl StageSpec {
     /// A disabled stage.
-    pub const fn off() -> Self {
+    pub(crate) const fn off() -> Self {
         StageSpec {
             rate: 0.0,
             burst: 1,
@@ -144,12 +145,6 @@ impl StageSpec {
             burst: 1,
             delay: Duration::from_millis(2),
         }
-    }
-
-    /// Builder: correlated bursts of `n` consecutive faults.
-    pub fn with_burst(mut self, n: u32) -> Self {
-        self.burst = n.max(1);
-        self
     }
 
     /// Builder: delay for latency-flavoured faults.
@@ -174,24 +169,24 @@ pub struct CancelToken {
 
 impl CancelToken {
     /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Signal cancellation; all current and future [`CancelToken::sleep`]
+    /// Signal cancellation; all current and future `CancelToken::sleep`
     /// calls return promptly.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
     /// Has [`CancelToken::cancel`] been called?
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 
     /// Sleep for `dur`, waking early if cancelled. Returns `true` if the
     /// full duration elapsed, `false` if interrupted.
-    pub fn sleep(&self, dur: Duration) -> bool {
+    pub(crate) fn sleep(&self, dur: Duration) -> bool {
         const SLICE: Duration = Duration::from_millis(2);
         let mut left = dur;
         while left > Duration::ZERO {
@@ -371,11 +366,6 @@ impl StageInjector {
         }
     }
 
-    /// The stage this injector targets.
-    pub fn stage(&self) -> Stage {
-        self.stage
-    }
-
     /// The configured delay for latency-flavoured faults at this stage.
     pub fn delay(&self) -> Duration {
         self.spec.delay
@@ -385,12 +375,6 @@ impl StageInjector {
     /// Returns `false` when interrupted by cancellation.
     pub fn sleep(&self, dur: Duration) -> bool {
         self.cancel.sleep(dur)
-    }
-
-    /// The shared cancellation token (e.g. for stages that run their own
-    /// wait loops).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 }
 
@@ -459,7 +443,10 @@ mod tests {
     fn bursts_extend_a_fired_fault() {
         let mut plan = FaultPlan::disabled();
         plan.seed = 9;
-        plan.storage = StageSpec::rate(0.02).with_burst(4);
+        plan.storage = StageSpec {
+            burst: 4,
+            ..StageSpec::rate(0.02)
+        };
         let inj = plan
             .injector(Stage::Storage, &Telemetry::with_defaults())
             .unwrap();

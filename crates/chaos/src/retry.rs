@@ -31,18 +31,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The pipeline default for transient stage errors: 4 attempts,
-    /// 1 ms → 2 ms → 4 ms backoff (±50% jitter), capped at 20 ms.
-    pub fn transient() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(1),
-            factor: 2.0,
-            max_delay: Duration::from_millis(20),
-            jitter: 0.5,
-        }
-    }
-
     /// A single attempt — retry disabled, error surfaces immediately.
     pub fn none() -> Self {
         RetryPolicy {
@@ -57,7 +45,7 @@ impl RetryPolicy {
     /// The backoff before retry number `attempt` (0-based retry index)
     /// for operation `identity`. Deterministic: jitter is drawn from
     /// `splitmix64(identity, attempt)`, not from a global RNG.
-    pub fn backoff(&self, attempt: u32, identity: u64) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, identity: u64) -> Duration {
         let exp = self.base.as_secs_f64() * self.factor.powi(attempt as i32);
         let capped = exp.min(self.max_delay.as_secs_f64());
         let h = splitmix64(identity ^ ((attempt as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)));
@@ -151,7 +139,13 @@ mod tests {
 
     #[test]
     fn succeeds_after_transient_failures() {
-        let (r, t) = retrier(RetryPolicy::transient());
+        let (r, t) = retrier(RetryPolicy {
+            max_attempts: 4,
+            base: Duration::from_millis(1),
+            factor: 2.0,
+            max_delay: Duration::from_millis(20),
+            jitter: 0.5,
+        });
         let calls = AtomicU32::new(0);
         let out: Result<u32, &str> = r.run(77, |_| {
             if calls.fetch_add(1, Ordering::Relaxed) < 2 {

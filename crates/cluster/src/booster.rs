@@ -15,7 +15,7 @@
 
 use crate::ring::HashRing;
 use dlb_cache::SampleKey;
-use dlbooster_core::{BackendError, DlBooster, HostBatch, PreprocessBackend};
+use dlbooster_core::{BackendError, DlBooster, PreprocessBackend};
 use std::time::Duration;
 
 /// One shard: a live booster plus its delivery budget and consumption
@@ -81,11 +81,6 @@ impl BoosterCluster {
         self.ring.route_sample(key)
     }
 
-    /// The routing ring (inspection).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// Batches consumed from node `id` so far.
     pub fn consumed(&self, id: u32) -> u64 {
         self.shards[id as usize].consumed
@@ -111,26 +106,6 @@ impl BoosterCluster {
             Err(BackendError::Exhausted) => Ok(false),
             Err(e) => Err(format!("node {id} failed: {e:?}")),
         }
-    }
-
-    /// Pops one batch from node `id` without recycling — the caller owns
-    /// the batch (and must [`BoosterCluster::recycle`] it).
-    pub fn pop(&mut self, id: u32) -> Result<Option<HostBatch>, String> {
-        let shard = &mut self.shards[id as usize];
-        match shard.booster.next_batch_timeout(0, self.pop_timeout) {
-            Ok(Some(batch)) => {
-                shard.consumed += 1;
-                Ok(Some(batch))
-            }
-            Ok(None) => Err(format!("node {id} wedged: pop timed out")),
-            Err(BackendError::Exhausted) => Ok(None),
-            Err(e) => Err(format!("node {id} failed: {e:?}")),
-        }
-    }
-
-    /// Returns a popped batch's unit to node `id`'s pool.
-    pub fn recycle(&self, id: u32, batch: HostBatch) {
-        self.shards[id as usize].booster.recycle(batch.unit);
     }
 
     /// Chaos-kills node `id`: quiesces it (slot queues closed,

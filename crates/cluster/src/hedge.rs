@@ -79,11 +79,6 @@ impl LatencyBudget {
         }
     }
 
-    /// Samples currently in the window.
-    pub fn samples(&self) -> usize {
-        self.window.len()
-    }
-
     /// The current hedge budget: p99-of-window × multiplier, clamped to
     /// `[min_budget, max_budget]`; `max_budget` until the window has
     /// enough samples to trust.
@@ -216,11 +211,6 @@ impl DedupLedger {
             .is_some_and(|e| e.state != Terminal::Open)
     }
 
-    /// In-flight copies of `req` right now.
-    pub fn inflight_copies(&self, req: u64) -> u32 {
-        self.reqs.get(&req).map_or(0, |e| e.inflight)
-    }
-
     /// Requests not yet terminal — must be zero at quiescence ("no stuck
     /// requests").
     pub fn open_requests(&self) -> usize {
@@ -228,11 +218,6 @@ impl DedupLedger {
             .values()
             .filter(|e| e.state == Terminal::Open)
             .count()
-    }
-
-    /// Copies in flight across all requests.
-    pub fn inflight_total(&self) -> u64 {
-        self.reqs.values().map(|e| u64::from(e.inflight)).sum()
     }
 }
 
@@ -280,7 +265,6 @@ mod tests {
             CompletionOutcome::Duplicate
         );
         assert!(l.is_terminal(1));
-        assert_eq!(l.inflight_copies(1), 0);
         assert_eq!(l.open_requests(), 0);
     }
 
@@ -314,7 +298,6 @@ mod tests {
         );
         assert_eq!(l.lose(3), LossOutcome::Stale);
         assert_eq!(l.open_requests(), 0);
-        assert_eq!(l.inflight_total(), 0);
     }
 
     #[test]

@@ -39,10 +39,10 @@ pub mod instruments;
 pub mod quota;
 pub mod ring;
 
-pub use booster::{BoosterCluster, KillOutcome};
+pub use booster::BoosterCluster;
 pub use hedge::{
     CompletionOutcome, CopyKind, DedupLedger, HedgeConfig, LatencyBudget, LossOutcome,
 };
 pub use instruments::ClusterInstruments;
-pub use quota::{QuotaConfig, TenantQuotas};
+pub use quota::TenantQuotas;
 pub use ring::{splitmix64, HashRing};

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 /// One tenant's quota: sustained refill rate and burst ceiling.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuotaConfig {
+pub(crate) struct QuotaConfig {
     /// Sustained admission rate, tokens (requests) per second.
     pub rate_per_sec: f64,
     /// Maximum accumulated tokens (burst size); clamped to ≥ 1.
@@ -53,12 +53,11 @@ impl Bucket {
 #[derive(Debug)]
 pub struct TenantQuotas {
     buckets: BTreeMap<u32, Bucket>,
-    rebalances: u64,
 }
 
 impl TenantQuotas {
     /// Buckets from explicit per-tenant configs. Bursts start full.
-    pub fn new(configs: impl IntoIterator<Item = (u32, QuotaConfig)>) -> Self {
+    pub(crate) fn new(configs: impl IntoIterator<Item = (u32, QuotaConfig)>) -> Self {
         let buckets = configs
             .into_iter()
             .map(|(id, cfg)| {
@@ -75,10 +74,7 @@ impl TenantQuotas {
                 )
             })
             .collect();
-        Self {
-            buckets,
-            rebalances: 0,
-        }
+        Self { buckets }
     }
 
     /// Splits `cluster_rate` across tenants in proportion to their WFQ
@@ -135,26 +131,12 @@ impl TenantQuotas {
             // linger as spendable tokens.
             b.tokens = b.tokens.min(b.burst * scale.max(f64::MIN_POSITIVE));
         }
-        self.rebalances += 1;
-    }
-
-    /// Number of rebalances performed.
-    pub fn rebalances(&self) -> u64 {
-        self.rebalances
     }
 
     /// Current effective rate for `tenant` (None if unregistered).
-    pub fn rate(&self, tenant: u32) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn rate(&self, tenant: u32) -> Option<f64> {
         self.buckets.get(&tenant).map(|b| b.rate)
-    }
-
-    /// Tokens `tenant` would hold after refilling to `now` (None if
-    /// unregistered). Read-only: does not advance the bucket.
-    pub fn tokens_at(&self, tenant: u32, now: SimTime) -> Option<f64> {
-        self.buckets.get(&tenant).map(|b| {
-            let dt = now.saturating_sub(b.refilled_at).as_secs_f64();
-            (b.tokens + dt * b.rate).min(b.burst)
-        })
     }
 }
 
@@ -217,9 +199,12 @@ mod tests {
             },
         )]);
         q.rebalance(6, 8);
-        assert_eq!(q.rebalances(), 1);
         assert!((q.rate(0).unwrap() - 60.0).abs() < 1e-9);
-        assert!(q.tokens_at(0, SimTime::ZERO).unwrap() <= 6.0 + 1e-9);
+        // The full burst of 8 is clipped to 6 spendable tokens.
+        for _ in 0..6 {
+            assert!(q.try_acquire(0, SimTime::ZERO));
+        }
+        assert!(!q.try_acquire(0, SimTime::ZERO));
         // Back to full membership: rate restores to base.
         q.rebalance(8, 8);
         assert!((q.rate(0).unwrap() - 80.0).abs() < 1e-9);

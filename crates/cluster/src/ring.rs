@@ -39,7 +39,7 @@ impl HashRing {
     /// An empty ring. `vnodes` is the number of points each node owns
     /// (clamped to ≥ 1); more points mean smoother load spread at the
     /// cost of a larger routing table.
-    pub fn new(seed: u64, vnodes: u32) -> Self {
+    pub(crate) fn new(seed: u64, vnodes: u32) -> Self {
         Self {
             seed,
             vnodes: vnodes.max(1),
@@ -85,23 +85,9 @@ impl HashRing {
         true
     }
 
-    /// True when `node` is a member.
-    pub fn contains(&self, node: u32) -> bool {
-        self.nodes.contains(&node)
-    }
-
-    /// Member node ids in ascending order.
-    pub fn nodes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.nodes.iter().copied()
-    }
-
-    /// Number of member nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// True when no nodes are members.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
@@ -130,17 +116,11 @@ impl HashRing {
         })
     }
 
-    /// The `k`-th distinct node on the ring after `key`'s owner
-    /// (`replica(key, 0) == route(key)`).
-    pub fn replica(&self, key: u64, k: usize) -> Option<u32> {
-        self.successors(key).nth(k)
-    }
-
     /// Stable 64-bit routing key for a cache [`SampleKey`]: disk records
     /// hash by byte extent, tenant objects by `(tenant, id)` — the same
     /// identity the decoded-sample cache indexes on, so routing and cache
     /// locality agree.
-    pub fn sample_key(key: &SampleKey) -> u64 {
+    pub(crate) fn sample_key(key: &SampleKey) -> u64 {
         match *key {
             SampleKey::Disk { offset, len } => splitmix64(offset ^ (u64::from(len) << 40)),
             SampleKey::Object { tenant, id } => Self::object_key(tenant, id),
@@ -153,7 +133,7 @@ impl HashRing {
     }
 
     /// Routes a cache [`SampleKey`] (see [`HashRing::sample_key`]).
-    pub fn route_sample(&self, key: &SampleKey) -> Option<u32> {
+    pub(crate) fn route_sample(&self, key: &SampleKey) -> Option<u32> {
         self.route(Self::sample_key(key))
     }
 }
@@ -189,7 +169,6 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), 8, "no duplicates in {order:?}");
             assert_eq!(ring.route(k), Some(order[0]));
-            assert_eq!(ring.replica(k, 1), Some(order[1]));
         }
     }
 

@@ -31,7 +31,7 @@ impl SpectrogramConfig {
     }
 
     /// Validates internal consistency.
-    pub fn validate(&self) -> CodecResult<()> {
+    pub(crate) fn validate(&self) -> CodecResult<()> {
         if self.frame_size == 0 || self.hop == 0 || self.coefficients == 0 {
             return Err(CodecError::InvalidArgument {
                 detail: "frame_size, hop and coefficients must be positive".into(),

@@ -97,32 +97,6 @@ pub fn to_tensor_chw(src: &Image, mean: &[f32], scale: &[f32]) -> CodecResult<Ve
     Ok(out)
 }
 
-/// Deterministic "random" crop position derived from a seed — used by the
-/// training pipeline so runs are reproducible across backends.
-pub fn seeded_crop_rect(seed: u64, src_w: u32, src_h: u32, w: u32, h: u32) -> CropRect {
-    let max_x = src_w.saturating_sub(w);
-    let max_y = src_h.saturating_sub(h);
-    // SplitMix64 to decorrelate the two coordinates.
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    let r = z ^ (z >> 31);
-    CropRect {
-        x: if max_x == 0 {
-            0
-        } else {
-            (r as u32) % (max_x + 1)
-        },
-        y: if max_y == 0 {
-            0
-        } else {
-            ((r >> 32) as u32) % (max_y + 1)
-        },
-        width: w.min(src_w),
-        height: h.min(src_h),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,34 +188,5 @@ mod tests {
         let img = numbered(2, 2);
         assert!(to_tensor_chw(&img, &[0.0; 2], &[1.0; 3]).is_err());
         assert!(to_tensor_chw(&img, &[0.0; 3], &[1.0, 0.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn seeded_crop_is_deterministic_and_in_bounds() {
-        for seed in 0..100u64 {
-            let r1 = seeded_crop_rect(seed, 256, 256, 224, 224);
-            let r2 = seeded_crop_rect(seed, 256, 256, 224, 224);
-            assert_eq!(r1, r2);
-            assert!(r1.x + r1.width <= 256);
-            assert!(r1.y + r1.height <= 256);
-        }
-        // Degenerate: crop as large as image.
-        let r = seeded_crop_rect(7, 224, 224, 224, 224);
-        assert_eq!((r.x, r.y), (0, 0));
-    }
-
-    #[test]
-    fn seeded_crops_vary_with_seed() {
-        let positions: std::collections::HashSet<(u32, u32)> = (0..50)
-            .map(|s| {
-                let r = seeded_crop_rect(s, 256, 256, 224, 224);
-                (r.x, r.y)
-            })
-            .collect();
-        assert!(
-            positions.len() > 10,
-            "only {} unique positions",
-            positions.len()
-        );
     }
 }

@@ -1,11 +1,10 @@
-//! Minimal BMP (BITMAPINFOHEADER, 24-bit) export and import.
+//! Minimal BMP (BITMAPINFOHEADER, 24-bit) export.
 //!
 //! The paper's workflow figure shows decoded pictures "in BMP" between the
 //! decode and crop stages; the examples use this module to dump pipeline
 //! outputs so a human can eyeball them.
 
-use crate::error::{CodecError, CodecResult};
-use crate::pixel::{ColorSpace, Image};
+use crate::pixel::Image;
 
 const FILE_HEADER_LEN: usize = 14;
 const INFO_HEADER_LEN: usize = 40;
@@ -51,54 +50,56 @@ pub fn encode_bmp(img: &Image) -> Vec<u8> {
     out
 }
 
-/// Parses a 24-bit uncompressed BMP produced by [`encode_bmp`].
-pub fn decode_bmp(data: &[u8]) -> CodecResult<Image> {
-    if data.len() < FILE_HEADER_LEN + INFO_HEADER_LEN || &data[0..2] != b"BM" {
-        return Err(CodecError::MalformedSegment {
-            detail: "not a BMP file".into(),
-        });
-    }
-    let pixel_offset = u32::from_le_bytes(data[10..14].try_into().unwrap()) as usize;
-    let w = i32::from_le_bytes(data[18..22].try_into().unwrap());
-    let h = i32::from_le_bytes(data[22..26].try_into().unwrap());
-    let bpp = u16::from_le_bytes(data[28..30].try_into().unwrap());
-    let compression = u32::from_le_bytes(data[30..34].try_into().unwrap());
-    if bpp != 24 || compression != 0 {
-        return Err(CodecError::Unsupported {
-            feature: format!("BMP bpp={bpp} compression={compression}"),
-        });
-    }
-    if w <= 0 || h <= 0 {
-        return Err(CodecError::UnsupportedDimensions {
-            width: w.max(0) as u32,
-            height: h.max(0) as u32,
-        });
-    }
-    let (w, h) = (w as usize, h as usize);
-    let row_bytes = w * 3;
-    let padded_row = row_bytes.div_ceil(4) * 4;
-    if data.len() < pixel_offset + padded_row * h {
-        return Err(CodecError::UnexpectedEof {
-            context: "BMP pixel data",
-        });
-    }
-    let mut out = vec![0u8; row_bytes * h];
-    for y in 0..h {
-        let src = &data[pixel_offset + (h - 1 - y) * padded_row..];
-        for x in 0..w {
-            let s = x * 3;
-            let d = y * row_bytes + x * 3;
-            out[d] = src[s + 2];
-            out[d + 1] = src[s + 1];
-            out[d + 2] = src[s];
-        }
-    }
-    Image::from_vec(w as u32, h as u32, ColorSpace::Rgb, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::{CodecError, CodecResult};
+    use crate::pixel::ColorSpace;
+
+    /// Parses a 24-bit uncompressed BMP produced by [`encode_bmp`].
+    fn decode_bmp(data: &[u8]) -> CodecResult<Image> {
+        if data.len() < FILE_HEADER_LEN + INFO_HEADER_LEN || &data[0..2] != b"BM" {
+            return Err(CodecError::MalformedSegment {
+                detail: "not a BMP file".into(),
+            });
+        }
+        let pixel_offset = u32::from_le_bytes(data[10..14].try_into().unwrap()) as usize;
+        let w = i32::from_le_bytes(data[18..22].try_into().unwrap());
+        let h = i32::from_le_bytes(data[22..26].try_into().unwrap());
+        let bpp = u16::from_le_bytes(data[28..30].try_into().unwrap());
+        let compression = u32::from_le_bytes(data[30..34].try_into().unwrap());
+        if bpp != 24 || compression != 0 {
+            return Err(CodecError::Unsupported {
+                feature: format!("BMP bpp={bpp} compression={compression}"),
+            });
+        }
+        if w <= 0 || h <= 0 {
+            return Err(CodecError::UnsupportedDimensions {
+                width: w.max(0) as u32,
+                height: h.max(0) as u32,
+            });
+        }
+        let (w, h) = (w as usize, h as usize);
+        let row_bytes = w * 3;
+        let padded_row = row_bytes.div_ceil(4) * 4;
+        if data.len() < pixel_offset + padded_row * h {
+            return Err(CodecError::UnexpectedEof {
+                context: "BMP pixel data",
+            });
+        }
+        let mut out = vec![0u8; row_bytes * h];
+        for y in 0..h {
+            let src = &data[pixel_offset + (h - 1 - y) * padded_row..];
+            for x in 0..w {
+                let s = x * 3;
+                let d = y * row_bytes + x * 3;
+                out[d] = src[s + 2];
+                out[d + 1] = src[s + 1];
+                out[d + 2] = src[s];
+            }
+        }
+        Image::from_vec(w as u32, h as u32, ColorSpace::Rgb, out)
+    }
 
     #[test]
     fn bmp_roundtrip() {
@@ -128,11 +129,5 @@ mod tests {
         let img = Image::new(3, 3, ColorSpace::Gray).unwrap();
         let back = decode_bmp(&encode_bmp(&img)).unwrap();
         assert_eq!(back.color(), ColorSpace::Rgb);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(decode_bmp(b"not a bmp at all........................................").is_err());
-        assert!(decode_bmp(&[]).is_err());
     }
 }

@@ -1,14 +1,16 @@
 //! 8×8 forward and inverse discrete cosine transforms.
 //!
 //! The FPGA decoder's iDCT unit (paper Fig. 4) is modelled functionally by
-//! [`idct_8x8`]. Both directions use a separable direct float implementation:
-//! exact enough that quantisation — not the transform — dominates the JPEG
-//! roundtrip error, and simple enough to audit against the T.81 definition.
+//! the fast AAN transform `idct_8x8_dequant_u8`. The forward transform,
+//! and the reference inverse the tests hold the fast one to, are separable
+//! direct float implementations: exact enough that quantisation — not the
+//! transform — dominates the JPEG roundtrip error, and simple enough to
+//! audit against the T.81 definition.
 
 /// Side length of a DCT block.
-pub const BLOCK_DIM: usize = 8;
+pub(crate) const BLOCK_DIM: usize = 8;
 /// Coefficients per block.
-pub const BLOCK_LEN: usize = BLOCK_DIM * BLOCK_DIM;
+pub(crate) const BLOCK_LEN: usize = BLOCK_DIM * BLOCK_DIM;
 
 /// Cosine basis: `COS[x][u] = cos((2x+1) u π / 16)`, premultiplied by the
 /// normalisation factor `c(u) = 1/√2 for u = 0, else 1`, and by the global
@@ -32,7 +34,7 @@ fn basis_cached() -> &'static [[f32; BLOCK_DIM]; BLOCK_DIM] {
 
 /// Forward 2-D DCT of one 8×8 block of level-shifted samples
 /// (each in `[-128, 127]`), producing 64 frequency coefficients.
-pub fn fdct_8x8(samples: &[f32; BLOCK_LEN], coeffs: &mut [f32; BLOCK_LEN]) {
+pub(crate) fn fdct_8x8(samples: &[f32; BLOCK_LEN], coeffs: &mut [f32; BLOCK_LEN]) {
     let b = basis_cached();
     // Row pass: tmp[y][u] = Σ_x samples[y][x] · COS[x][u]
     let mut tmp = [0f32; BLOCK_LEN];
@@ -58,8 +60,10 @@ pub fn fdct_8x8(samples: &[f32; BLOCK_LEN], coeffs: &mut [f32; BLOCK_LEN]) {
 }
 
 /// Inverse 2-D DCT of one 8×8 coefficient block back into level-shifted
-/// spatial samples.
-pub fn idct_8x8(coeffs: &[f32; BLOCK_LEN], samples: &mut [f32; BLOCK_LEN]) {
+/// spatial samples: the direct O(8³) reference the fast kernel is tested
+/// against. Production decode runs [`idct_8x8_dequant_u8`] only.
+#[cfg(test)]
+pub(crate) fn idct_8x8(coeffs: &[f32; BLOCK_LEN], samples: &mut [f32; BLOCK_LEN]) {
     let b = basis_cached();
     // Column pass: tmp[y][u] = Σ_v coeffs[v][u] · COS[y][v]
     let mut tmp = [0f32; BLOCK_LEN];
@@ -105,7 +109,7 @@ pub(crate) const C_C: f32 = -2.613_126;
 /// FPGA iDCT unit) pulls these constants out of the butterfly network;
 /// they are folded into the dequantisation multipliers ahead of time, so
 /// the per-block transform runs in ~80 multiplies instead of the O(8³)
-/// basis-matrix products of [`idct_8x8`].
+/// basis-matrix products of the reference transform.
 fn aan_scale_factors() -> [f32; BLOCK_DIM] {
     let mut s = [0f32; BLOCK_DIM];
     s[0] = 1.0;
@@ -119,7 +123,7 @@ fn aan_scale_factors() -> [f32; BLOCK_DIM] {
 /// `out[r·8+c] = q[r·8+c] · aan[r] · aan[c] / 8`. Feeding these to
 /// [`idct_8x8_dequant`] performs dequantisation and the inverse transform
 /// in one pass.
-pub fn idct_scale_factors(q: &[u16; BLOCK_LEN]) -> [f32; BLOCK_LEN] {
+pub(crate) fn idct_scale_factors(q: &[u16; BLOCK_LEN]) -> [f32; BLOCK_LEN] {
     let aan = aan_scale_factors();
     let mut out = [0f32; BLOCK_LEN];
     for r in 0..BLOCK_DIM {
@@ -134,13 +138,13 @@ pub fn idct_scale_factors(q: &[u16; BLOCK_LEN]) -> [f32; BLOCK_LEN] {
 /// into `scale` (from [`idct_scale_factors`]), writing level-shifted
 /// spatial samples.
 ///
-/// Matches the [`idct_8x8`] accuracy contract (the roundtrip error stays
+/// Matches the reference `idct_8x8` accuracy contract (the roundtrip error stays
 /// dominated by quantisation, not the transform) while taking two sparse
 /// fast paths the entropy-decoded coefficient statistics make common:
 ///
 /// * **DC-only block** → a single multiply and a fill,
 /// * **all-zero AC column** → that column's 1-D pass collapses to a copy.
-pub fn idct_8x8_dequant(
+pub(crate) fn idct_8x8_dequant(
     quantized: &[i16; BLOCK_LEN],
     scale: &[f32; BLOCK_LEN],
     samples: &mut [f32; BLOCK_LEN],
@@ -258,7 +262,7 @@ pub fn idct_8x8_dequant(
 /// `idct_8x8_dequant` + `clamp_u8(s + 128.0)` — the SIMD lanes execute the
 /// identical IEEE f32 operation order, which the codec proptests pin.
 #[inline]
-pub fn idct_8x8_dequant_u8(
+pub(crate) fn idct_8x8_dequant_u8(
     quantized: &[i16; BLOCK_LEN],
     scale: &[f32; BLOCK_LEN],
     out: &mut [u8; BLOCK_LEN],
@@ -279,24 +283,31 @@ pub fn idct_8x8_dequant_u8(
 
 /// Zigzag scan order mapping: `ZIGZAG[i]` is the raster index of the `i`-th
 /// coefficient in zigzag order (T.81 Figure A.6).
-pub const ZIGZAG: [usize; BLOCK_LEN] = [
+pub(crate) const ZIGZAG: [usize; BLOCK_LEN] = [
     0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5, 12, 19, 26, 33, 40, 48, 41, 34, 27, 20,
     13, 6, 7, 14, 21, 28, 35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51, 58, 59,
     52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 ];
 
-/// Inverse of [`ZIGZAG`]: raster index → zigzag position.
-pub fn zigzag_inverse() -> [usize; BLOCK_LEN] {
-    let mut inv = [0usize; BLOCK_LEN];
-    for (zz, &raster) in ZIGZAG.iter().enumerate() {
-        inv[raster] = zz;
-    }
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn dct_roundtrip_bounded(samples in prop::collection::vec(-128f32..=127f32, BLOCK_LEN)) {
+            let mut arr = [0f32; BLOCK_LEN];
+            arr.copy_from_slice(&samples);
+            let mut coeffs = [0f32; BLOCK_LEN];
+            let mut back = [0f32; BLOCK_LEN];
+            fdct_8x8(&arr, &mut coeffs);
+            idct_8x8(&coeffs, &mut back);
+            for i in 0..BLOCK_LEN {
+                prop_assert!((arr[i] - back[i]).abs() < 0.05, "idx {}: {} vs {}", i, arr[i], back[i]);
+            }
+        }
+    }
 
     fn roundtrip_error(samples: &[f32; BLOCK_LEN]) -> f32 {
         let mut coeffs = [0f32; BLOCK_LEN];
@@ -359,14 +370,6 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn zigzag_inverse_matches() {
-        let inv = zigzag_inverse();
-        for (zz, &raster) in ZIGZAG.iter().enumerate() {
-            assert_eq!(inv[raster], zz);
-        }
         // Spot-check documented positions.
         assert_eq!(ZIGZAG[0], 0);
         assert_eq!(ZIGZAG[1], 1);

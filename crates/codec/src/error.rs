@@ -69,7 +69,7 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Convenience alias used across the codec.
-pub type CodecResult<T> = Result<T, CodecError>;
+pub(crate) type CodecResult<T> = Result<T, CodecError>;
 
 #[cfg(test)]
 mod tests {

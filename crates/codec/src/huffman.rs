@@ -7,14 +7,14 @@
 //! * [`BitWriter`] / [`BitReader`] with JPEG `0xFF 0x00` byte stuffing,
 //! * canonical table construction from (BITS, HUFFVAL) per T.81 Annex C,
 //! * the standard Annex K.3 DC/AC tables,
-//! * the production decode path: a 64-bit [`BitReservoir`] over a per-table
-//!   [`FusedLut`] whose entries carry run, total length and the sign-extended
+//! * the production decode path: a 64-bit `BitReservoir` over a per-table
+//!   `FusedLut` whose entries carry run, total length and the sign-extended
 //!   coefficient, with the canonical walk as fallback.
 
 use crate::error::{CodecError, CodecResult};
 
 /// Maximum JPEG Huffman code length in bits.
-pub const MAX_CODE_LEN: usize = 16;
+pub(crate) const MAX_CODE_LEN: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Bit I/O
@@ -58,11 +58,6 @@ impl BitWriter {
             self.put_bits((1u32 << pad) - 1, pad);
         }
         self.out
-    }
-
-    /// Number of complete bytes emitted so far.
-    pub fn byte_len(&self) -> usize {
-        self.out.len()
     }
 }
 
@@ -119,7 +114,7 @@ impl<'a> BitReader<'a> {
     /// Peeks up to 16 bits (left-aligned in the low bits of the return
     /// value); missing trailing bits are 1-filled.
     #[inline]
-    pub fn peek_bits(&mut self, len: u32) -> CodecResult<u32> {
+    pub(crate) fn peek_bits(&mut self, len: u32) -> CodecResult<u32> {
         debug_assert!(len <= 16);
         self.refill()?;
         if self.nbits >= len {
@@ -139,7 +134,7 @@ impl<'a> BitReader<'a> {
 
     /// Consumes `len` bits previously peeked.
     #[inline]
-    pub fn consume(&mut self, len: u32) -> CodecResult<()> {
+    pub(crate) fn consume(&mut self, len: u32) -> CodecResult<()> {
         if self.nbits < len {
             return Err(CodecError::UnexpectedEof {
                 context: "entropy-coded segment",
@@ -167,7 +162,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Byte offset of the next unread input byte (for marker resync).
-    pub fn byte_pos(&self) -> usize {
+    pub(crate) fn byte_pos(&self) -> usize {
         self.pos - (self.nbits as usize).div_ceil(8)
     }
 }
@@ -192,7 +187,7 @@ const REFILL_BELOW: u32 = 33;
 /// code resolves to the same symbol on both decoders and running out of
 /// real bits is the one end-of-stream test.
 #[derive(Debug)]
-pub struct BitReservoir<'a> {
+pub(crate) struct BitReservoir<'a> {
     data: &'a [u8],
     /// Next unread input byte (counts stuffed zero bytes).
     pos: usize,
@@ -212,7 +207,7 @@ fn word_has_ff(w: u64) -> bool {
 
 impl<'a> BitReservoir<'a> {
     /// Wraps an entropy-coded segment (without the trailing marker).
-    pub fn new(data: &'a [u8]) -> Self {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
         Self {
             data,
             pos: 0,
@@ -226,7 +221,7 @@ impl<'a> BitReservoir<'a> {
     /// either at least 33 real bits are buffered or the segment is exhausted
     /// and the bits below the real ones are 1s.
     #[inline(always)]
-    pub fn refill(&mut self) {
+    pub(crate) fn refill(&mut self) {
         if self.nbits >= REFILL_BELOW {
             return;
         }
@@ -279,27 +274,27 @@ impl<'a> BitReservoir<'a> {
     /// The next 64 bits of the stream, MSB-aligned. Valid for one symbol
     /// (31 bits) after [`BitReservoir::refill`].
     #[inline(always)]
-    pub fn peek(&self) -> u64 {
+    pub(crate) fn peek(&self) -> u64 {
         self.acc
     }
 
     /// Real bits currently buffered.
     #[inline(always)]
-    pub fn bits_left(&self) -> u32 {
+    pub(crate) fn bits_left(&self) -> u32 {
         self.nbits
     }
 
     /// Drops `n` bits the caller has checked against
     /// [`BitReservoir::bits_left`].
     #[inline(always)]
-    pub fn consume(&mut self, n: u32) {
+    pub(crate) fn consume(&mut self, n: u32) {
         debug_assert!(n <= self.nbits && n < 64);
         self.acc <<= n;
         self.nbits -= n;
     }
 
     /// Byte offset of the next unread input byte.
-    pub fn byte_pos(&self) -> usize {
+    pub(crate) fn byte_pos(&self) -> usize {
         self.pos - (self.nbits as usize).div_ceil(8)
     }
 }
@@ -417,12 +412,12 @@ impl HuffTable {
     }
 
     /// Per-length code counts (the DHT `BITS` array).
-    pub fn counts(&self) -> &[u8; MAX_CODE_LEN] {
+    pub(crate) fn counts(&self) -> &[u8; MAX_CODE_LEN] {
         &self.counts
     }
 
     /// Symbols in canonical order (the DHT `HUFFVAL` array).
-    pub fn symbols(&self) -> &[u8] {
+    pub(crate) fn symbols(&self) -> &[u8] {
         &self.symbols
     }
 
@@ -439,10 +434,10 @@ impl HuffTable {
         Ok(())
     }
 
-    /// Code length in bits for `symbol`, or `None` if absent. Used by the
-    /// FPGA timing model to count entropy bits without re-encoding.
-    #[inline]
-    pub fn code_len(&self, symbol: u8) -> Option<u32> {
+    /// Code length in bits for `symbol`, or `None` if absent: the encoder's
+    /// view of the table, which the decode-table tests check against.
+    #[cfg(test)]
+    fn code_len(&self, symbol: u8) -> Option<u32> {
         match self.enc_len[symbol as usize] {
             0 => None,
             l => Some(l as u32),
@@ -479,7 +474,7 @@ impl HuffTable {
     /// canonical-prefix uniqueness this is what [`HuffTable::decode`] would
     /// return for the same bit pattern.
     #[cold]
-    pub fn resolve_long(&self, peeked: u64) -> CodecResult<(u8, u32)> {
+    pub(crate) fn resolve_long(&self, peeked: u64) -> CodecResult<(u8, u32)> {
         let code = (peeked >> 48) as i32;
         for len in (LUT_BITS as usize + 1)..=MAX_CODE_LEN {
             let c = code >> (MAX_CODE_LEN - len);
@@ -508,11 +503,11 @@ impl HuffTable {
 /// 10, 11 and 12 bits on the development host. A table is 4 · 2^bits bytes
 /// and an image uses four, so 11 bits (32 KiB, mostly cold) still sits in a
 /// 48 KiB L1D beside the MCU-row working set, and 12 would not.
-pub const LUT_BITS: u32 = 11;
+pub(crate) const LUT_BITS: u32 = 11;
 
 /// Which symbols a table carries, which decides how an entry fuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableClass {
+pub(crate) enum TableClass {
     /// Symbols are magnitude categories `SSSS` (0..=11).
     Dc,
     /// Symbols are `RRRRSSSS` run/size pairs.
@@ -534,20 +529,20 @@ pub enum TableClass {
 /// * **miss** (`0`) — the code is longer than the window; fall back to
 ///   [`HuffTable::resolve_long`].
 #[derive(Debug, Clone)]
-pub struct FusedLut {
+pub(crate) struct FusedLut {
     entries: Box<[u32; 1 << LUT_BITS]>,
 }
 
 impl FusedLut {
     /// An all-miss table (every lookup falls back to the canonical walk).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             entries: Box::new([0; 1 << LUT_BITS]),
         }
     }
 
     /// Refills the table in place from `table`.
-    pub fn rebuild(&mut self, table: &HuffTable, class: TableClass) {
+    pub(crate) fn rebuild(&mut self, table: &HuffTable, class: TableClass) {
         let w = LUT_BITS as usize;
         self.entries.fill(0);
         let mut k = 0usize;
@@ -587,38 +582,38 @@ impl FusedLut {
 
     /// The entry for the [`LUT_BITS`] bits at the top of `peeked`.
     #[inline(always)]
-    pub fn lookup(&self, peeked: u64) -> u32 {
+    pub(crate) fn lookup(&self, peeked: u64) -> u32 {
         self.entries[(peeked >> (64 - LUT_BITS)) as usize]
     }
 }
 
 /// Code length of a non-miss [`FusedLut`] entry.
 #[inline(always)]
-pub fn entry_code_len(entry: u32) -> u32 {
+pub(crate) fn entry_code_len(entry: u32) -> u32 {
     entry & 0x1F
 }
 
 /// Code + magnitude length of a fused entry; 0 for code-only entries.
 #[inline(always)]
-pub fn entry_total_len(entry: u32) -> u32 {
+pub(crate) fn entry_total_len(entry: u32) -> u32 {
     (entry >> 5) & 0x1F
 }
 
 /// Zero run of a fused AC entry.
 #[inline(always)]
-pub fn entry_run(entry: u32) -> usize {
+pub(crate) fn entry_run(entry: u32) -> usize {
     ((entry >> 10) & 0x0F) as usize
 }
 
 /// Sign-extended coefficient of a fused entry.
 #[inline(always)]
-pub fn entry_value(entry: u32) -> i32 {
+pub(crate) fn entry_value(entry: u32) -> i32 {
     entry as i32 >> 16
 }
 
 /// Symbol of a code-only entry.
 #[inline(always)]
-pub fn entry_symbol(entry: u32) -> u8 {
+pub(crate) fn entry_symbol(entry: u32) -> u8 {
     (entry >> 16) as u8
 }
 
@@ -662,7 +657,7 @@ pub fn decode_magnitude(bits: u32, ssss: u32) -> i32 {
 /// becomes an arithmetic-shift mask so the hot loop carries no
 /// data-dependent branch per coefficient.
 #[inline]
-pub fn extend_magnitude(bits: u32, ssss: u32) -> i32 {
+pub(crate) fn extend_magnitude(bits: u32, ssss: u32) -> i32 {
     debug_assert!((1..=15).contains(&ssss));
     let v = bits as i32;
     let half = 1i32 << (ssss - 1);
@@ -675,21 +670,21 @@ pub fn extend_magnitude(bits: u32, ssss: u32) -> i32 {
 // ---------------------------------------------------------------------------
 
 /// Standard luminance DC table (K.3.3.1).
-pub fn std_dc_luma() -> HuffTable {
+pub(crate) fn std_dc_luma() -> HuffTable {
     let counts = [0, 1, 5, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0];
     let symbols = [0u8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11];
     HuffTable::new(counts, &symbols).expect("standard table is valid")
 }
 
 /// Standard chrominance DC table (K.3.3.1).
-pub fn std_dc_chroma() -> HuffTable {
+pub(crate) fn std_dc_chroma() -> HuffTable {
     let counts = [0, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0];
     let symbols = [0u8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11];
     HuffTable::new(counts, &symbols).expect("standard table is valid")
 }
 
 /// Standard luminance AC table (K.3.3.2).
-pub fn std_ac_luma() -> HuffTable {
+pub(crate) fn std_ac_luma() -> HuffTable {
     let counts = [0, 2, 1, 3, 3, 2, 4, 3, 5, 5, 4, 4, 0, 0, 1, 0x7D];
     let symbols: [u8; 162] = [
         0x01, 0x02, 0x03, 0x00, 0x04, 0x11, 0x05, 0x12, 0x21, 0x31, 0x41, 0x06, 0x13, 0x51, 0x61,
@@ -708,7 +703,7 @@ pub fn std_ac_luma() -> HuffTable {
 }
 
 /// Standard chrominance AC table (K.3.3.2).
-pub fn std_ac_chroma() -> HuffTable {
+pub(crate) fn std_ac_chroma() -> HuffTable {
     let counts = [0, 2, 1, 2, 4, 4, 3, 4, 7, 5, 4, 4, 0, 1, 2, 0x77];
     let symbols: [u8; 162] = [
         0x00, 0x01, 0x02, 0x03, 0x11, 0x04, 0x05, 0x21, 0x31, 0x06, 0x12, 0x41, 0x51, 0x07, 0x61,

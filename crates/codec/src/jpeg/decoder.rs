@@ -19,14 +19,14 @@
 
 use super::rows::{Planes, RowStage};
 use super::scratch::{grown, CompTables, DecodeScratch, HuffSlot, RowBuffers, TableCache};
-use super::{marker, ComponentSpec, FrameInfo};
-use crate::dct::{idct_8x8, idct_8x8_dequant_u8, BLOCK_LEN, ZIGZAG};
+use super::{marker, ComponentSpec};
+use crate::dct::{idct_8x8_dequant_u8, BLOCK_LEN, ZIGZAG};
 use crate::error::{CodecError, CodecResult};
 use crate::huffman::{
     decode_magnitude, entry_code_len, entry_run, entry_symbol, entry_total_len, entry_value,
     extend_magnitude, BitReader, BitReservoir, TableClass, MAX_CODE_LEN,
 };
-use crate::pixel::{clamp_u8, ColorSpace, Image};
+use crate::pixel::{ColorSpace, Image};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -34,7 +34,7 @@ use std::time::Instant;
 /// attacker-controlled input that sizes every buffer downstream; 64 Mpx
 /// (8192×8192) is far beyond any training image and keeps a one-image
 /// [`JpegDecoder::decode`] below 200 MB.
-pub const MAX_PIXELS: u64 = 1 << 26;
+pub(crate) const MAX_PIXELS: u64 = 1 << 26;
 
 /// Work statistics gathered during a decode, consumed by the FPGA timing
 /// model (`dlb-fpga::timing`) and — for the `*_ns` stage timers — by the
@@ -103,6 +103,7 @@ pub struct Decoded {
 #[derive(Debug, Default, Clone)]
 pub struct JpegDecoder {
     collect_timing: bool,
+    #[cfg(test)]
     reference_idct: bool,
     reference_entropy: bool,
 }
@@ -134,8 +135,9 @@ impl JpegDecoder {
     }
 
     /// Forces the direct O(8³) basis-matrix iDCT instead of the fast AAN
-    /// transform. For benchmarking and accuracy cross-checks only.
-    pub fn with_reference_idct(mut self, on: bool) -> Self {
+    /// transform: the oracle of the accuracy cross-checks.
+    #[cfg(test)]
+    fn with_reference_idct(mut self, on: bool) -> Self {
         self.reference_idct = on;
         self
     }
@@ -148,13 +150,6 @@ impl JpegDecoder {
     pub fn with_reference_entropy(mut self, on: bool) -> Self {
         self.reference_entropy = on;
         self
-    }
-
-    /// Parses only the JFIF headers, returning the frame geometry. This is
-    /// what DLBooster's `DataCollector` calls to build decode cmds without
-    /// touching the entropy-coded payload.
-    pub fn decode_header(&self, data: &[u8]) -> CodecResult<FrameInfo> {
-        with_thread_scratch(|s| parse_headers(data, &mut s.tables)).map(|(frame, _)| frame.info())
     }
 
     /// Decodes a JFIF stream **into `out`**: `target` = `Some((w, h))`
@@ -327,8 +322,8 @@ fn read_u16(data: &[u8], pos: usize, context: &'static str) -> CodecResult<u16> 
         .ok_or(CodecError::UnexpectedEof { context })
 }
 
-/// Frame-level metadata as the decoder carries it: [`FrameInfo`] without
-/// the heap (a baseline frame has one or three components).
+/// Frame-level metadata parsed from the JFIF headers (a baseline frame has
+/// one or three components).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Frame {
     pub(super) width: u32,
@@ -374,15 +369,6 @@ impl Frame {
             .iter()
             .map(|c| c.h as usize * c.v as usize)
             .sum()
-    }
-
-    fn info(&self) -> FrameInfo {
-        FrameInfo {
-            width: self.width,
-            height: self.height,
-            components: self.components().to_vec(),
-            restart_interval: self.restart_interval,
-        }
     }
 }
 
@@ -1136,17 +1122,19 @@ impl<'d> ScanCtx<'_, 'd> {
                             .expect("coefficient buffer sized for the run")
                             .try_into()
                             .expect("BLOCK_LEN chunk");
+                        #[cfg(test)]
                         if self.dec.reference_idct {
                             let mut dequantized = [0f32; BLOCK_LEN];
                             let mut spatial = [0f32; BLOCK_LEN];
                             c.tables.quant.table.dequantize(block, &mut dequantized);
-                            idct_8x8(&dequantized, &mut spatial);
+                            crate::dct::idct_8x8(&dequantized, &mut spatial);
                             for (o, &s) in samples.iter_mut().zip(&spatial) {
-                                *o = clamp_u8(s + 128.0);
+                                *o = crate::pixel::clamp_u8(s + 128.0);
                             }
-                        } else {
-                            idct_8x8_dequant_u8(block, &c.tables.quant.idct_scale, &mut samples);
+                            sink(ci, (mx * h + hx) * 8, (my * v + vy) * 8, &samples);
+                            continue;
                         }
+                        idct_8x8_dequant_u8(block, &c.tables.quant.idct_scale, &mut samples);
                         sink(ci, (mx * h + hx) * 8, (my * v + vy) * 8, &samples);
                     }
                 }
@@ -1327,12 +1315,11 @@ mod tests {
             .with_restart_interval(5)
             .encode(&img)
             .unwrap();
-        let info = JpegDecoder::new().decode_header(&bytes).unwrap();
-        assert_eq!(info.width, 100);
-        assert_eq!(info.height, 60);
-        assert_eq!(info.restart_interval, 5);
-        assert_eq!(info.components.len(), 3);
-        assert_eq!(info.chroma_mode().unwrap(), ChromaMode::Yuv420);
+        let (frame, _) = parse_headers(&bytes, &mut DecodeScratch::new().tables).unwrap();
+        assert_eq!((frame.width, frame.height), (100, 60));
+        assert_eq!(frame.restart_interval, 5);
+        assert_eq!(frame.ncomp, 3);
+        assert_eq!(frame.max_sampling(), (2, 2), "4:2:0 by default");
     }
 
     #[test]
@@ -1428,6 +1415,34 @@ mod tests {
         let scan = [0xAB, 0xCD, 0x12, 0x34]; // no markers at all
         let err = index_restart_segments(&scan, 2, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
+    }
+
+    #[test]
+    fn frame_geometry_per_chroma_mode() {
+        // (mode, width, height, max sampling, MCU grid, blocks per MCU)
+        let cases = [
+            (ChromaMode::Yuv444, 17, 9, (1, 1), (3, 2), 3),
+            (ChromaMode::Yuv422, 33, 17, (2, 1), (3, 3), 4),
+            (ChromaMode::Yuv420, 33, 17, (2, 2), (3, 2), 6),
+            (ChromaMode::Grayscale, 8, 8, (1, 1), (1, 1), 1),
+        ];
+        let mut scratch = DecodeScratch::new();
+        for (mode, w, h, sampling, grid, blocks) in cases {
+            let img = match mode {
+                ChromaMode::Grayscale => test_image(w, h).to_gray(),
+                _ => test_image(w, h),
+            };
+            let bytes = JpegEncoder::new(85)
+                .unwrap()
+                .with_mode(mode)
+                .encode(&img)
+                .unwrap();
+            let (frame, _) = parse_headers(&bytes, &mut scratch.tables).unwrap();
+            assert_eq!(frame.max_sampling(), sampling, "{mode:?}");
+            assert_eq!(frame.mcu_grid(), grid, "{mode:?}");
+            assert_eq!(frame.mcu_count(), u64::from(grid.0 * grid.1), "{mode:?}");
+            assert_eq!(frame.blocks_per_mcu(), blocks, "{mode:?}");
+        }
     }
 
     #[test]
@@ -1552,8 +1567,6 @@ mod tests {
             .with_mode(ChromaMode::Yuv422)
             .encode(&img)
             .unwrap();
-        let info = JpegDecoder::new().decode_header(&bytes).unwrap();
-        assert_eq!(info.chroma_mode().unwrap(), ChromaMode::Yuv422);
         let out = JpegDecoder::new().decode(&bytes).unwrap();
         assert_eq!((out.width(), out.height()), (50, 38));
         let p = psnr(&img, &out);
@@ -1603,15 +1616,16 @@ mod tests {
             dec.decode(&bytes),
             Err(CodecError::UnsupportedDimensions { .. })
         ));
+        let header = |bytes: &[u8]| parse_headers(bytes, &mut DecodeScratch::new().tables);
         assert!(matches!(
-            dec.decode_header(&bytes),
+            header(&bytes),
             Err(CodecError::UnsupportedDimensions { .. })
         ));
         // The cap itself: 8192×8192 passes the header, one row more does not.
         bytes[sof + 5..sof + 9].copy_from_slice(&[0x20, 0x00, 0x20, 0x00]);
-        assert_eq!(dec.decode_header(&bytes).unwrap().width, 8192);
+        assert_eq!(header(&bytes).unwrap().0.width, 8192);
         bytes[sof + 5..sof + 9].copy_from_slice(&[0x20, 0x01, 0x20, 0x00]);
-        assert!(dec.decode_header(&bytes).is_err());
+        assert!(header(&bytes).is_err());
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl JpegEncoder {
         self
     }
 
-    /// Encoder quality setting.
-    pub fn quality(&self) -> u8 {
-        self.quality
-    }
-
     /// Encodes `img` into a complete JFIF byte stream.
     pub fn encode(&self, img: &Image) -> CodecResult<Vec<u8>> {
         let mode = match img.color() {

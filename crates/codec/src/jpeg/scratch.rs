@@ -48,7 +48,7 @@ impl DecodeScratch {
 
     /// Heap bytes currently held by the per-image buffers (the table cache,
     /// a fixed ≈70 KiB once warm, is not counted).
-    pub fn buffer_bytes(&self) -> usize {
+    pub(crate) fn buffer_bytes(&self) -> usize {
         self.segments.capacity() * std::mem::size_of::<(usize, usize)>()
             + self.coeffs.capacity() * 2
             + self.strips.iter().map(Vec::capacity).sum::<usize>()
@@ -116,6 +116,8 @@ pub(super) struct HuffSlot {
 pub(super) struct QuantSlot {
     /// The 64 zigzag-order bytes of the DQT payload that built this slot.
     raw: [u8; BLOCK_LEN],
+    /// The reference iDCT's dequantiser (tests only).
+    #[cfg(test)]
     pub(super) table: QuantTable,
     pub(super) idct_scale: [f32; BLOCK_LEN],
     epoch: u64,
@@ -182,6 +184,7 @@ impl TableCache {
                 let idct_scale = table.idct_scale();
                 *entry = Some(QuantSlot {
                     raw: *raw,
+                    #[cfg(test)]
                     table,
                     idct_scale,
                     epoch,

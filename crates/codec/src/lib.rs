@@ -43,7 +43,7 @@ pub mod simd;
 pub mod synth;
 pub mod text;
 
-pub use error::{CodecError, CodecResult};
+pub use error::CodecError;
 pub use jpeg::{decoder::JpegDecoder, encoder::JpegEncoder, ChromaMode, DecodeScratch};
 pub use pixel::{ColorSpace, Image};
 pub use resize::ResizeFilter;

@@ -18,7 +18,7 @@ pub enum ColorSpace {
 impl ColorSpace {
     /// Number of interleaved channels per pixel.
     #[inline]
-    pub const fn channels(self) -> usize {
+    pub(crate) const fn channels(self) -> usize {
         match self {
             ColorSpace::Gray => 1,
             ColorSpace::Rgb => 3,
@@ -42,7 +42,7 @@ pub struct Image {
 impl Image {
     /// Maximum supported edge length. Large enough for any dataset image,
     /// small enough to keep `width * height * channels` well inside `usize`.
-    pub const MAX_DIM: u32 = 1 << 16;
+    pub(crate) const MAX_DIM: u32 = 1 << 16;
 
     /// Creates a zero-filled image.
     pub fn new(width: u32, height: u32, color: ColorSpace) -> CodecResult<Self> {
@@ -130,7 +130,7 @@ impl Image {
 
     /// Bytes per row.
     #[inline]
-    pub fn stride(&self) -> usize {
+    pub(crate) fn stride(&self) -> usize {
         self.width as usize * self.channels()
     }
 
@@ -142,7 +142,8 @@ impl Image {
 
     /// Read one pixel as up-to-3 channel values (unused channels are 0).
     #[inline]
-    pub fn pixel(&self, x: u32, y: u32) -> [u8; 3] {
+    #[cfg(test)]
+    pub(crate) fn pixel(&self, x: u32, y: u32) -> [u8; 3] {
         debug_assert!(x < self.width && y < self.height);
         let c = self.channels();
         let base = y as usize * self.stride() + x as usize * c;
@@ -153,7 +154,7 @@ impl Image {
 
     /// Write one pixel; only the first `channels()` values are used.
     #[inline]
-    pub fn set_pixel(&mut self, x: u32, y: u32, px: [u8; 3]) {
+    pub(crate) fn set_pixel(&mut self, x: u32, y: u32, px: [u8; 3]) {
         debug_assert!(x < self.width && y < self.height);
         let c = self.channels();
         let stride = self.stride();
@@ -202,7 +203,7 @@ impl Image {
 
 /// Integer BT.601 luma: `Y = 0.299 R + 0.587 G + 0.114 B`, rounded.
 #[inline]
-pub fn luma_bt601(r: u8, g: u8, b: u8) -> u8 {
+pub(crate) fn luma_bt601(r: u8, g: u8, b: u8) -> u8 {
     // Fixed-point with 16 fractional bits; coefficients sum to 65536 so the
     // result can never exceed 255.
     let y = 19595u32 * r as u32 + 38470u32 * g as u32 + 7471u32 * b as u32;
@@ -235,7 +236,7 @@ pub fn ycbcr_to_rgb(y: u8, cb: u8, cr: u8) -> [u8; 3] {
 /// writing interleaved RGB into `out` (`3 * y.len()` bytes). Dispatches to
 /// the AVX2 kernel when available; bit-exact with per-pixel
 /// [`ycbcr_to_rgb`] either way.
-pub fn ycbcr_rows_to_rgb(y: &[u8], cb: &[u8], cr: &[u8], out: &mut [u8]) {
+pub(crate) fn ycbcr_rows_to_rgb(y: &[u8], cb: &[u8], cr: &[u8], out: &mut [u8]) {
     assert_eq!(y.len(), cb.len());
     assert_eq!(y.len(), cr.len());
     assert_eq!(out.len(), y.len() * 3);
@@ -258,7 +259,7 @@ pub fn ycbcr_rows_to_rgb(y: &[u8], cb: &[u8], cr: &[u8], out: &mut [u8]) {
 /// 2× horizontal nearest-neighbour upsample of a chroma row:
 /// `out[i] = src[i / 2]`. `src` must hold at least `out.len().div_ceil(2)`
 /// samples.
-pub fn upsample_dup2_row(src: &[u8], out: &mut [u8]) {
+pub(crate) fn upsample_dup2_row(src: &[u8], out: &mut [u8]) {
     assert!(src.len() >= out.len().div_ceil(2));
     #[cfg(target_arch = "x86_64")]
     if crate::simd::simd_active() {
@@ -274,7 +275,7 @@ pub fn upsample_dup2_row(src: &[u8], out: &mut [u8]) {
 
 /// Clamp a float sample into the 8-bit range with rounding.
 #[inline]
-pub fn clamp_u8(v: f32) -> u8 {
+pub(crate) fn clamp_u8(v: f32) -> u8 {
     // NaN propagates through `clamp` and then saturates to 0 in the cast.
     (v + 0.5).clamp(0.0, 255.0) as u8
 }

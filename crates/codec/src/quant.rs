@@ -5,7 +5,7 @@ use crate::dct::BLOCK_LEN;
 use crate::error::{CodecError, CodecResult};
 
 /// T.81 Annex K.1 luminance quantization table, raster order.
-pub const STD_LUMA_QTABLE: [u16; BLOCK_LEN] = [
+pub(crate) const STD_LUMA_QTABLE: [u16; BLOCK_LEN] = [
     16, 11, 10, 16, 24, 40, 51, 61, //
     12, 12, 14, 19, 26, 58, 60, 55, //
     14, 13, 16, 24, 40, 57, 69, 56, //
@@ -17,7 +17,7 @@ pub const STD_LUMA_QTABLE: [u16; BLOCK_LEN] = [
 ];
 
 /// T.81 Annex K.2 chrominance quantization table, raster order.
-pub const STD_CHROMA_QTABLE: [u16; BLOCK_LEN] = [
+pub(crate) const STD_CHROMA_QTABLE: [u16; BLOCK_LEN] = [
     17, 18, 24, 47, 99, 99, 99, 99, //
     18, 21, 26, 66, 99, 99, 99, 99, //
     24, 26, 56, 99, 99, 99, 99, 99, //
@@ -30,7 +30,7 @@ pub const STD_CHROMA_QTABLE: [u16; BLOCK_LEN] = [
 
 /// A quantization table with a validated, non-zero entry set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantTable {
+pub(crate) struct QuantTable {
     values: [u16; BLOCK_LEN],
 }
 
@@ -38,7 +38,7 @@ impl QuantTable {
     /// Builds a table, rejecting zero entries (division by the entry must be
     /// defined) and entries beyond the 8-bit-precision JPEG limit of 255
     /// (we restrict to baseline 8-bit tables).
-    pub fn new(values: [u16; BLOCK_LEN]) -> CodecResult<Self> {
+    pub(crate) fn new(values: [u16; BLOCK_LEN]) -> CodecResult<Self> {
         for (i, &v) in values.iter().enumerate() {
             if v == 0 || v > 255 {
                 return Err(CodecError::InvalidArgument {
@@ -52,7 +52,7 @@ impl QuantTable {
     /// Standard table scaled to a libjpeg-style quality in `[1, 100]`.
     ///
     /// `quality = 50` yields the Annex K table; higher is finer.
-    pub fn standard(base: &[u16; BLOCK_LEN], quality: u8) -> CodecResult<Self> {
+    pub(crate) fn standard(base: &[u16; BLOCK_LEN], quality: u8) -> CodecResult<Self> {
         if quality == 0 || quality > 100 {
             return Err(CodecError::InvalidArgument {
                 detail: format!("quality {quality} out of [1, 100]"),
@@ -72,23 +72,23 @@ impl QuantTable {
     }
 
     /// Luminance table at the given quality.
-    pub fn luma(quality: u8) -> CodecResult<Self> {
+    pub(crate) fn luma(quality: u8) -> CodecResult<Self> {
         Self::standard(&STD_LUMA_QTABLE, quality)
     }
 
     /// Chrominance table at the given quality.
-    pub fn chroma(quality: u8) -> CodecResult<Self> {
+    pub(crate) fn chroma(quality: u8) -> CodecResult<Self> {
         Self::standard(&STD_CHROMA_QTABLE, quality)
     }
 
     /// Raw raster-order entries.
     #[inline]
-    pub fn values(&self) -> &[u16; BLOCK_LEN] {
+    pub(crate) fn values(&self) -> &[u16; BLOCK_LEN] {
         &self.values
     }
 
     /// Quantize one raster-order coefficient block to integers.
-    pub fn quantize(&self, coeffs: &[f32; BLOCK_LEN], out: &mut [i16; BLOCK_LEN]) {
+    pub(crate) fn quantize(&self, coeffs: &[f32; BLOCK_LEN], out: &mut [i16; BLOCK_LEN]) {
         for ((o, &c), &q) in out.iter_mut().zip(coeffs.iter()).zip(self.values.iter()) {
             *o = (c / q as f32).round() as i16;
         }
@@ -97,12 +97,15 @@ impl QuantTable {
     /// Dequantisation multipliers with the AAN iDCT scale factors folded
     /// in, for [`crate::dct::idct_8x8_dequant`]. Computed once per scan,
     /// amortised over every block that uses this table.
-    pub fn idct_scale(&self) -> [f32; BLOCK_LEN] {
+    pub(crate) fn idct_scale(&self) -> [f32; BLOCK_LEN] {
         crate::dct::idct_scale_factors(&self.values)
     }
 
-    /// Dequantize one raster-order integer block back to coefficients.
-    pub fn dequantize(&self, quantized: &[i16; BLOCK_LEN], out: &mut [f32; BLOCK_LEN]) {
+    /// Dequantize one raster-order integer block back to coefficients: the
+    /// reference iDCT's first step, kept for the tests that use it as an
+    /// oracle.
+    #[cfg(test)]
+    pub(crate) fn dequantize(&self, quantized: &[i16; BLOCK_LEN], out: &mut [f32; BLOCK_LEN]) {
         for ((o, &v), &q) in out.iter_mut().zip(quantized.iter()).zip(self.values.iter()) {
             *o = v as f32 * q as f32;
         }

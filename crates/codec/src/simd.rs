@@ -76,7 +76,7 @@ pub fn force_scalar(force: bool) {
 /// the segment-parallel decoder to overlap the next restart segment's
 /// entropy bytes with the current segment's arithmetic. No-op off x86_64.
 #[inline]
-pub fn prefetch_read(data: &[u8], offset: usize) {
+pub(crate) fn prefetch_read(data: &[u8], offset: usize) {
     #[cfg(target_arch = "x86_64")]
     if offset < data.len() {
         // SAFETY: prefetch is a pure performance hint; the pointer is
@@ -95,7 +95,7 @@ pub fn prefetch_read(data: &[u8], offset: usize) {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use x86::*;
+pub(crate) use x86::*;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -224,7 +224,7 @@ mod x86 {
     /// The host must support AVX2 (guaranteed when [`super::simd_active`]
     /// returned true).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn idct_8x8_dequant_u8_avx2(
+    pub(crate) unsafe fn idct_8x8_dequant_u8_avx2(
         quantized: &[i16; BLOCK_LEN],
         scale: &[f32; BLOCK_LEN],
         out: &mut [u8; BLOCK_LEN],
@@ -287,7 +287,7 @@ mod x86 {
     /// The host must support AVX2. `y`, `cb`, `cr` must have equal lengths
     /// and `out` must hold `3 * y.len()` bytes.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn ycbcr_rows_to_rgb_avx2(y: &[u8], cb: &[u8], cr: &[u8], out: &mut [u8]) {
+    pub(crate) unsafe fn ycbcr_rows_to_rgb_avx2(y: &[u8], cb: &[u8], cr: &[u8], out: &mut [u8]) {
         debug_assert_eq!(y.len(), cb.len());
         debug_assert_eq!(y.len(), cr.len());
         debug_assert_eq!(out.len(), y.len() * 3);
@@ -346,7 +346,7 @@ mod x86 {
     /// The host must support AVX2. `src` must hold at least
     /// `out.len().div_ceil(2)` bytes.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn upsample_dup2_row_avx2(src: &[u8], out: &mut [u8]) {
+    pub(crate) unsafe fn upsample_dup2_row_avx2(src: &[u8], out: &mut [u8]) {
         debug_assert!(src.len() >= out.len().div_ceil(2));
         let n = out.len();
         let mut o = 0usize;
@@ -401,7 +401,7 @@ mod x86 {
     /// The host must support AVX2. `top`, `bot` and `out` must have equal
     /// lengths.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn lerp_rows_to_u8_avx2(top: &[f32], bot: &[f32], wy: f32, out: &mut [u8]) {
+    pub(crate) unsafe fn lerp_rows_to_u8_avx2(top: &[f32], bot: &[f32], wy: f32, out: &mut [u8]) {
         debug_assert_eq!(top.len(), bot.len());
         debug_assert_eq!(top.len(), out.len());
         let n = out.len();

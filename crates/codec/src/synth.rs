@@ -40,7 +40,7 @@ impl SynthRng {
 
     /// Next raw 64-bit value.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
         x ^= x << 25;

@@ -28,7 +28,7 @@ impl QuantizeConfig {
     }
 
     /// Validates internal consistency.
-    pub fn validate(&self) -> CodecResult<()> {
+    pub(crate) fn validate(&self) -> CodecResult<()> {
         if self.vocab_size < 3 || self.seq_len == 0 {
             return Err(CodecError::InvalidArgument {
                 detail: format!(

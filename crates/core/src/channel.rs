@@ -67,7 +67,7 @@ impl FpgaChannel {
     }
 
     /// Blocking wait for one completed batch (used at pipeline drain time).
-    pub fn wait_one(&self) -> Option<CompletedBatch> {
+    pub(crate) fn wait_one(&self) -> Option<CompletedBatch> {
         match self.engine.completions().pop() {
             Ok(b) => {
                 self.drained.inc();
@@ -81,7 +81,7 @@ impl FpgaChannel {
     /// Like [`FpgaChannel::wait_one`], but gives up after `timeout`.
     /// `Ok(None)` means the wait timed out with the engine still alive —
     /// the reader's cue to consider a cmd wedged and resubmit it.
-    pub fn wait_one_timeout(
+    pub(crate) fn wait_one_timeout(
         &self,
         timeout: std::time::Duration,
     ) -> Result<Option<CompletedBatch>, dlb_membridge::QueueClosed> {
@@ -96,7 +96,7 @@ impl FpgaChannel {
     }
 
     /// Batches submitted but not yet drained.
-    pub fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         self.inflight.get().max(0) as u64
     }
 

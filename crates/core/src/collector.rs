@@ -103,8 +103,6 @@ struct Inner {
     shuffle_seed: u64,
     /// Streamed items (network mode).
     stream: VecDeque<FileMeta>,
-    /// Total items handed out.
-    dispensed: u64,
     /// Stream closed (no more pushes).
     stream_closed: bool,
 }
@@ -121,7 +119,6 @@ impl DataCollector {
             epoch: 0,
             shuffle_seed,
             stream: VecDeque::new(),
-            dispensed: 0,
             stream_closed: true, // no stream in dataset mode
         };
         inner.reshuffle();
@@ -141,7 +138,6 @@ impl DataCollector {
                 epoch: 0,
                 shuffle_seed: 0,
                 stream: VecDeque::new(),
-                dispensed: 0,
                 stream_closed: false,
             }),
             stream_event: Condvar::new(),
@@ -177,7 +173,7 @@ impl DataCollector {
     /// — a queued item, or a closed stream — or `give_up()` holds. Dataset
     /// mode never blocks. `give_up` is evaluated under the collector's
     /// lock, so a flag set before [`DataCollector::wake`] is never missed.
-    pub fn wait_stream(&self, give_up: impl Fn() -> bool) {
+    pub(crate) fn wait_stream(&self, give_up: impl Fn() -> bool) {
         let mut inner = self.inner.lock();
         while inner.stream.is_empty() && !inner.stream_closed && !give_up() {
             self.stream_event.wait(&mut inner);
@@ -186,7 +182,7 @@ impl DataCollector {
 
     /// Makes every [`DataCollector::wait_stream`] caller re-evaluate its
     /// `give_up` condition (shutdown).
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         // Taking the lock orders this after any waiter's `give_up` check:
         // the waiter either saw the flag or is already asleep on the
         // condvar when the notification goes out.
@@ -213,7 +209,6 @@ impl DataCollector {
                 meta.epoch = inner.epoch;
                 out.push(meta);
             }
-            inner.dispensed += out.len() as u64;
             return Some(out);
         }
         // Stream mode.
@@ -224,24 +219,13 @@ impl DataCollector {
             return Some(Vec::new());
         }
         let take = n.min(inner.stream.len());
-        let out: Vec<FileMeta> = inner.stream.drain(..take).collect();
-        inner.dispensed += out.len() as u64;
-        Some(out)
+        Some(inner.stream.drain(..take).collect())
     }
 
     /// Current epoch (dataset mode).
-    pub fn epoch(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> u64 {
         self.inner.lock().epoch
-    }
-
-    /// Items handed out so far.
-    pub fn dispensed(&self) -> u64 {
-        self.inner.lock().dispensed
-    }
-
-    /// Queued stream items.
-    pub fn stream_pending(&self) -> usize {
-        self.inner.lock().stream.len()
     }
 }
 
@@ -298,7 +282,6 @@ mod tests {
         assert_eq!(batch.len(), 7);
         // Wrapped into epoch 1 mid-batch.
         assert_eq!(c.epoch(), 1);
-        assert_eq!(c.dispensed(), 14);
     }
 
     #[test]
@@ -374,7 +357,6 @@ mod tests {
                 arrival_nanos: i * 10,
             });
         }
-        assert_eq!(c.stream_pending(), 3);
         let metas = c.next_metas(2).unwrap();
         assert_eq!(metas.len(), 2);
         assert_eq!(metas[0].label, 0);

@@ -140,14 +140,14 @@ pub struct ReaderConfig {
 
 impl ReaderConfig {
     /// Bytes one decoded item occupies.
-    pub fn item_bytes(&self) -> usize {
+    pub(crate) fn item_bytes(&self) -> usize {
         self.target_w as usize * self.target_h as usize * self.format.bytes_per_pixel() as usize
     }
 }
 
 /// Counters exposed by the reader — `reader.*` telemetry handles.
 #[derive(Debug)]
-pub struct ReaderStats {
+pub(crate) struct ReaderStats {
     /// Batches submitted to the decoder.
     pub batches_submitted: Arc<Counter>,
     /// Batches the decoder completed.
@@ -204,7 +204,7 @@ pub struct FpgaReader {
 impl FpgaReader {
     /// Spawns the daemon. Completed batches are delivered through
     /// `router`, whose queues close when the reader stops. Metrics land in
-    /// a private registry; use [`FpgaReader::start_with_telemetry`] to share
+    /// a private registry; use `FpgaReader::start_with_telemetry` to share
     /// the pipeline's.
     pub fn start(
         collector: Arc<DataCollector>,
@@ -225,7 +225,7 @@ impl FpgaReader {
 
     /// Like [`FpgaReader::start`], but recording `reader.*` metrics into
     /// the shared pipeline `telemetry`.
-    pub fn start_with_telemetry(
+    pub(crate) fn start_with_telemetry(
         collector: Arc<DataCollector>,
         pool: MemManager,
         channel: FpgaChannel,
@@ -278,22 +278,23 @@ impl FpgaReader {
     /// redecode-cost signal, and failed decodes poison their key. First
     /// attach wins (mirrors the chaos `attach_chaos` hooks); the daemon
     /// probes the cell per batch, so attaching mid-run is safe.
-    pub fn attach_sample_cache(&self, cache: Arc<SampleCache>) {
+    pub(crate) fn attach_sample_cache(&self, cache: Arc<SampleCache>) {
         let _ = self.cache_cell.set(cache);
     }
 
     /// The attached decoded-sample cache, if any.
-    pub fn sample_cache(&self) -> Option<Arc<SampleCache>> {
+    pub(crate) fn sample_cache(&self) -> Option<Arc<SampleCache>> {
         self.cache_cell.get().cloned()
     }
 
     /// Reader counters.
-    pub fn stats(&self) -> &ReaderStats {
+    pub(crate) fn stats(&self) -> &ReaderStats {
         &self.stats
     }
 
     /// Stops the daemon, returning its channel for reuse.
-    pub fn stop(mut self) -> FpgaChannel {
+    #[cfg(test)]
+    pub(crate) fn stop(mut self) -> FpgaChannel {
         self.stop.store(true, Ordering::SeqCst);
         self.collector.wake();
         self.handle

@@ -28,14 +28,6 @@ impl CombinedResolver {
             nic: Some(nic),
         }
     }
-
-    /// Both sources attached.
-    pub fn new(disk: Arc<NvmeDisk>, nic: Arc<NicRx>) -> Self {
-        Self {
-            disk: Some(disk),
-            nic: Some(nic),
-        }
-    }
 }
 
 impl DataSourceResolver for CombinedResolver {

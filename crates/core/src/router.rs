@@ -124,7 +124,7 @@ impl SlotRouter {
     }
 
     /// True once the queues are closed: nothing more will be delivered.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.queues.iter().any(BlockingQueue::is_closed)
     }
 

@@ -157,7 +157,7 @@ impl InferenceSession {
                         latency.lock().record(copy + fwd);
                         compute.record(fwd.as_nanos());
                         modelled += fwd;
-                        clock.record_batch(images, fwd);
+                        clock.record_batch(images);
                         if tq.free.push(db.dev).is_err() {
                             break;
                         }

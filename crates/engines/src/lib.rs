@@ -23,6 +23,6 @@ pub mod inference;
 pub mod metrics;
 pub mod trainer;
 
-pub use inference::{InferenceConfig, InferenceReport, InferenceSession};
-pub use metrics::{CpuCostBreakdown, EngineClock};
-pub use trainer::{TrainingConfig, TrainingReport, TrainingSession};
+pub use inference::{InferenceConfig, InferenceSession};
+
+pub use trainer::{TrainingConfig, TrainingSession};

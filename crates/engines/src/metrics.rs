@@ -1,14 +1,11 @@
-//! Engine-side measurement: the modelled clock and the CPU-cost breakdown
-//! the paper's Figures 2(b), 6 and 9 report.
+//! Engine-side measurement: the retired-batch counters and the CPU-cost
+//! breakdown the paper's Figures 2(b), 6 and 9 report.
 
-use dlb_simcore::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Accumulates modelled (virtual) GPU/engine time alongside counters.
+/// Counts retired images and batches across engine threads.
 #[derive(Debug, Default)]
-pub struct EngineClock {
-    /// Modelled nanoseconds of GPU work enqueued.
-    modelled_nanos: AtomicU64,
+pub(crate) struct EngineClock {
     /// Images processed.
     images: AtomicU64,
     /// Iterations / batches retired.
@@ -17,41 +14,24 @@ pub struct EngineClock {
 
 impl EngineClock {
     /// New zeroed clock.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Adds one retired batch of `images` images costing `modelled` time.
-    pub fn record_batch(&self, images: u64, modelled: SimTime) {
-        self.modelled_nanos
-            .fetch_add(modelled.as_nanos(), Ordering::Relaxed);
+    /// Adds one retired batch of `images` images.
+    pub(crate) fn record_batch(&self, images: u64) {
         self.images.fetch_add(images, Ordering::Relaxed);
         self.iterations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total modelled time.
-    pub fn modelled(&self) -> SimTime {
-        SimTime::from_nanos(self.modelled_nanos.load(Ordering::Relaxed))
-    }
-
     /// Images retired.
-    pub fn images(&self) -> u64 {
+    pub(crate) fn images(&self) -> u64 {
         self.images.load(Ordering::Relaxed)
     }
 
     /// Batches retired.
-    pub fn iterations(&self) -> u64 {
+    pub(crate) fn iterations(&self) -> u64 {
         self.iterations.load(Ordering::Relaxed)
-    }
-
-    /// Modelled throughput (images per modelled second).
-    pub fn modelled_throughput(&self) -> f64 {
-        let t = self.modelled().as_secs_f64();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.images() as f64 / t
-        }
     }
 }
 
@@ -70,38 +50,8 @@ pub struct CpuCostBreakdown {
 
 impl CpuCostBreakdown {
     /// New zeroed breakdown.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Total CPU nanos across activities.
-    pub fn total_nanos(&self) -> u64 {
-        self.preprocessing_nanos.load(Ordering::Relaxed)
-            + self.transform_nanos.load(Ordering::Relaxed)
-            + self.launch_nanos.load(Ordering::Relaxed)
-            + self.update_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Core-equivalents of each activity over `elapsed` modelled time:
-    /// (preprocessing, transform, launch, update).
-    pub fn cores(&self, elapsed: SimTime) -> (f64, f64, f64, f64) {
-        let e = elapsed.as_secs_f64();
-        if e == 0.0 {
-            return (0.0, 0.0, 0.0, 0.0);
-        }
-        let f = |v: &AtomicU64| v.load(Ordering::Relaxed) as f64 / 1e9 / e;
-        (
-            f(&self.preprocessing_nanos),
-            f(&self.transform_nanos),
-            f(&self.launch_nanos),
-            f(&self.update_nanos),
-        )
-    }
-
-    /// Total core-equivalents.
-    pub fn total_cores(&self, elapsed: SimTime) -> f64 {
-        let (a, b, c, d) = self.cores(elapsed);
-        a + b + c + d
     }
 }
 
@@ -112,33 +62,9 @@ mod tests {
     #[test]
     fn clock_accumulates() {
         let c = EngineClock::new();
-        c.record_batch(256, SimTime::from_millis(100));
-        c.record_batch(256, SimTime::from_millis(100));
+        c.record_batch(256);
+        c.record_batch(256);
         assert_eq!(c.images(), 512);
         assert_eq!(c.iterations(), 2);
-        assert_eq!(c.modelled(), SimTime::from_millis(200));
-        assert!((c.modelled_throughput() - 2560.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn empty_clock_throughput_zero() {
-        assert_eq!(EngineClock::new().modelled_throughput(), 0.0);
-    }
-
-    #[test]
-    fn breakdown_core_math() {
-        let b = CpuCostBreakdown::new();
-        b.preprocessing_nanos.store(300_000_000, Ordering::Relaxed); // 0.3 s
-        b.transform_nanos.store(150_000_000, Ordering::Relaxed);
-        b.launch_nanos.store(950_000_000, Ordering::Relaxed);
-        b.update_nanos.store(120_000_000, Ordering::Relaxed);
-        // Over 1 s elapsed this is exactly Fig. 6(d)'s bars.
-        let (p, t, l, u) = b.cores(SimTime::from_secs(1));
-        assert!((p - 0.3).abs() < 1e-9);
-        assert!((t - 0.15).abs() < 1e-9);
-        assert!((l - 0.95).abs() < 1e-9);
-        assert!((u - 0.12).abs() < 1e-9);
-        assert!((b.total_cores(SimTime::from_secs(1)) - 1.52).abs() < 1e-9);
-        assert_eq!(b.cores(SimTime::ZERO), (0.0, 0.0, 0.0, 0.0));
     }
 }

@@ -59,17 +59,6 @@ pub struct TrainingReport {
     pub backend_cpu_nanos: u64,
 }
 
-impl TrainingReport {
-    /// Total engine+backend CPU core-equivalents over the modelled time.
-    pub fn total_cpu_cores(&self) -> f64 {
-        if self.modelled_time == SimTime::ZERO {
-            return 0.0;
-        }
-        self.engine_cpu.total_cores(self.modelled_time)
-            + self.backend_cpu_nanos as f64 / 1e9 / self.modelled_time.as_secs_f64()
-    }
-}
-
 /// A data-parallel training session (drives solvers + dispatcher).
 pub struct TrainingSession;
 
@@ -190,7 +179,7 @@ impl TrainingSession {
                         let iter_time = fwd + bwd + allreduce + upd;
                         compute.record(iter_time.as_nanos());
                         modelled += iter_time;
-                        clock.record_batch(images, iter_time);
+                        clock.record_batch(images);
                         // Return the device buffer for the next copy.
                         if tq.free.push(db.dev).is_err() {
                             break;
@@ -292,7 +281,8 @@ mod tests {
         assert!(report.modelled_time > SimTime::ZERO);
         assert!(report.modelled_throughput > 0.0);
         assert!(report.backend_cpu_nanos > 0);
-        assert!(report.total_cpu_cores() > 0.0);
+        let launch = &report.engine_cpu.launch_nanos;
+        assert!(launch.load(std::sync::atomic::Ordering::Relaxed) > 0);
     }
 
     #[test]

@@ -31,14 +31,14 @@ pub enum DataRef {
 
 impl DataRef {
     /// Payload length in bytes.
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         match *self {
             DataRef::Disk { len, .. } | DataRef::HostMem { len, .. } => len,
         }
     }
 
     /// True when the referenced payload is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -91,7 +91,7 @@ impl DecodeCmd {
     /// Kernel-specific target semantics are checked by the kernel itself —
     /// image mirrors call [`DecodeCmd::validate_image_output`]; audio/text
     /// mirrors reinterpret `target_w`/`target_h` as kernel parameters.
-    pub fn validate(&self) -> Result<(), FpgaError> {
+    pub(crate) fn validate(&self) -> Result<(), FpgaError> {
         if self.src.is_empty() {
             return Err(FpgaError::BadCmd {
                 detail: "empty source".into(),
@@ -107,7 +107,7 @@ impl DecodeCmd {
 
     /// Image-kernel output check: both target dims zero (passthrough) or
     /// both set and fitting the destination window.
-    pub fn validate_image_output(&self) -> Result<(), FpgaError> {
+    pub(crate) fn validate_image_output(&self) -> Result<(), FpgaError> {
         if (self.target_w == 0) != (self.target_h == 0) {
             return Err(FpgaError::BadCmd {
                 detail: "target dimensions must both be zero or both be set".into(),

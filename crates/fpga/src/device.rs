@@ -42,7 +42,7 @@ impl ResourceBudget {
     }
 
     /// Utilisation fractions (alm, dsp, bram) of `need` against `self`.
-    pub fn utilisation(&self, need: &ResourceBudget) -> (f64, f64, f64) {
+    pub(crate) fn utilisation(&self, need: &ResourceBudget) -> (f64, f64, f64) {
         let frac = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
         (
             frac(need.alms, self.alms),
@@ -85,7 +85,8 @@ impl DeviceSpec {
     }
 
     /// A deliberately small part, for resource-rejection tests.
-    pub fn tiny() -> Self {
+    #[cfg(test)]
+    fn tiny() -> Self {
         Self {
             name: "tiny-test-fpga".into(),
             budget: ResourceBudget {
@@ -111,11 +112,6 @@ impl FpgaDevice {
     /// A fresh device with nothing loaded.
     pub fn new(spec: DeviceSpec) -> Self {
         Self { spec, loaded: None }
-    }
-
-    /// Device description.
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
     }
 
     /// Currently loaded mirror, if any.

@@ -49,11 +49,10 @@ pub trait DataSourceResolver: Send + Sync + 'static {
     fn fetch(&self, src: &DataRef) -> Result<Arc<Vec<u8>>, String>;
 }
 
-/// A simple in-memory resolver for tests and examples.
+/// A simple in-memory resolver of disk objects, for tests and examples.
 #[derive(Default)]
 pub struct MapResolver {
     disk: Mutex<HashMap<u64, Arc<Vec<u8>>>>,
-    mem: Mutex<HashMap<u64, Arc<Vec<u8>>>>,
 }
 
 impl MapResolver {
@@ -68,13 +67,6 @@ impl MapResolver {
         self.disk.lock().insert(offset, Arc::new(bytes));
         DataRef::Disk { offset, len }
     }
-
-    /// Registers a host-memory object at `phys_addr`.
-    pub fn put_mem(&self, phys_addr: u64, bytes: Vec<u8>) -> DataRef {
-        let len = bytes.len() as u32;
-        self.mem.lock().insert(phys_addr, Arc::new(bytes));
-        DataRef::HostMem { phys_addr, len }
-    }
 }
 
 impl DataSourceResolver for MapResolver {
@@ -87,13 +79,7 @@ impl DataSourceResolver for MapResolver {
                 .filter(|b| b.len() == len as usize)
                 .cloned()
                 .ok_or_else(|| format!("no disk object at {offset}")),
-            DataRef::HostMem { phys_addr, len } => self
-                .mem
-                .lock()
-                .get(&phys_addr)
-                .filter(|b| b.len() == len as usize)
-                .cloned()
-                .ok_or_else(|| format!("no host object at {phys_addr:#x}")),
+            DataRef::HostMem { phys_addr, .. } => Err(format!("no host object at {phys_addr:#x}")),
         }
     }
 }
@@ -786,7 +772,7 @@ mod tests {
         let bytes = jpeg_bytes(7, 80, 60);
         // Reference: host-side decode + resize with the same codec.
         let reference = reference_rgb(&bytes, 32, 32);
-        let src = resolver.put_mem(0x9000_0000, bytes);
+        let src = resolver.put_disk(0x9000_0000, bytes);
         let mut unit = pool.get_item().unwrap();
         let off = unit.reserve(32 * 32 * 3, 0, 32, 32, 3).unwrap();
         let cmd = DecodeCmd {

@@ -35,9 +35,9 @@ pub mod error;
 pub mod mirror;
 pub mod timing;
 
-pub use cmd::{DataRef, DecodeCmd, FinishSignal, ItemStatus, OutputFormat};
-pub use device::{DeviceSpec, FpgaDevice, ResourceBudget};
+pub use cmd::{DataRef, DecodeCmd, OutputFormat};
+pub use device::{DeviceSpec, FpgaDevice};
 pub use engine::{CompletedBatch, DataSourceResolver, DecoderEngine, MapResolver, Submission};
 pub use error::FpgaError;
-pub use mirror::{DecoderMirror, MirrorKind};
-pub use timing::{FpgaTimingModel, ImageWorkload, StageTimes};
+pub use mirror::DecoderMirror;
+pub use timing::{FpgaTimingModel, ImageWorkload};

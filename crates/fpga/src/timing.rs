@@ -69,13 +69,13 @@ impl ImageWorkload {
 
     /// Entropy bits to decode (the whole compressed stream is entropy-coded
     /// except a ≈600-byte header).
-    pub fn entropy_bits(&self) -> u64 {
+    pub(crate) fn entropy_bits(&self) -> u64 {
         self.compressed_bytes.saturating_sub(600).max(1) * 8
     }
 
     /// 8×8 blocks in the scan, assuming 4:2:0 for colour (6 blocks per
     /// 16×16 MCU) and 1 block per 8×8 MCU for grayscale.
-    pub fn blocks(&self) -> u64 {
+    pub(crate) fn blocks(&self) -> u64 {
         if self.channels == 1 {
             (self.src_width.div_ceil(8) as u64) * (self.src_height.div_ceil(8) as u64)
         } else {
@@ -85,7 +85,7 @@ impl ImageWorkload {
     }
 
     /// Pixels the resizer touches (max of input and output planes).
-    pub fn resize_pixels(&self) -> u64 {
+    pub(crate) fn resize_pixels(&self) -> u64 {
         let src = self.src_width as u64 * self.src_height as u64;
         let (dw, dh) = self.output_dims();
         let dst = dw as u64 * dh as u64;
@@ -93,7 +93,7 @@ impl ImageWorkload {
     }
 
     /// Final output dimensions.
-    pub fn output_dims(&self) -> (u32, u32) {
+    pub(crate) fn output_dims(&self) -> (u32, u32) {
         if self.dst_width == 0 {
             (self.src_width, self.src_height)
         } else {
@@ -265,38 +265,6 @@ impl FpgaTimingModel {
     }
 }
 
-/// Pricing for the non-image kernels (paper §7 future work (3): "extending
-/// more preprocessing kernels for more DL applications"). Both kernels are
-/// DSP-dominated streaming pipelines, so one rate per kernel suffices.
-impl FpgaTimingModel {
-    /// Audio spectrogram service time: DCT-II over windowed frames. A
-    /// 300 MHz fabric with a few dozen DSP MACs per cycle sustains ≈2 G
-    /// MAC/s per lane-group; a frame of `frame_size`×`coefficients` MACs.
-    pub fn audio_batch_service(
-        &self,
-        clips: u32,
-        samples_per_clip: u32,
-        coefficients: u32,
-    ) -> SimTime {
-        let frame_size = 400u64;
-        let hop = 160u64;
-        let frames = (samples_per_clip as u64).saturating_sub(frame_size) / hop + 1;
-        let macs = clips as u64 * frames * frame_size * coefficients as u64;
-        let mac_rate = 2.0e9 * (self.huffman_ways as f64); // lanes repurposed
-        SimTime::from_secs_f64(macs as f64 / mac_rate)
-            + SimTime::from_nanos(self.cmd_overhead.as_nanos() * clips as u64)
-    }
-
-    /// Text quantisation service time: hash + table write per token —
-    /// bandwidth-trivial; the FIFO/cmd overhead dominates.
-    pub fn text_batch_service(&self, docs: u32, tokens_per_doc: u32) -> SimTime {
-        let tokens = docs as u64 * tokens_per_doc as u64;
-        let token_rate = 100.0e6 * self.huffman_ways as f64;
-        SimTime::from_secs_f64(tokens as f64 / token_rate)
-            + SimTime::from_nanos(self.cmd_overhead.as_nanos() * docs as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,30 +384,6 @@ mod tests {
         let w = ImageWorkload::ilsvrc_like();
         let r = boosted.throughput_images_per_sec(&w) / base.throughput_images_per_sec(&w);
         assert!((r - 2.0).abs() < 0.2, "clock scaling ratio {r:.2}");
-    }
-
-    #[test]
-    fn audio_and_text_kernels_price_sanely() {
-        let model = FpgaTimingModel::paper_config();
-        // 1 s of 16 kHz audio, 40 coefficients: ≈98 frames × 400 × 40 MACs.
-        let t = model.audio_batch_service(1, 16_000, 40);
-        let clips_per_sec = 1.0 / t.as_secs_f64();
-        // Must be comfortably real-time (hundreds of clips/s) but finite.
-        assert!(
-            (100.0..1_000_000.0).contains(&clips_per_sec),
-            "audio rate {clips_per_sec:.0} clips/s"
-        );
-        // Bigger batches take proportionally longer.
-        let t8 = model.audio_batch_service(8, 16_000, 40);
-        let ratio = t8.as_secs_f64() / t.as_secs_f64();
-        assert!(
-            (7.0..9.0).contains(&ratio),
-            "audio batch scaling {ratio:.2}"
-        );
-
-        let tq = model.text_batch_service(64, 128);
-        assert!(tq < SimTime::from_millis(1), "text quantise {tq}");
-        assert!(tq > SimTime::ZERO);
     }
 
     #[test]

@@ -65,17 +65,11 @@ impl GpuSpec {
 /// but allocation accounting is enforced against the device capacity.
 #[derive(Debug)]
 pub struct DeviceBuffer {
-    id: u64,
     data: Vec<u8>,
     device: Arc<DeviceMemInner>,
 }
 
 impl DeviceBuffer {
-    /// Buffer identifier (unique per device).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Capacity in bytes.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -92,7 +86,7 @@ impl DeviceBuffer {
     }
 
     /// Write access (the H2D copy target).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data
     }
 }
@@ -109,7 +103,6 @@ impl Drop for DeviceBuffer {
 struct DeviceMemInner {
     capacity: u64,
     allocated: AtomicU64,
-    next_id: AtomicU64,
 }
 
 /// A GPU device instance: spec + memory allocator.
@@ -133,7 +126,6 @@ impl GpuDevice {
             mem: Arc::new(DeviceMemInner {
                 capacity,
                 allocated: AtomicU64::new(0),
-                next_id: AtomicU64::new(1),
             }),
             binding: Arc::new(Mutex::new(None)),
         }
@@ -142,11 +134,6 @@ impl GpuDevice {
     /// Device spec.
     pub fn spec(&self) -> &GpuSpec {
         &self.spec
-    }
-
-    /// Device ordinal.
-    pub fn ordinal(&self) -> u32 {
-        self.ordinal
     }
 
     /// Allocates `len` bytes of device memory.
@@ -163,7 +150,6 @@ impl GpuDevice {
             ));
         }
         Ok(DeviceBuffer {
-            id: self.mem.next_id.fetch_add(1, Ordering::Relaxed),
             data: vec![0u8; len],
             device: Arc::clone(&self.mem),
         })
@@ -232,11 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn buffers_have_unique_ids_and_writable_bytes() {
+    fn buffers_have_independent_writable_bytes() {
         let dev = GpuDevice::new(GpuSpec::tesla_p100(), 1);
         let mut a = dev.alloc(16).unwrap();
         let b = dev.alloc(16).unwrap();
-        assert_ne!(a.id(), b.id());
         a.bytes_mut()[0] = 42;
         assert_eq!(a.bytes()[0], 42);
         assert_eq!(b.bytes()[0], 0);

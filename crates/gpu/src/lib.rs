@@ -31,6 +31,6 @@ pub mod stream;
 pub mod timing;
 
 pub use device::{DeviceBuffer, GpuDevice, GpuSpec};
-pub use models::{DlModel, ModelZoo};
+pub use models::ModelZoo;
 pub use stream::{GpuOp, GpuStream, StreamSet};
 pub use timing::{GpuTimingModel, NvJpegModel, Precision};

@@ -68,25 +68,18 @@ pub struct DlModel {
 
 impl DlModel {
     /// Forward-pass FLOPs per image (2 FLOPs per MAC).
-    pub fn forward_flops(&self) -> u64 {
+    pub(crate) fn forward_flops(&self) -> u64 {
         2 * self.layers.iter().map(|l| l.macs).sum::<u64>()
     }
 
     /// Total learnable parameters.
-    pub fn params(&self) -> u64 {
+    pub(crate) fn params(&self) -> u64 {
         self.layers.iter().map(|l| l.params).sum()
     }
 
     /// Total activation elements per image.
-    pub fn activations(&self) -> u64 {
+    pub(crate) fn activations(&self) -> u64 {
         self.layers.iter().map(|l| l.activations).sum()
-    }
-
-    /// Input tensor bytes per image (u8 pixels are converted to the compute
-    /// precision before the first layer; this counts the decoded u8 form).
-    pub fn input_bytes(&self) -> u64 {
-        let (c, h, w) = self.input;
-        c as u64 * h as u64 * w as u64
     }
 }
 
@@ -462,13 +455,6 @@ mod tests {
         let m = ModelZoo::GoogLeNet.model();
         assert_close(m.forward_flops() / 2, 1.5e9, 0.10, "GoogLeNet MACs");
         assert_close(m.params(), 7.0e6, 0.15, "GoogLeNet params");
-    }
-
-    #[test]
-    fn input_bytes_match_dims() {
-        assert_eq!(ModelZoo::LeNet5.model().input_bytes(), 28 * 28);
-        assert_eq!(ModelZoo::Vgg16.model().input_bytes(), 3 * 224 * 224);
-        assert_eq!(ModelZoo::AlexNet.model().input_bytes(), 3 * 227 * 227);
     }
 
     #[test]

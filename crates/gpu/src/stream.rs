@@ -76,9 +76,6 @@ pub struct GpuStream {
     tx: Option<crossbeam::channel::Sender<GpuOp>>,
     shared: Arc<StreamShared>,
     worker: Option<JoinHandle<()>>,
-    /// Multiplier applied to op durations before sleeping (1.0 = real
-    /// modelled time; 0.0 = skip sleeps entirely).
-    time_scale: f64,
     name: String,
     chaos: Arc<OnceLock<Arc<StageInjector>>>,
 }
@@ -123,7 +120,6 @@ impl GpuStream {
             tx: Some(tx),
             shared,
             worker: Some(worker),
-            time_scale,
             name: name.to_string(),
             chaos,
         }
@@ -135,16 +131,6 @@ impl GpuStream {
     /// the op's position in this stream's submission order. One-shot.
     pub fn attach_chaos(&self, injector: Arc<StageInjector>) {
         let _ = self.chaos.set(injector);
-    }
-
-    /// Stream label.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Configured time scale.
-    pub fn time_scale(&self) -> f64 {
-        self.time_scale
     }
 
     /// Enqueues an op (returns immediately — the async of
@@ -171,7 +157,7 @@ impl GpuStream {
     }
 
     /// Ops enqueued minus retired.
-    pub fn pending(&self) -> u64 {
+    pub(crate) fn pending(&self) -> u64 {
         let st = self.shared.completed.lock();
         st.enqueued - st.retired
     }
@@ -275,11 +261,6 @@ impl StreamSet {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.streams.is_empty()
-    }
-
-    /// Synchronizes every stream (global barrier, Algorithm 3 lines 13–18).
-    pub fn synchronize_all(&self) -> Vec<Vec<CompletedOp>> {
-        self.streams.iter().map(|s| s.synchronize()).collect()
     }
 }
 
@@ -397,7 +378,7 @@ mod tests {
                 duration: Duration::from_micros(50),
             });
         }
-        let all = set.synchronize_all();
+        let all: Vec<_> = (0..2).map(|i| set.stream(i).synchronize()).collect();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].len() + all[1].len(), 2);
     }

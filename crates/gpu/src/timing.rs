@@ -52,11 +52,6 @@ impl GpuTimingModel {
         self.contention.set_background_share(share);
     }
 
-    /// Current background share.
-    pub fn background_share(&self) -> f64 {
-        self.contention.background_share()
-    }
-
     /// Peak FLOP/s at the configured precision.
     fn peak_flops(&self) -> f64 {
         match self.precision {
@@ -169,17 +164,6 @@ impl GpuTimingModel {
     pub fn inference_throughput(&self, batch: u32) -> f64 {
         batch as f64 / self.forward_time(batch).as_secs_f64()
     }
-
-    /// Steady-state training throughput (images/s) for `n_devices`
-    /// data-parallel GPUs, assuming input never starves (the "performance
-    /// upper boundary" of Fig. 2a).
-    pub fn training_throughput_bound(&self, batch: u32, n_devices: u32) -> f64 {
-        let step = self.forward_time(batch)
-            + self.backward_time(batch)
-            + self.allreduce_time(n_devices)
-            + self.update_time();
-        n_devices as f64 * batch as f64 / step.as_secs_f64()
-    }
 }
 
 /// The nvJPEG GPU decode backend model (paper §5.3 and \[16\]).
@@ -254,20 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn p100_alexnet_training_bound_near_fig2() {
-        // Fig. 2(b) "Ideal": 2496 img/s on 1 GPU, 4652 on 2 GPUs.
-        let m = p100(ModelZoo::AlexNet, Precision::Fp32);
-        let one = m.training_throughput_bound(256, 1);
-        let two = m.training_throughput_bound(256, 2);
-        assert!(
-            (1_700.0..3_500.0).contains(&one),
-            "1-GPU AlexNet bound {one:.0}"
-        );
-        assert!(two > one * 1.6, "2-GPU bound {two:.0} should scale");
-        assert!(two < one * 2.0, "allreduce must cost something");
-    }
-
-    #[test]
     fn throughput_rises_with_batch_then_saturates() {
         let m = v100(ModelZoo::GoogLeNet, Precision::Fp16);
         let t1 = m.inference_throughput(1);
@@ -290,7 +260,6 @@ mod tests {
             (1.35..1.55).contains(&ratio),
             "30% steal should cost ≈1.43×, got {ratio:.2}"
         );
-        assert!((m.background_share() - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -82,18 +82,8 @@ pub struct SampleAugmentor {
 
 impl SampleAugmentor {
     /// An augmentor over `plan` with the already-resolved run seed.
-    pub fn new(plan: AugmentPlan, run_seed: u64) -> Self {
+    pub(crate) fn new(plan: AugmentPlan, run_seed: u64) -> Self {
         Self { plan, run_seed }
-    }
-
-    /// The resolved run seed (diagnostics / replay).
-    pub fn run_seed(&self) -> u64 {
-        self.run_seed
-    }
-
-    /// The plan being applied.
-    pub fn plan(&self) -> &AugmentPlan {
-        &self.plan
     }
 
     /// Output geometry this plan produces for a `width`x`height` decoded
@@ -123,7 +113,7 @@ impl SampleAugmentor {
     }
 
     /// Augments one decoded sample. `epoch` and `identity` key the draw
-    /// stream (see [`crate::seed::derive_sample_seed`]); `data` is
+    /// stream (see `crate::seed::derive_sample_seed`); `data` is
     /// interleaved RGB8 of `width`x`height`. Non-RGB inputs (channels
     /// != 3) pass through untouched — the substrate only decodes RGB.
     pub fn apply(

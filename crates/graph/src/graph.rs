@@ -439,12 +439,12 @@ pub struct PipelineGraph {
 
 impl PipelineGraph {
     /// Stage nodes in chain order.
-    pub fn stages(&self) -> impl Iterator<Item = &StageNode> {
+    pub(crate) fn stages(&self) -> impl Iterator<Item = &StageNode> {
         self.chain.iter().map(|&i| &self.nodes[i])
     }
 
     /// Stage names in chain order.
-    pub fn stage_names(&self) -> Vec<String> {
+    pub(crate) fn stage_names(&self) -> Vec<String> {
         self.stages().map(|n| n.name.clone()).collect()
     }
 
@@ -635,7 +635,7 @@ pub struct CompiledPipeline {
 
 impl CompiledPipeline {
     /// Bytes one *decoded* (pre-augmentation) item occupies.
-    pub fn decoded_bytes_per_item(&self) -> usize {
+    pub(crate) fn decoded_bytes_per_item(&self) -> usize {
         self.resize.0 as usize * self.resize.1 as usize * 3
     }
 
@@ -658,7 +658,7 @@ impl CompiledPipeline {
 
     /// Like [`CompiledPipeline::augmentor`] with an explicit run seed
     /// (tests; replaying a recorded run).
-    pub fn augmentor_with_seed(&self, run_seed: u64) -> Option<SampleAugmentor> {
+    pub(crate) fn augmentor_with_seed(&self, run_seed: u64) -> Option<SampleAugmentor> {
         if self.plan.ops.is_empty() {
             return None;
         }

@@ -44,10 +44,8 @@ pub mod graph;
 pub mod seed;
 pub mod stage;
 
-pub use augment::{AugmentOp, AugmentPlan, AugmentedSample, SampleAugmentor};
+pub use augment::{AugmentOp, SampleAugmentor};
 pub use canned::{augmented_training, cpu_training, fpga_streaming, fpga_training, Chain};
-pub use graph::{
-    CompiledPipeline, GraphBuilder, GraphConfig, GraphError, NodeId, OutputDesc, PipelineGraph,
-};
-pub use seed::{derive_sample_seed, resolve_run_seed, source_identity, SeedStream};
-pub use stage::{DataKind, DecodeDevice, SourceKind, StageNode, StageSpec};
+pub use graph::{CompiledPipeline, GraphBuilder, GraphConfig, GraphError, NodeId, PipelineGraph};
+pub use seed::source_identity;
+pub use stage::{DataKind, DecodeDevice, SourceKind, StageSpec};

@@ -14,7 +14,7 @@
 //! * different epochs fold a different epoch ordinal in, so draws differ.
 
 /// The splitmix64 increment (golden-ratio constant).
-pub const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64 finalizer — the same diffusion function the chaos plane and
 /// the collector's epoch shuffle use.
@@ -28,7 +28,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// The per-sample augmentation seed: a chained splitmix64 hash of
 /// `(run_seed, epoch, identity)`, each component fully diffused before the
 /// next is folded in so that nearby epochs / offsets decorrelate.
-pub fn derive_sample_seed(run_seed: u64, epoch: u64, identity: u64) -> u64 {
+pub(crate) fn derive_sample_seed(run_seed: u64, epoch: u64, identity: u64) -> u64 {
     let a = splitmix64(run_seed ^ 0xD1B5_4A32_D192_ED03);
     let b = splitmix64(a ^ epoch);
     splitmix64(b ^ identity)
@@ -45,7 +45,7 @@ pub fn source_identity(tag: u64, a: u64, b: u64) -> u64 {
 /// parses as a u64 it replaces `config_seed`; resolution happens at
 /// pipeline *start*, never inside `compile` (compilation stays a pure
 /// function of its inputs).
-pub fn resolve_run_seed(config_seed: u64) -> u64 {
+pub(crate) fn resolve_run_seed(config_seed: u64) -> u64 {
     std::env::var("DLB_AUG_SEED")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -57,18 +57,18 @@ pub fn resolve_run_seed(config_seed: u64) -> u64 {
 /// a fixed number of draws so the stream position after op *k* is the same
 /// for every sample.
 #[derive(Debug, Clone)]
-pub struct SeedStream {
+pub(crate) struct SeedStream {
     state: u64,
 }
 
 impl SeedStream {
     /// A stream over `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// Next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN);
         splitmix64(self.state)
     }
@@ -76,7 +76,7 @@ impl SeedStream {
     /// Uniform draw in `[0, bound]` (inclusive); `bound == 0` always
     /// returns 0 but still consumes one draw, keeping stream positions
     /// aligned across images of different sizes.
-    pub fn next_upto(&mut self, bound: u64) -> u64 {
+    pub(crate) fn next_upto(&mut self, bound: u64) -> u64 {
         let draw = self.next_u64();
         if bound == 0 {
             0
@@ -86,7 +86,7 @@ impl SeedStream {
     }
 
     /// Uniform draw in `[0, 1)` with 53 significant bits.
-    pub fn next_unit(&mut self) -> f64 {
+    pub(crate) fn next_unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }

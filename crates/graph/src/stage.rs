@@ -92,7 +92,7 @@ pub enum StageSpec {
 
 impl StageSpec {
     /// What this stage emits, or `None` for the sink.
-    pub fn output(&self) -> Option<DataKind> {
+    pub(crate) fn output(&self) -> Option<DataKind> {
         match self {
             StageSpec::Source { .. } => Some(DataKind::EncodedJpeg),
             StageSpec::Decode { .. }
@@ -105,7 +105,7 @@ impl StageSpec {
     }
 
     /// Whether this stage can consume `upstream`. Sources consume nothing.
-    pub fn accepts(&self, upstream: DataKind) -> bool {
+    pub(crate) fn accepts(&self, upstream: DataKind) -> bool {
         match self {
             StageSpec::Source { .. } => false,
             StageSpec::Decode { .. } => upstream == DataKind::EncodedJpeg,
@@ -119,7 +119,7 @@ impl StageSpec {
 
     /// Human-readable description of what this stage consumes, for
     /// [`crate::GraphError::TypeMismatch`] messages.
-    pub fn expected_input(&self) -> &'static str {
+    pub(crate) fn expected_input(&self) -> &'static str {
         match self {
             StageSpec::Source { .. } => "nothing (sources have no input)",
             StageSpec::Decode { .. } => "EncodedJpeg",
@@ -132,19 +132,19 @@ impl StageSpec {
     }
 
     /// True for the two structural endpoints.
-    pub fn is_source(&self) -> bool {
+    pub(crate) fn is_source(&self) -> bool {
         matches!(self, StageSpec::Source { .. })
     }
 
     /// True for the sink.
-    pub fn is_sink(&self) -> bool {
+    pub(crate) fn is_sink(&self) -> bool {
         matches!(self, StageSpec::Sink)
     }
 }
 
 /// A named stage plus its execution knobs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageNode {
+pub(crate) struct StageNode {
     /// Unique stage name (diagnostics, telemetry labels).
     pub name: String,
     /// What the stage does.

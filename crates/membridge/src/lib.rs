@@ -29,5 +29,5 @@
 pub mod pool;
 pub mod queue;
 
-pub use pool::{BatchUnit, ItemDesc, Lent, MemManager, PoolConfig, PoolError, PoolStats};
+pub use pool::{BatchUnit, ItemDesc, MemManager, PoolConfig, PoolError};
 pub use queue::{BlockingQueue, QueueClosed};

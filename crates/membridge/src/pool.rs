@@ -132,7 +132,7 @@ pub struct ItemDesc {
 /// Bytes another owner lends a unit instead of copying them in — a pinned
 /// sample-cache slot. Read-only; dropping the box returns the loan, so a
 /// unit recycled, reset or dropped on a closed pool releases it alike.
-pub type Lent = Box<dyn AsRef<[u8]> + Send + Sync>;
+pub(crate) type Lent = Box<dyn AsRef<[u8]> + Send + Sync>;
 
 /// One lent item: its index in the item list, its place in the unit's
 /// layout, and the loan standing in for its bytes.

@@ -29,7 +29,7 @@ impl std::error::Error for QueueClosed {}
 /// `queue.<name>.{depth,pushed,popped,blocked_push_nanos,blocked_pop_nanos}`
 /// plus a watchdog heartbeat tied to the depth gauge.
 #[derive(Debug, Clone)]
-pub struct QueueHooks {
+pub(crate) struct QueueHooks {
     depth: Arc<Gauge>,
     pushed: Arc<Counter>,
     popped: Arc<Counter>,
@@ -41,7 +41,7 @@ pub struct QueueHooks {
 impl QueueHooks {
     /// Registers the per-queue metric set under `queue.<name>.*` and a
     /// watchdog entry keyed by the queue name.
-    pub fn register(telemetry: &Telemetry, name: &str) -> Self {
+    pub(crate) fn register(telemetry: &Telemetry, name: &str) -> Self {
         use names::queue::*;
         let key = |field: &str| names::member_key(PREFIX, name, field);
         let depth = telemetry.registry.gauge(&key(DEPTH));
@@ -206,23 +206,6 @@ impl<T> BlockingQueue<T> {
         Ok(())
     }
 
-    /// Non-blocking push; `Ok(false)` when full.
-    pub fn try_push(&self, item: T) -> Result<bool, QueueClosed> {
-        let mut st = self.inner.queue.lock();
-        if st.closed {
-            return Err(QueueClosed);
-        }
-        if st.items.len() >= self.inner.capacity {
-            return Ok(false);
-        }
-        st.items.push_back(item);
-        st.pushed += 1;
-        self.inner.note_push(&st);
-        drop(st);
-        self.inner.not_empty.notify_one();
-        Ok(true)
-    }
-
     /// Pops, blocking while empty. Errors once the queue is closed *and*
     /// drained (items pushed before close are still delivered).
     pub fn pop(&self) -> Result<T, QueueClosed> {
@@ -249,7 +232,7 @@ impl<T> BlockingQueue<T> {
     }
 
     /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
+    pub(crate) fn try_pop(&self) -> Option<T> {
         let mut st = self.inner.queue.lock();
         let item = st.items.pop_front();
         if item.is_some() {
@@ -310,11 +293,6 @@ impl<T> BlockingQueue<T> {
         items
     }
 
-    /// `peak()` from Algorithm 1: is an item available right now?
-    pub fn peek_available(&self) -> bool {
-        !self.inner.queue.lock().items.is_empty()
-    }
-
     /// Current length.
     pub fn len(&self) -> usize {
         self.inner.queue.lock().items.len()
@@ -341,7 +319,8 @@ impl<T> BlockingQueue<T> {
     }
 
     /// (pushed, popped) lifetime counters — used by conservation tests.
-    pub fn counters(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn counters(&self) -> (u64, u64) {
         let st = self.inner.queue.lock();
         (st.pushed, st.popped)
     }
@@ -368,7 +347,6 @@ mod tests {
         let q = BlockingQueue::bounded(2);
         q.push(1).unwrap();
         q.push(2).unwrap();
-        assert!(!q.try_push(3).unwrap());
         let q2 = q.clone();
         let producer = thread::spawn(move || q2.push(3));
         thread::sleep(Duration::from_millis(20));
@@ -444,7 +422,6 @@ mod tests {
         }
         assert_eq!(q.drain(), vec![0, 1, 2, 3, 4]);
         assert!(q.is_empty());
-        assert!(!q.peek_available());
         let (pushed, popped) = q.counters();
         assert_eq!(pushed, 5);
         assert_eq!(popped, 5);

@@ -47,7 +47,7 @@ pub struct ClientPool {
 
 impl ClientPool {
     /// The paper's 5-client pool at the given aggregate rate.
-    pub fn paper_config(aggregate_rate: f64, seed: u64) -> Self {
+    pub(crate) fn paper_config(aggregate_rate: f64, seed: u64) -> Self {
         Self {
             clients: 5,
             aggregate_rate,

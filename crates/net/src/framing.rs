@@ -4,7 +4,7 @@
 //! client generators and the NIC RX path really encode/parse these bytes.
 
 /// Frame header length in bytes.
-pub const FRAME_HEADER_LEN: usize = 28;
+pub(crate) const FRAME_HEADER_LEN: usize = 28;
 
 const MAGIC: u32 = 0xD1B0_057E;
 
@@ -70,7 +70,7 @@ impl Frame {
 
     /// Parses a complete frame from `bytes` into an owned frame (the
     /// payload copied out of the wire bytes). The RX path parses in place
-    /// with [`FrameView::parse`] instead.
+    /// with `FrameView::parse` instead.
     pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
         FrameView::parse(bytes).map(|view| Frame {
             request_id: view.request_id,
@@ -89,7 +89,7 @@ impl Frame {
 /// One request frame parsed in place: the header fields, and the payload
 /// as a view of the wire bytes — nothing copied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameView<'a> {
+pub(crate) struct FrameView<'a> {
     /// Globally unique request id.
     pub request_id: u64,
     /// Which client sent it.
@@ -102,7 +102,7 @@ pub struct FrameView<'a> {
 
 impl<'a> FrameView<'a> {
     /// Parses a complete frame from `bytes`, borrowing its payload.
-    pub fn parse(bytes: &'a [u8]) -> Result<Self, FrameError> {
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, FrameError> {
         if bytes.len() < FRAME_HEADER_LEN {
             return Err(FrameError::Truncated);
         }

@@ -19,6 +19,6 @@ pub mod client;
 pub mod framing;
 pub mod nic;
 
-pub use client::{ClientPool, Request};
-pub use framing::{Frame, FrameError, FrameView, FRAME_HEADER_LEN};
-pub use nic::{NicRx, NicSpec, RxDescriptor, RxError, DEFAULT_RX_RING_CAPACITY};
+pub use client::ClientPool;
+pub use framing::{Frame, FrameError};
+pub use nic::{NicRx, NicSpec, RxDescriptor, RxError};

@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// Default RX descriptor ring capacity. Real NICs post descriptors into a
 /// fixed ring; when the host does not drain fast enough, arriving frames
 /// are dropped at the wire instead of growing host memory without bound.
-pub const DEFAULT_RX_RING_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_RX_RING_CAPACITY: usize = 4096;
 
 /// Why the NIC refused one delivered frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +124,7 @@ struct RxState {
 
 impl NicRx {
     /// A fresh RX engine whose buffer region starts at `phys_base`, with
-    /// the [`DEFAULT_RX_RING_CAPACITY`].
+    /// the `DEFAULT_RX_RING_CAPACITY`.
     pub fn new(spec: NicSpec, phys_base: u64) -> Self {
         Self::with_ring_capacity(spec, phys_base, DEFAULT_RX_RING_CAPACITY)
     }
@@ -159,6 +159,11 @@ impl NicRx {
         self
     }
 
+    /// NIC characteristics.
+    pub fn spec(&self) -> &NicSpec {
+        &self.spec
+    }
+
     /// Injects chaos at the wire: corrupted frames (take the bad-frame
     /// path) and forced ring overflows (take the drop path). Faults are
     /// keyed by frame arrival ordinal, so a replay with the same seed and
@@ -166,16 +171,6 @@ impl NicRx {
     pub fn with_chaos(mut self, injector: Arc<StageInjector>) -> Self {
         self.chaos = Some(injector);
         self
-    }
-
-    /// NIC characteristics.
-    pub fn spec(&self) -> &NicSpec {
-        &self.spec
-    }
-
-    /// Configured descriptor-ring capacity.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring_capacity
     }
 
     /// Delivers raw wire bytes (one frame). On success the payload is
@@ -323,12 +318,6 @@ impl NicRx {
         let st = self.state.lock();
         (st.frames_ok, st.frames_bad, st.bytes_rx)
     }
-
-    /// Modelled wire time of one frame of `bytes` on an idle link.
-    pub fn wire_time(&self, bytes: u64) -> SimTime {
-        SimTime::from_secs_f64(bytes as f64 / self.spec.wire_bytes_per_sec)
-            + self.spec.packet_latency
-    }
 }
 
 #[cfg(test)]
@@ -389,20 +378,18 @@ mod tests {
 
     #[test]
     fn wire_timing_40gbps() {
-        let nic = NicRx::new(NicSpec::forty_gbps(), 0);
-        // 100 KB at 5 GB/s = 20 µs + 8 µs latency.
-        let t = nic.wire_time(100_000);
-        assert_eq!(t, SimTime::from_micros(20) + SimTime::from_micros(8));
+        let spec = NicSpec::forty_gbps();
+        assert_eq!(spec.wire_bytes_per_sec, 5.0e9);
+        assert_eq!(spec.packet_latency, SimTime::from_micros(8));
         // Aggregate: 5 clients × 100 KB × 1200 req/s = 600 MB/s ≪ 5 GB/s —
         // the fabric is never the bottleneck in the paper's experiments.
         let offered = 5.0 * 100_000.0 * 1200.0;
-        assert!(offered < nic.spec().wire_bytes_per_sec);
+        assert!(offered < spec.wire_bytes_per_sec);
     }
 
     #[test]
     fn full_ring_drops_and_counts() {
         let nic = NicRx::with_ring_capacity(NicSpec::forty_gbps(), 0, 2);
-        assert_eq!(nic.ring_capacity(), 2);
         nic.deliver(&frame(0, 10), 0).unwrap();
         nic.deliver(&frame(1, 10), 1).unwrap();
         let err = nic.deliver(&frame(2, 10), 2).unwrap_err();

@@ -63,11 +63,6 @@ impl AdmissionController {
         self.base_latency = base;
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ServingConfig {
-        &self.cfg
-    }
-
     /// Queued requests right now.
     pub fn depth(&self) -> usize {
         self.queue.len()
@@ -75,7 +70,7 @@ impl AdmissionController {
 
     /// Predicted completion time for a request admitted at `now` behind
     /// `backlog` queued items.
-    pub fn predicted_completion(&self, now: SimTime, backlog: usize) -> SimTime {
+    pub(crate) fn predicted_completion(&self, now: SimTime, backlog: usize) -> SimTime {
         let queueing = SimTime::from_nanos(
             self.est_per_item
                 .as_nanos()
@@ -178,7 +173,7 @@ impl AdmissionController {
 
     /// Evicts every queued request whose deadline already passed at `now`
     /// (they would complete late anyway). No-op with shedding disabled.
-    pub fn shed_expired(&mut self, now: SimTime) -> Vec<ServeRequest> {
+    pub(crate) fn shed_expired(&mut self, now: SimTime) -> Vec<ServeRequest> {
         self.shed_unservable(now, SimTime::ZERO)
     }
 

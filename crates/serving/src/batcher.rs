@@ -100,7 +100,8 @@ impl BatchFormer {
     }
 
     /// Items currently forming.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.pending.len()
     }
 

@@ -104,17 +104,6 @@ impl ServingBridge {
         }
     }
 
-    /// Calibrates the admission feasibility predictor (see
-    /// [`AdmissionController::set_service_estimate`]).
-    pub fn set_service_estimate(&mut self, per_item: SimTime, base: SimTime) {
-        self.admission.set_service_estimate(per_item, base);
-    }
-
-    /// Admission-queue depth.
-    pub fn queued(&self) -> usize {
-        self.admission.depth()
-    }
-
     /// Requests dispatched downstream and not yet completed.
     pub fn inflight(&self) -> usize {
         self.inflight.len()
@@ -401,6 +390,6 @@ mod tests {
         assert_eq!(bridge.ingest(&nic, &collector, 1_000).batches, 0);
         assert_eq!(bridge.flush(&collector), 1);
         assert_eq!(bridge.inflight(), 2);
-        assert_eq!(bridge.queued(), 0);
+        assert_eq!(bridge.admission.depth(), 0);
     }
 }

@@ -21,13 +21,8 @@ pub struct ServeRequest {
 }
 
 impl ServeRequest {
-    /// Remaining slack at `now` (zero once the deadline passed).
-    pub fn slack(&self, now: SimTime) -> SimTime {
-        self.deadline.saturating_sub(now)
-    }
-
     /// True when the deadline has passed at `now`.
-    pub fn expired(&self, now: SimTime) -> bool {
+    pub(crate) fn expired(&self, now: SimTime) -> bool {
         now > self.deadline
     }
 }
@@ -162,15 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn request_slack() {
+    fn request_expiry() {
         let r = ServeRequest {
             id: 1,
             tenant: 0,
             arrival: SimTime::from_millis(10),
             deadline: SimTime::from_millis(30),
         };
-        assert_eq!(r.slack(SimTime::from_millis(20)), SimTime::from_millis(10));
-        assert_eq!(r.slack(SimTime::from_millis(40)), SimTime::ZERO);
         assert!(r.expired(SimTime::from_millis(31)));
         assert!(!r.expired(SimTime::from_millis(30)));
     }

@@ -97,7 +97,7 @@ impl ServingInstruments {
     }
 
     /// A request reached the admission door.
-    pub fn on_offered(&self) {
+    pub(crate) fn on_offered(&self) {
         self.offered.inc();
     }
 
@@ -109,19 +109,19 @@ impl ServingInstruments {
     }
 
     /// A request was turned away at the door (never admitted).
-    pub fn on_rejected(&self, _req: &ServeRequest) {
+    pub(crate) fn on_rejected(&self, _req: &ServeRequest) {
         self.rejected.inc();
     }
 
     /// An admitted request was evicted by the shedding policy.
-    pub fn on_shed(&self, req: &ServeRequest) {
+    pub(crate) fn on_shed(&self, req: &ServeRequest) {
         self.shed.inc();
         self.inflight.dec();
         self.with_tenant(req.tenant, |t| t.shed.inc());
     }
 
     /// An admitted request left the admission queue after waiting `delay`.
-    pub fn on_dequeued(&self, delay: SimTime) {
+    pub(crate) fn on_dequeued(&self, delay: SimTime) {
         self.queue_delay.record(delay.as_nanos());
     }
 
@@ -147,7 +147,7 @@ impl ServingInstruments {
     /// `waited` after its first push (`None`: a drain, which has no clock).
     /// Drains count under linger, so the three close counters always sum
     /// to `batches_formed`.
-    pub fn on_batch_closed(&self, size: u32, reason: CloseReason, waited: Option<SimTime>) {
+    pub(crate) fn on_batch_closed(&self, size: u32, reason: CloseReason, waited: Option<SimTime>) {
         self.batches.inc();
         self.batch_size.record(u64::from(size));
         match reason {
@@ -161,7 +161,7 @@ impl ServingInstruments {
     }
 
     /// Publishes the admission-queue depth.
-    pub fn set_queue_depth(&self, depth: usize) {
+    pub(crate) fn set_queue_depth(&self, depth: usize) {
         self.queue_depth.set(depth as i64);
     }
 }

@@ -40,7 +40,7 @@ pub mod config;
 pub mod instruments;
 pub mod wfq;
 
-pub use admission::{Admission, AdmissionController};
+pub use admission::AdmissionController;
 pub use batcher::{BatchFormer, CloseReason, FormedBatch};
 pub use bridge::{IngestStats, ServingBridge};
 pub use config::{ServeRequest, ServingConfig, ShedPolicy, TenantClass};

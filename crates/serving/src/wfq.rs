@@ -16,7 +16,7 @@
 //! more: a starvation spiral. Here eviction simply removes the item; the
 //! tenant's finish tag only ever advances on a real pop.
 //!
-//! Tags are fixed-point `u64` (units of [`TAG_SCALE`]`/weight` per item)
+//! Tags are fixed-point `u64` (units of `TAG_SCALE``/weight` per item)
 //! so ordering is exact and deterministic. Ties break on a monotonically
 //! increasing sequence number (FIFO within and across tenants).
 
@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 
 /// Fixed-point scale for virtual-time tags: one unit of service costs
 /// `TAG_SCALE / weight` tag units.
-pub const TAG_SCALE: u64 = 1 << 20;
+pub(crate) const TAG_SCALE: u64 = 1 << 20;
 
 #[derive(Debug, Clone)]
 struct Entry<T> {
@@ -98,33 +98,22 @@ impl<T> WeightedFairQueue<T> {
     }
 
     /// Number of queued entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True when no entries are queued.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of queued entries for one tenant.
-    pub fn tenant_len(&self, tenant: u32) -> usize {
-        self.tenants.get(&tenant).map_or(0, |t| t.items.len())
-    }
-
-    /// The registered weight of `tenant`, or `None` for tenants this
-    /// queue has never seen. Tenants that arrived via
-    /// [`WeightedFairQueue::push`] without registration report their
-    /// fallback weight 1.
-    pub fn tenant_weight(&self, tenant: u32) -> Option<u32> {
-        self.tenants.get(&tenant).map(|t| t.weight)
     }
 
     /// Read-only view of every tenant class: `(id, weight, backlog)` in
     /// ascending id order. This is the hook layers above the queue (e.g.
     /// cluster-wide quota buckets) use to derive per-tenant shares
     /// without duplicating tenant state.
-    pub fn tenants(&self) -> impl Iterator<Item = (u32, u32, usize)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn tenants(&self) -> impl Iterator<Item = (u32, u32, usize)> + '_ {
         self.tenants
             .iter()
             .map(|(&id, tq)| (id, tq.weight, tq.items.len()))
@@ -177,13 +166,6 @@ impl<T> WeightedFairQueue<T> {
         Some(entry.item)
     }
 
-    /// Peeks at the next entry that [`WeightedFairQueue::pop`] would
-    /// return, without removing it.
-    pub fn peek(&self) -> Option<&T> {
-        let id = self.next_tenant()?;
-        self.tenants[&id].items.front().map(|e| &e.item)
-    }
-
     /// Removes the item at `idx` of tenant `id`'s FIFO without charging
     /// virtual service; re-freezes the head tag if the head was removed.
     fn evict_at(&mut self, id: u32, idx: usize) -> T {
@@ -197,25 +179,10 @@ impl<T> WeightedFairQueue<T> {
         entry.item
     }
 
-    /// Removes and returns the most recently pushed entry (LIFO end) —
-    /// used by the drop-newest shedding policy when the arrival itself
-    /// has already been queued. The evicted entry consumes no virtual
-    /// service.
-    pub fn evict_newest(&mut self) -> Option<T> {
-        let id = *self
-            .tenants
-            .iter()
-            .filter(|(_, tq)| !tq.items.is_empty())
-            .max_by_key(|(_, tq)| tq.items.back().map(|e| e.seq))
-            .map(|(id, _)| id)?;
-        let idx = self.tenants[&id].items.len() - 1;
-        Some(self.evict_at(id, idx))
-    }
-
     /// Removes and returns the oldest entry (smallest sequence number) —
     /// the drop-oldest shedding policy. The evicted entry consumes no
     /// virtual service.
-    pub fn evict_oldest(&mut self) -> Option<T> {
+    pub(crate) fn evict_oldest(&mut self) -> Option<T> {
         let id = *self
             .tenants
             .iter()
@@ -229,7 +196,7 @@ impl<T> WeightedFairQueue<T> {
     /// the newest entry) — used by deadline-aware shedding to evict the
     /// queued request with the latest deadline. The evicted entry consumes
     /// no virtual service.
-    pub fn evict_max_by_key<K: Ord>(&mut self, mut key: impl FnMut(&T) -> K) -> Option<T> {
+    pub(crate) fn evict_max_by_key<K: Ord>(&mut self, mut key: impl FnMut(&T) -> K) -> Option<T> {
         let mut best: Option<(u32, usize, K, u64)> = None;
         for (&id, tq) in &self.tenants {
             for (idx, e) in tq.items.iter().enumerate() {
@@ -252,7 +219,7 @@ impl<T> WeightedFairQueue<T> {
     }
 
     /// Iterates over queued items in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         self.tenants
             .values()
             .flat_map(|tq| tq.items.iter().map(|e| &e.item))
@@ -324,10 +291,10 @@ mod tests {
         for i in 0..4 {
             q.push(0, i);
         }
-        assert_eq!(q.evict_newest(), Some(3));
         assert_eq!(q.evict_oldest(), Some(0));
-        assert_eq!(q.evict_max_by_key(|v| *v), Some(2));
+        assert_eq!(q.evict_max_by_key(|v| *v), Some(3));
         assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
         assert!(q.is_empty());
     }
 
@@ -335,20 +302,19 @@ mod tests {
     fn unknown_tenant_defaults_to_weight_one() {
         let mut q = WeightedFairQueue::new([(0, 1)]);
         q.push(7, "x");
-        assert_eq!(q.tenant_len(7), 1);
+        assert_eq!(q.tenants().find(|t| t.0 == 7), Some((7, 1, 1)));
         assert_eq!(q.pop(), Some("x"));
     }
 
     #[test]
     fn tenant_accessors_expose_weight_and_backlog() {
         let mut q = WeightedFairQueue::new([(0, 3), (1, 1)]);
-        assert_eq!(q.tenant_weight(0), Some(3));
-        assert_eq!(q.tenant_weight(9), None);
+        let view: Vec<(u32, u32, usize)> = q.tenants().collect();
+        assert_eq!(view, vec![(0, 3, 0), (1, 1, 0)], "registered, empty");
         q.push(0, "a");
         q.push(0, "b");
         q.push(1, "c");
         q.push(7, "d"); // unregistered → fallback weight 1
-        assert_eq!(q.tenant_weight(7), Some(1));
         let view: Vec<(u32, u32, usize)> = q.tenants().collect();
         assert_eq!(view, vec![(0, 3, 2), (1, 1, 1), (7, 1, 1)]);
         // The view is read-only: service order and tags are unchanged.

@@ -124,11 +124,6 @@ impl<M: SimModel> Simulation<M> {
         self.model
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.clock
-    }
-
     /// Runs until the queue drains, `deadline` passes, or `max_events` have
     /// been dispatched — whichever happens first.
     pub fn run_until(&mut self, deadline: SimTime, max_events: u64) -> RunSummary {

@@ -20,7 +20,6 @@ pub struct FifoStation<J> {
     capacity: usize,
     in_service: usize,
     queue: VecDeque<J>,
-    peak_queue: usize,
 }
 
 impl<J> FifoStation<J> {
@@ -31,7 +30,6 @@ impl<J> FifoStation<J> {
             capacity,
             in_service: 0,
             queue: VecDeque::new(),
-            peak_queue: 0,
         }
     }
 
@@ -44,7 +42,6 @@ impl<J> FifoStation<J> {
             Some(job)
         } else {
             self.queue.push_back(job);
-            self.peak_queue = self.peak_queue.max(self.queue.len());
             None
         }
     }
@@ -70,21 +67,6 @@ impl<J> FifoStation<J> {
     pub fn queued(&self) -> usize {
         self.queue.len()
     }
-
-    /// Largest backlog observed.
-    pub fn peak_queue(&self) -> usize {
-        self.peak_queue
-    }
-
-    /// Total servers.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// True when no job is in service or queued.
-    pub fn is_idle(&self) -> bool {
-        self.in_service == 0 && self.queue.is_empty()
-    }
 }
 
 /// A serialising bandwidth resource (NVMe channel, PCIe link, NIC wire):
@@ -100,7 +82,6 @@ pub struct SerialPipe {
     fixed_latency: SimTime,
     busy_until: SimTime,
     total_bytes: u64,
-    total_ops: u64,
 }
 
 impl SerialPipe {
@@ -112,7 +93,6 @@ impl SerialPipe {
             fixed_latency,
             busy_until: SimTime::ZERO,
             total_bytes: 0,
-            total_ops: 0,
         }
     }
 
@@ -124,28 +104,12 @@ impl SerialPipe {
         let done = start + wire + self.fixed_latency;
         self.busy_until = start + wire; // latency overlaps with the next op
         self.total_bytes += bytes;
-        self.total_ops += 1;
         done
-    }
-
-    /// Time at which the pipe becomes free.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
     }
 
     /// Total bytes moved.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Total transfer operations.
-    pub fn total_ops(&self) -> u64 {
-        self.total_ops
-    }
-
-    /// Configured bandwidth in bytes/second.
-    pub fn bandwidth(&self) -> f64 {
-        self.bytes_per_sec
     }
 }
 
@@ -177,11 +141,6 @@ impl SharedCapacity {
         self.background_share = share.clamp(0.0, 0.95);
     }
 
-    /// Current background share.
-    pub fn background_share(&self) -> f64 {
-        self.background_share
-    }
-
     /// Scales a nominal service time by contention: with share `s` stolen,
     /// the foreground job runs on `1 - s` of the device.
     pub fn stretch(&self, nominal: SimTime) -> SimTime {
@@ -207,7 +166,6 @@ mod tests {
         assert!(st.admit(3).is_none());
         assert_eq!(st.busy(), 2);
         assert_eq!(st.queued(), 1);
-        assert_eq!(st.peak_queue(), 1);
     }
 
     #[test]
@@ -219,7 +177,7 @@ mod tests {
         assert_eq!(st.complete(), Some(20));
         assert_eq!(st.complete(), Some(30));
         assert_eq!(st.complete(), None);
-        assert!(st.is_idle());
+        assert_eq!((st.busy(), st.queued()), (0, 0), "idle");
     }
 
     #[test]
@@ -237,7 +195,6 @@ mod tests {
         assert_eq!(t1, SimTime::from_millis(500));
         assert_eq!(t2, SimTime::from_secs(1));
         assert_eq!(p.total_bytes(), 1000);
-        assert_eq!(p.total_ops(), 2);
     }
 
     #[test]
@@ -268,7 +225,6 @@ mod tests {
         sc.set_background_share(0.5);
         assert_eq!(sc.stretch(nominal), SimTime::from_millis(20));
         sc.set_background_share(2.0); // clamps to 0.95
-        assert!((sc.background_share() - 0.95).abs() < 1e-12);
         let stretched = sc.stretch(nominal);
         assert!((stretched.as_secs_f64() - 0.2).abs() < 1e-9);
     }

@@ -39,7 +39,7 @@ impl SimRng {
 
     /// Next raw 64 bits.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.s0;
         let y = self.s1;
         self.s0 = y;
@@ -77,7 +77,7 @@ impl SimRng {
     }
 
     /// Standard normal via Box–Muller (cached pair).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }

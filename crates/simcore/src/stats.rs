@@ -1,5 +1,5 @@
-//! Measurement instruments: busy-time accounting (→ "CPU cores" figures),
-//! throughput meters, latency histograms, and time-weighted levels.
+//! Measurement instruments: busy-time accounting (→ "CPU cores" figures)
+//! and latency histograms.
 
 use crate::time::SimTime;
 
@@ -9,7 +9,6 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Default)]
 pub struct BusyTracker {
     busy: SimTime,
-    intervals: u64,
 }
 
 impl BusyTracker {
@@ -21,12 +20,6 @@ impl BusyTracker {
     /// Records a busy interval of the given length.
     pub fn add(&mut self, duration: SimTime) {
         self.busy += duration;
-        self.intervals += 1;
-    }
-
-    /// Number of recorded intervals.
-    pub fn intervals(&self) -> u64 {
-        self.intervals
     }
 
     /// Busy time as a fraction of `elapsed` — i.e. core-equivalents.
@@ -35,52 +28,6 @@ impl BusyTracker {
             return 0.0;
         }
         self.busy.as_secs_f64() / elapsed.as_secs_f64()
-    }
-}
-
-/// Counts discrete completions over a window → items/second.
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputMeter {
-    count: u64,
-    first: Option<SimTime>,
-    last: SimTime,
-}
-
-impl ThroughputMeter {
-    /// New, empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `n` completions at time `now`.
-    pub fn record(&mut self, now: SimTime, n: u64) {
-        if self.first.is_none() {
-            self.first = Some(now);
-        }
-        self.count += n;
-        self.last = self.last.max(now);
-    }
-
-    /// Total completions.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Completions per second measured from simulation start to the last
-    /// recorded completion.
-    pub fn rate_from_origin(&self) -> f64 {
-        if self.last == SimTime::ZERO {
-            return 0.0;
-        }
-        self.count as f64 / self.last.as_secs_f64()
-    }
-
-    /// Completions per second over an explicit window.
-    pub fn rate_over(&self, elapsed: SimTime) -> f64 {
-        if elapsed == SimTime::ZERO {
-            return 0.0;
-        }
-        self.count as f64 / elapsed.as_secs_f64()
     }
 }
 
@@ -131,7 +78,7 @@ impl LatencyStats {
     }
 
     /// Quantile in `[0, 1]` by nearest-rank.
-    pub fn quantile(&mut self, q: f64) -> SimTime {
+    pub(crate) fn quantile(&mut self, q: f64) -> SimTime {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
         if self.samples_ns.is_empty() {
             return SimTime::ZERO;
@@ -153,67 +100,13 @@ impl LatencyStats {
     }
 
     /// Maximum sample.
-    pub fn max(&mut self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn max(&mut self) -> SimTime {
         self.ensure_sorted();
         self.samples_ns
             .last()
             .map(|&v| SimTime::from_nanos(v))
             .unwrap_or(SimTime::ZERO)
-    }
-}
-
-/// Tracks the time-average of an integer level (queue depth, pool occupancy).
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    level: i64,
-    last_change: SimTime,
-    weighted_sum: f64, // level · seconds
-    peak: i64,
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `initial` level from time zero.
-    pub fn new(initial: i64) -> Self {
-        Self {
-            level: initial,
-            last_change: SimTime::ZERO,
-            weighted_sum: 0.0,
-            peak: initial,
-        }
-    }
-
-    /// Sets the level at time `now`.
-    pub fn set(&mut self, now: SimTime, level: i64) {
-        debug_assert!(now >= self.last_change, "time went backwards");
-        self.weighted_sum += self.level as f64 * now.since(self.last_change).as_secs_f64();
-        self.level = level;
-        self.last_change = now;
-        self.peak = self.peak.max(level);
-    }
-
-    /// Adjusts the level by `delta` at time `now`.
-    pub fn adjust(&mut self, now: SimTime, delta: i64) {
-        let lvl = self.level + delta;
-        self.set(now, lvl);
-    }
-
-    /// Current level.
-    pub fn level(&self) -> i64 {
-        self.level
-    }
-
-    /// Highest level seen.
-    pub fn peak(&self) -> i64 {
-        self.peak
-    }
-
-    /// Time-average of the level from time zero to `now`.
-    pub fn average(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return self.level as f64;
-        }
-        let tail = self.level as f64 * now.since(self.last_change).as_secs_f64();
-        (self.weighted_sum + tail) / now.as_secs_f64()
     }
 }
 
@@ -228,7 +121,6 @@ mod tests {
         bt.add(SimTime::from_millis(250));
         // 0.5s busy over 1s elapsed = 0.5 cores.
         assert!((bt.cores(SimTime::from_secs(1)) - 0.5).abs() < 1e-12);
-        assert_eq!(bt.intervals(), 2);
         assert_eq!(bt.cores(SimTime::ZERO), 0.0);
     }
 
@@ -240,17 +132,6 @@ mod tests {
             bt.add(SimTime::from_secs(10));
         }
         assert!((bt.cores(SimTime::from_secs(10)) - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_meter_rates() {
-        let mut tm = ThroughputMeter::new();
-        tm.record(SimTime::from_secs(1), 100);
-        tm.record(SimTime::from_secs(2), 300);
-        assert_eq!(tm.count(), 400);
-        assert!((tm.rate_from_origin() - 200.0).abs() < 1e-9);
-        assert!((tm.rate_over(SimTime::from_secs(4)) - 100.0).abs() < 1e-9);
-        assert_eq!(ThroughputMeter::new().rate_from_origin(), 0.0);
     }
 
     #[test]
@@ -276,26 +157,5 @@ mod tests {
         assert!(ls.is_empty());
         assert_eq!(ls.median(), SimTime::ZERO);
         assert_eq!(ls.mean(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(0);
-        tw.set(SimTime::from_secs(1), 10); // level 0 for 1s
-        tw.set(SimTime::from_secs(3), 0); // level 10 for 2s
-                                          // Average over 4s: (0·1 + 10·2 + 0·1) / 4 = 5.
-        assert!((tw.average(SimTime::from_secs(4)) - 5.0).abs() < 1e-9);
-        assert_eq!(tw.peak(), 10);
-        assert_eq!(tw.level(), 0);
-    }
-
-    #[test]
-    fn time_weighted_adjust() {
-        let mut tw = TimeWeighted::new(5);
-        tw.adjust(SimTime::from_secs(1), 3);
-        assert_eq!(tw.level(), 8);
-        tw.adjust(SimTime::from_secs(2), -8);
-        assert_eq!(tw.level(), 0);
-        assert_eq!(tw.peak(), 8);
     }
 }

@@ -14,7 +14,7 @@ impl SimTime {
     /// Simulation epoch.
     pub const ZERO: SimTime = SimTime(0);
     /// The far future — useful as an "infinite" deadline sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// From raw nanoseconds.
     #[inline]
@@ -81,7 +81,8 @@ impl SimTime {
 
     /// Duration between two instants (panics in debug if `earlier > self`).
     #[inline]
-    pub fn since(self, earlier: SimTime) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn since(self, earlier: SimTime) -> SimTime {
         debug_assert!(self >= earlier, "time went backwards");
         SimTime(self.0 - earlier.0)
     }
@@ -126,20 +127,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// Converts a rate in "items per second" into the duration of one item.
-#[inline]
-pub fn period_of_rate(items_per_sec: f64) -> SimTime {
-    assert!(items_per_sec > 0.0, "rate must be positive");
-    SimTime::from_secs_f64(1.0 / items_per_sec)
-}
-
-/// Duration to move `bytes` through a link of `bytes_per_sec` bandwidth.
-#[inline]
-pub fn transfer_time(bytes: u64, bytes_per_sec: f64) -> SimTime {
-    assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
-    SimTime::from_secs_f64(bytes as f64 / bytes_per_sec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,21 +169,6 @@ mod tests {
         assert_eq!(SimTime::from_micros(12).to_string(), "12.000us");
         assert_eq!(SimTime::from_millis(12).to_string(), "12.000ms");
         assert_eq!(SimTime::from_secs(2).to_string(), "2.000s");
-    }
-
-    #[test]
-    fn rate_helpers() {
-        // 5000 images/s → 200µs per image.
-        assert_eq!(period_of_rate(5000.0), SimTime::from_micros(200));
-        // 1 MiB over 1 GiB/s ≈ 976.5µs.
-        let t = transfer_time(1 << 20, (1u64 << 30) as f64);
-        assert!((t.as_secs_f64() - 9.765e-4).abs() < 1e-7);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn zero_rate_panics() {
-        let _ = period_of_rate(0.0);
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl DatasetSpec {
     }
 
     /// Number of label classes.
-    pub fn num_classes(&self) -> u64 {
+    pub(crate) fn num_classes(&self) -> u64 {
         match self.kind {
             DatasetKind::IlsvrcLike => 1000,
             DatasetKind::MnistLike => 10,
@@ -162,7 +162,8 @@ impl Dataset {
 
     /// Total decoded size at the given target geometry (memory-cache
     /// planning: can the whole epoch fit in RAM? §5.2's LeNet observation).
-    pub fn decoded_bytes(&self, target_w: u32, target_h: u32, channels: u32) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn decoded_bytes(&self, target_w: u32, target_h: u32, channels: u32) -> u64 {
         self.records.len() as u64 * target_w as u64 * target_h as u64 * channels as u64
     }
 }

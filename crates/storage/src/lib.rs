@@ -24,6 +24,6 @@ pub mod dataset;
 pub mod lmdb;
 pub mod nvme;
 
-pub use dataset::{Dataset, DatasetKind, DatasetSpec, Record};
-pub use lmdb::{ConversionReport, LmdbStore};
+pub use dataset::{Dataset, DatasetSpec, Record};
+pub use lmdb::LmdbStore;
 pub use nvme::{NvmeDisk, NvmeSpec};

@@ -22,7 +22,6 @@ use dlb_simcore::SimTime;
 use parking_lot::RwLock;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A stored raw datum: label + fixed-geometry decoded pixels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +40,7 @@ pub struct RawDatum {
 
 impl RawDatum {
     /// Serialized size (what the DB stores per key).
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.pixels.len() + 16
     }
 }
@@ -58,22 +57,11 @@ pub struct ConversionReport {
     pub stored_bytes: u64,
 }
 
-impl ConversionReport {
-    /// Extrapolates the conversion time to `n` full-scale images on
-    /// `cores` cores — the "2 hours for ILSVRC12" claim check.
-    pub fn scaled_wall_time(&self, n: usize, cores: usize, size_ratio: f64) -> SimTime {
-        let per_image = self.cpu_seconds / self.images as f64 * size_ratio;
-        SimTime::from_secs_f64(per_image * n as f64 / cores.max(1) as f64)
-    }
-}
-
 /// The store: an ordered key→datum map with copy-out reads, mimicking the
 /// LMDB B-tree API surface Caffe uses (`get`, sequential `cursor` scans).
 #[derive(Debug)]
 pub struct LmdbStore {
     map: RwLock<BTreeMap<u64, RawDatum>>,
-    reads: AtomicU64,
-    bytes_read: AtomicU64,
 }
 
 impl Default for LmdbStore {
@@ -87,8 +75,6 @@ impl LmdbStore {
     pub fn new() -> Self {
         Self {
             map: RwLock::new(BTreeMap::new()),
-            reads: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
         }
     }
 
@@ -147,29 +133,19 @@ impl LmdbStore {
     /// the point).
     pub fn get(&self, key: u64) -> Option<RawDatum> {
         let map = self.map.read();
-        let datum = map.get(&key)?.clone();
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read
-            .fetch_add(datum.byte_len() as u64, Ordering::Relaxed);
-        Some(datum)
+        map.get(&key).cloned()
     }
 
     /// Number of stored records.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.map.read().len()
     }
 
     /// True when empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Lifetime (reads, bytes_read).
-    pub fn read_stats(&self) -> (u64, u64) {
-        (
-            self.reads.load(Ordering::Relaxed),
-            self.bytes_read.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -202,7 +178,7 @@ impl LmdbContentionModel {
     }
 
     /// Per-reader effective bandwidth with `n` concurrent readers.
-    pub fn per_reader_bandwidth(&self, n: u32) -> f64 {
+    pub(crate) fn per_reader_bandwidth(&self, n: u32) -> f64 {
         let n = n.max(1) as f64;
         self.single_reader_bytes_per_sec / n.powf(self.contention_alpha)
     }
@@ -238,9 +214,6 @@ mod tests {
         assert_eq!((d.width, d.height, d.channels), (64, 64, 3));
         assert_eq!(d.pixels.len(), 64 * 64 * 3);
         assert!(store.get(99).is_none());
-        let (reads, bytes) = store.read_stats();
-        assert_eq!(reads, 1);
-        assert_eq!(bytes, (64 * 64 * 3 + 16) as u64);
     }
 
     #[test]
@@ -251,21 +224,6 @@ mod tests {
         for r in &ds.records {
             assert_eq!(store.get(r.id).unwrap().label, r.label);
         }
-    }
-
-    #[test]
-    fn conversion_report_extrapolates() {
-        let (disk, ds) = small_setup();
-        let store = LmdbStore::new();
-        let report = store.convert(&ds, &disk, 32, 32).unwrap();
-        // Full ILSVRC on 16 cores at 25× the per-image cost (full-res vs
-        // scale 0.2 ⇒ 25× pixels): the estimate must land in the
-        // hours-not-seconds regime the paper complains about.
-        let t = report.scaled_wall_time(12_800_000, 16, 25.0);
-        assert!(
-            t > SimTime::from_secs(600),
-            "full conversion estimate {t} is implausibly fast"
-        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! NVMe disk model: a flat object store with Optane-class timing.
 
 use dlb_chaos::{FaultKind, StageInjector};
-use dlb_simcore::queueing::SerialPipe;
 use dlb_simcore::SimTime;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -76,11 +75,6 @@ impl NvmeDisk {
         let _ = self.chaos.set(injector);
     }
 
-    /// Device characteristics.
-    pub fn spec(&self) -> &NvmeSpec {
-        &self.spec
-    }
-
     /// Appends an object, returning its `(offset, len)` block descriptor.
     pub fn append(&self, bytes: Vec<u8>) -> Result<(u64, u32), String> {
         let len = bytes.len();
@@ -141,30 +135,10 @@ impl NvmeDisk {
         Ok(Arc::clone(obj))
     }
 
-    /// Number of stored objects.
-    pub fn object_count(&self) -> usize {
-        self.dir.read().objects.len()
-    }
-
     /// Bytes stored.
-    pub fn used_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.dir.read().total_bytes
-    }
-
-    /// A fresh read-path timing pipe for the DES layer (one per simulated
-    /// submission queue).
-    pub fn read_pipe(&self) -> SerialPipe {
-        SerialPipe::new(self.spec.read_bytes_per_sec, self.spec.cmd_latency)
-    }
-
-    /// Modelled duration of a single isolated read.
-    pub fn read_time(&self, bytes: u64) -> SimTime {
-        SimTime::from_secs_f64(bytes as f64 / self.spec.read_bytes_per_sec) + self.spec.cmd_latency
-    }
-
-    /// Modelled duration of a single isolated write.
-    pub fn write_time(&self, bytes: u64) -> SimTime {
-        SimTime::from_secs_f64(bytes as f64 / self.spec.write_bytes_per_sec) + self.spec.cmd_latency
     }
 }
 
@@ -180,7 +154,6 @@ mod tests {
         assert_ne!(off_a, off_b);
         assert_eq!(disk.read(off_a, len_a).unwrap().as_slice(), &[1, 2, 3]);
         assert_eq!(disk.read(off_b, len_b).unwrap().len(), 5000);
-        assert_eq!(disk.object_count(), 2);
         assert_eq!(disk.used_bytes(), 5003);
     }
 
@@ -240,17 +213,5 @@ mod tests {
         }
         assert!(ok > 0, "some attempts must succeed");
         assert!(err > 0, "some attempts must fail");
-    }
-
-    #[test]
-    fn timing_model_scales() {
-        let disk = NvmeDisk::new(NvmeSpec::optane_900p());
-        // 2.5 MB at 2.5 GB/s = 1 ms + 10 µs latency.
-        let t = disk.read_time(2_500_000);
-        assert_eq!(t, SimTime::from_millis(1) + SimTime::from_micros(10));
-        assert!(disk.write_time(2_000_000) > disk.read_time(2_000_000));
-        let mut pipe = disk.read_pipe();
-        let t1 = pipe.transfer(SimTime::ZERO, 2_500_000);
-        assert_eq!(t1, t);
     }
 }

@@ -29,7 +29,7 @@ impl Json {
     }
 
     /// Looks up a key in an object (`None` on missing key or non-object).
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -37,17 +37,9 @@ impl Json {
     }
 
     /// Array element by position (`None` out of bounds or non-array).
-    pub fn at(&self, idx: usize) -> Option<&Json> {
+    pub(crate) fn at(&self, idx: usize) -> Option<&Json> {
         match self {
             Json::Array(items) => items.get(idx),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
             _ => None,
         }
     }

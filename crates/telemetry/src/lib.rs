@@ -5,15 +5,15 @@
 //!
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — lock-free recording
 //!   primitives with mergeable snapshots ([`HistogramSnapshot`],
-//!   [`RegistrySnapshot`]);
+//!   `RegistrySnapshot`);
 //! * [`Registry`] — get-or-create named metrics behind one handle;
-//! * [`Watchdog`] — flags stage queues that hold work but stop moving;
+//! * `Watchdog` — flags stage queues that hold work but stop moving;
 //! * [`PipelineSnapshot`] — the typed view (six stages, optional layers,
 //!   queues) generated from [`pipeline`]'s metric table, with the law
 //!   table's conservation invariants and text/JSON rendering;
 //! * [`Json`] — a dependency-free JSON value used for every structured
 //!   report in the workspace;
-//! * [`prometheus`] — text-exposition rendering of a [`RegistrySnapshot`]
+//! * [`prometheus`] — text-exposition rendering of a `RegistrySnapshot`
 //!   for scrape-based collection, next to the JSON export.
 //!
 //! Stage crates record through `Arc` handles obtained once at
@@ -31,11 +31,11 @@ pub mod registry;
 pub mod watchdog;
 
 pub use json::Json;
-pub use metrics::{default_latency_bounds, Counter, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use pipeline::{
     names, ChannelMetrics, ChaosMetrics, DecoderMetrics, DispatcherMetrics, EngineMetrics,
     PipelineSnapshot, PoolMetrics, QueueMetrics, ReaderMetrics, ServingMetrics, Telemetry,
     TenantServingMetrics,
 };
-pub use registry::{MetricValue, Registry, RegistrySnapshot};
-pub use watchdog::{Heartbeat, QueueProgress, StallReport, Watchdog};
+pub use registry::{MetricValue, Registry};
+pub use watchdog::Heartbeat;

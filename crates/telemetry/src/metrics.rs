@@ -17,7 +17,7 @@ pub struct Counter {
 
 impl Counter {
     /// A counter at zero.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             value: AtomicU64::new(0),
         }
@@ -49,7 +49,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// A gauge at zero.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             value: AtomicI64::new(0),
             high_water: AtomicI64::new(0),
@@ -84,14 +84,14 @@ impl Gauge {
     }
 
     /// Highest level ever set.
-    pub fn high_water(&self) -> i64 {
+    pub(crate) fn high_water(&self) -> i64 {
         self.high_water.load(Ordering::Relaxed)
     }
 }
 
 /// Default histogram bucket upper bounds: exponential (×4) from 1 µs to
 /// ~68 s, in nanoseconds. 14 buckets + overflow.
-pub fn default_latency_bounds() -> Vec<u64> {
+pub(crate) fn default_latency_bounds() -> Vec<u64> {
     let mut bounds = Vec::with_capacity(14);
     let mut b = 1_000u64; // 1 µs
     for _ in 0..14 {

@@ -797,13 +797,6 @@ metrics! {
 
 impl Copy for CodecMetrics {}
 
-impl CodecMetrics {
-    /// Total accounted nanoseconds across the decode stages.
-    pub fn total_nanos(&self) -> u64 {
-        self.huffman_nanos + self.idct_nanos + self.color_nanos + self.resize_nanos
-    }
-}
-
 /// One operand of a law: a metric named by its constant.
 enum Term {
     /// The counter or gauge registered under this name.
@@ -1004,7 +997,7 @@ pub fn conservation_counters() -> Vec<&'static str> {
 impl PipelineSnapshot {
     /// Builds the typed view from a raw snapshot plus the watchdog's
     /// current verdicts.
-    pub fn capture(raw: &RegistrySnapshot, watchdog: &Watchdog) -> Self {
+    pub(crate) fn capture(raw: &RegistrySnapshot, watchdog: &Watchdog) -> Self {
         Self::from_parts(raw.clone(), watchdog.stalled())
     }
 

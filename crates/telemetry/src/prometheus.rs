@@ -51,7 +51,7 @@ pub fn render(snapshot: &RegistrySnapshot) -> String {
 
 /// Sanitize a metric name to the Prometheus charset
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-pub fn sanitize(name: &str) -> String {
+pub(crate) fn sanitize(name: &str) -> String {
     let mut out: String = name
         .chars()
         .map(|c| {

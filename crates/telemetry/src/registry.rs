@@ -190,7 +190,7 @@ impl RegistrySnapshot {
     }
 
     /// JSON rendering: `{name: value}` with histograms expanded.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Object(
             self.metrics
                 .iter()

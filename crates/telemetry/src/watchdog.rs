@@ -29,7 +29,7 @@ impl Heartbeat {
     }
 
     /// Time since the last beat (or since registration when never beaten).
-    pub fn idle(&self) -> Duration {
+    pub(crate) fn idle(&self) -> Duration {
         let last = Duration::from_nanos(self.last_nanos.load(Ordering::Relaxed));
         self.epoch.elapsed().saturating_sub(last)
     }
@@ -38,11 +38,10 @@ impl Heartbeat {
 struct Watched {
     stage: String,
     heartbeat: Arc<Heartbeat>,
-    depth: Option<Arc<Gauge>>,
+    depth: Arc<Gauge>,
 }
 
-/// Progress state of one watched stage, captured when a stall trips (or on
-/// demand via [`Watchdog::queue_progress`]).
+/// Progress state of one watched stage, captured when a stall trips.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueProgress {
     /// Stage name as registered.
@@ -78,7 +77,7 @@ pub struct Watchdog {
 impl Watchdog {
     /// Watchdog flagging stages idle longer than `threshold` while their
     /// queue is non-empty.
-    pub fn new(threshold: Duration) -> Self {
+    pub(crate) fn new(threshold: Duration) -> Self {
         Self {
             threshold,
             epoch: Instant::now(),
@@ -86,24 +85,9 @@ impl Watchdog {
         }
     }
 
-    /// Configured stall threshold.
-    pub fn threshold(&self) -> Duration {
-        self.threshold
-    }
-
     /// Registers a stage whose stall condition is "queue non-empty and no
     /// beat for threshold". Returns the heartbeat to pulse on progress.
     pub fn watch_queue(&self, stage: &str, depth: Arc<Gauge>) -> Arc<Heartbeat> {
-        self.register(stage, Some(depth))
-    }
-
-    /// Registers a stage watched on heartbeat alone (stalled whenever the
-    /// beat goes quiet past the threshold).
-    pub fn watch(&self, stage: &str) -> Arc<Heartbeat> {
-        self.register(stage, None)
-    }
-
-    fn register(&self, stage: &str, depth: Option<Arc<Gauge>>) -> Arc<Heartbeat> {
         let hb = Arc::new(Heartbeat::new(self.epoch));
         hb.beat(); // registration counts as progress
         self.watched
@@ -117,19 +101,13 @@ impl Watchdog {
         hb
     }
 
-    /// Progress age and depth of every watched stage, right now.
-    pub fn queue_progress(&self) -> Vec<QueueProgress> {
-        let watched = self.watched.lock().unwrap_or_else(|p| p.into_inner());
-        Self::progress_of(&watched)
-    }
-
     fn progress_of(watched: &[Watched]) -> Vec<QueueProgress> {
         watched
             .iter()
             .map(|w| QueueProgress {
                 stage: w.stage.clone(),
                 last_progress: w.heartbeat.idle(),
-                depth: w.depth.as_ref().map_or(0, |g| g.get()),
+                depth: w.depth.get(),
             })
             .collect()
     }
@@ -147,9 +125,9 @@ impl Watchdog {
                 if idle <= self.threshold {
                     return None;
                 }
-                let depth = w.depth.as_ref().map_or(0, |g| g.get());
-                // With a depth gauge, an empty queue is idle, not stalled.
-                if w.depth.is_some() && depth <= 0 {
+                let depth = w.depth.get();
+                // An empty queue is idle, not stalled.
+                if depth <= 0 {
                     return None;
                 }
                 let queues = queues
@@ -247,15 +225,5 @@ mod tests {
         assert!(wedged.last_progress >= Duration::from_millis(5));
         assert_eq!(healthy.depth, 2);
         assert!(healthy.last_progress < Duration::from_millis(5));
-        // On-demand progress works without a stall too.
-        assert_eq!(wd.queue_progress().len(), 2);
-    }
-
-    #[test]
-    fn heartbeat_only_watch_trips_on_silence() {
-        let wd = Watchdog::new(Duration::from_millis(5));
-        let _hb = wd.watch("stage");
-        std::thread::sleep(Duration::from_millis(15));
-        assert_eq!(wd.stalled().len(), 1);
     }
 }

@@ -45,7 +45,7 @@
 pub mod analysis;
 pub mod perfetto;
 
-pub use analysis::{AttributedPart, BatchAttribution, CriticalPathReport, StageLoad};
+pub use analysis::CriticalPathReport;
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -62,7 +62,7 @@ use std::time::Instant;
 pub const BATCH_ORDINAL_BASE: u64 = 1 << 48;
 
 /// Default per-thread ring capacity (spans per recording thread).
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Canonical stage names used by the pipeline's record sites.
 ///
@@ -96,7 +96,7 @@ pub mod stages {
     /// Cluster hedge duplicate completion (linked to the winning copy).
     pub const HEDGE_DUP: &str = "cluster.hedge_dup";
     /// Synthetic stage name used for [`super::SpanKind::Link`] records.
-    pub const LINK: &str = "link";
+    pub(crate) const LINK: &str = "link";
 }
 
 /// What a recorded interval represents.
@@ -114,7 +114,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Short lowercase label, used by exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SpanKind::Queue => "queue",
             SpanKind::Service => "service",
@@ -206,7 +206,7 @@ impl Tracer {
 
     /// A tracer whose per-thread rings hold at most `capacity` spans each;
     /// the oldest span is dropped (and counted) when a ring is full.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Tracer {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
@@ -249,7 +249,8 @@ impl Tracer {
     }
 
     /// Record an interval with pre-converted epoch-relative nanoseconds.
-    pub fn span_ns(
+    #[cfg(test)]
+    pub(crate) fn span_ns(
         &self,
         batch: u64,
         stage: &'static str,

@@ -46,7 +46,7 @@ pub enum Workload {
 
 impl Workload {
     /// Per-image decode geometry.
-    pub fn image(self) -> ImageWorkload {
+    pub(crate) fn image(self) -> ImageWorkload {
         match self {
             Workload::Ilsvrc => ImageWorkload::ilsvrc_like(),
             Workload::Mnist => ImageWorkload::mnist_like(),
@@ -54,7 +54,7 @@ impl Workload {
     }
 
     /// Dataset size in images.
-    pub fn dataset_images(self) -> u64 {
+    pub(crate) fn dataset_images(self) -> u64 {
         match self {
             Workload::Ilsvrc => 1_281_167,
             Workload::Mnist => 60_000,
@@ -62,14 +62,14 @@ impl Workload {
     }
 
     /// Decoded bytes per image at the network input geometry.
-    pub fn decoded_bytes(self) -> u64 {
+    pub(crate) fn decoded_bytes(self) -> u64 {
         let img = self.image();
         img.output_bytes()
     }
 
     /// Whether the decoded dataset fits the host DRAM cache (§5.2: MNIST
     /// "can be cached in memory after the first epoch", ILSVRC "cannot").
-    pub fn fits_cache(self, cache_bytes: u64) -> bool {
+    pub(crate) fn fits_cache(self, cache_bytes: u64) -> bool {
         self.dataset_images() * self.decoded_bytes() <= cache_bytes
     }
 }
@@ -166,15 +166,9 @@ impl Calibration {
     }
 
     /// CPU decode time of one image of `w` (one core).
-    pub fn cpu_decode_time(&self, w: &ImageWorkload) -> SimTime {
+    pub(crate) fn cpu_decode_time(&self, w: &ImageWorkload) -> SimTime {
         let px = w.src_width as f64 * w.src_height as f64;
         SimTime::from_secs_f64(px / self.cpu_decode_pixels_per_sec_per_core) + self.cpu_decode_fixed
-    }
-
-    /// Images/s one core decodes on workload `w` (§2.2 anchor: ≈300 for
-    /// ILSVRC geometry).
-    pub fn cpu_decode_rate_per_core(&self, w: &ImageWorkload) -> f64 {
-        1.0 / self.cpu_decode_time(w).as_secs_f64()
     }
 }
 
@@ -185,7 +179,7 @@ mod tests {
     #[test]
     fn cpu_decode_anchor_is_300_imgs_per_core() {
         let cal = Calibration::paper();
-        let rate = cal.cpu_decode_rate_per_core(&Workload::Ilsvrc.image());
+        let rate = 1.0 / cal.cpu_decode_time(&Workload::Ilsvrc.image()).as_secs_f64();
         assert!(
             (270.0..320.0).contains(&rate),
             "§2.2 anchor: 300 img/s/core, got {rate:.0}"
@@ -195,7 +189,7 @@ mod tests {
     #[test]
     fn mnist_decodes_far_faster_per_core() {
         let cal = Calibration::paper();
-        let rate = cal.cpu_decode_rate_per_core(&Workload::Mnist.image());
+        let rate = 1.0 / cal.cpu_decode_time(&Workload::Mnist.image()).as_secs_f64();
         assert!(rate > 10_000.0, "28×28 decode rate {rate:.0}");
     }
 

@@ -18,7 +18,6 @@
 //! `dlb_cluster::BoosterCluster`; this model explores 8–32 nodes in
 //! virtual time, which the real pool cannot).
 
-use crate::inference::SweepGrid;
 use crate::report::{fmt_rate, fmt_ratio, FigureReport, Row};
 use dlb_cluster::{
     ClusterInstruments, CompletionOutcome, CopyKind, DedupLedger, HashRing, HedgeConfig,
@@ -117,17 +116,17 @@ impl ClusterParams {
     }
 
     /// Aggregate service capacity of the initial membership, requests/s.
-    pub fn capacity(&self) -> f64 {
+    pub(crate) fn capacity(&self) -> f64 {
         f64::from(self.nodes) * self.node_capacity
     }
 
     /// Expected run length at the offered rate.
-    pub fn expected_duration(&self) -> SimTime {
+    pub(crate) fn expected_duration(&self) -> SimTime {
         SimTime::from_secs_f64(self.requests as f64 / self.rate.max(1.0))
     }
 
     /// Adds a chaos kill schedule.
-    pub fn with_kills(mut self, kills: Vec<(SimTime, u32)>) -> Self {
+    pub(crate) fn with_kills(mut self, kills: Vec<(SimTime, u32)>) -> Self {
         self.kills = kills;
         self
     }
@@ -176,17 +175,6 @@ pub struct ClusterOutcome {
     /// conservation laws checkable via
     /// [`PipelineSnapshot::invariant_violations`].
     pub snapshot: PipelineSnapshot,
-}
-
-impl ClusterOutcome {
-    /// Fraction of offered requests that completed in-SLO.
-    pub fn good_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            1.0
-        } else {
-            self.good as f64 / self.offered as f64
-        }
-    }
 }
 
 #[doc(hidden)]
@@ -283,7 +271,7 @@ pub struct ClusterSim {
 
 impl ClusterSim {
     /// Builds the model.
-    pub fn new(params: ClusterParams) -> Self {
+    pub(crate) fn new(params: ClusterParams) -> Self {
         assert!(params.nodes >= 1, "need at least one node");
         assert!(params.requests > params.warmup, "warmup eats the run");
         assert!(params.rate > 0.0, "offered rate must be positive");
@@ -370,7 +358,7 @@ impl ClusterSim {
     /// ordinal, and duplicate completions are linked to the winning copy.
     /// Recording never touches the sim's RNG, so attaching a tracer
     /// cannot change the outcome.
-    pub fn attach_tracer(&mut self, tracer: Arc<Tracer>) {
+    pub(crate) fn attach_tracer(&mut self, tracer: Arc<Tracer>) {
         self.tracer = Some(tracer);
     }
 
@@ -707,24 +695,10 @@ impl ClusterSim {
         }
     }
 
-    /// Overload sweep through the cluster: for every multiplier in the
-    /// grid, offer `capacity × m` and measure goodput — the cluster
-    /// analogue of `InferenceSim::overload_sweep`, with the same grid
-    /// type steering both.
-    pub fn overload_sweep(nodes: u32, grid: &SweepGrid, seed: u64) -> Vec<(f64, ClusterOutcome)> {
-        grid.multipliers
-            .iter()
-            .map(|&m| {
-                assert!(m > 0.0, "offered-load multiplier must be positive");
-                (m, ClusterSim::run(ClusterParams::baseline(nodes, m, seed)))
-            })
-            .collect()
-    }
-
     /// Degradation sweep: 3× overload on `nodes` nodes, killing
     /// `0..=max_kills` of them mid-run. Returns one outcome per kill
     /// count; the zero-kill run is the goodput-retention baseline.
-    pub fn degradation_sweep(nodes: u32, max_kills: u32, seed: u64) -> Vec<ClusterOutcome> {
+    pub(crate) fn degradation_sweep(nodes: u32, max_kills: u32, seed: u64) -> Vec<ClusterOutcome> {
         assert!(max_kills < nodes, "must leave at least one survivor");
         (0..=max_kills)
             .map(|k| {
@@ -739,7 +713,7 @@ impl ClusterSim {
 /// should track surviving capacity (≈ `1 − killed/8`), and p99 must stay
 /// inside the SLO — quota rebalancing sheds the lost capacity's load at
 /// the door instead of letting queues blow up.
-pub fn cluster_degradation_figure() -> FigureReport {
+pub(crate) fn cluster_degradation_figure() -> FigureReport {
     let nodes = 8;
     let outcomes = ClusterSim::degradation_sweep(nodes, 3, 11);
     let baseline = outcomes[0].goodput.max(1.0);
@@ -790,10 +764,10 @@ mod tests {
         assert_eq!(o.open_requests, 0, "stuck requests");
         assert_eq!(o.completed + o.shed, o.offered);
         assert!(o.shed == 0, "underload must not shed (shed {})", o.shed);
+        let good_fraction = o.good as f64 / o.offered as f64;
         assert!(
-            o.good_fraction() > 0.99,
-            "underload good fraction {:.3}",
-            o.good_fraction()
+            good_fraction > 0.99,
+            "underload good fraction {good_fraction:.3}"
         );
         assert!(o.snapshot.invariant_violations().is_empty());
     }

@@ -14,7 +14,7 @@ use dlb_serving::{ServingConfig, ShedPolicy};
 use dlb_simcore::SimTime;
 
 /// Batch-size axis of Figs. 7/8 for a model (…32, ResNet-50 goes to 64).
-pub fn batch_axis(model: ModelZoo) -> Vec<u32> {
+pub(crate) fn batch_axis(model: ModelZoo) -> Vec<u32> {
     let mut axis = vec![1, 2, 4, 8, 16, 32];
     if model == ModelZoo::ResNet50 {
         axis.push(64);
@@ -23,12 +23,12 @@ pub fn batch_axis(model: ModelZoo) -> Vec<u32> {
 }
 
 /// The inference models of Figs. 7–9.
-pub fn inference_models() -> [ModelZoo; 3] {
+pub(crate) fn inference_models() -> [ModelZoo; 3] {
     [ModelZoo::GoogLeNet, ModelZoo::Vgg16, ModelZoo::ResNet50]
 }
 
 /// The training models of Figs. 5–6.
-pub fn training_models() -> [ModelZoo; 3] {
+pub(crate) fn training_models() -> [ModelZoo; 3] {
     [ModelZoo::LeNet5, ModelZoo::AlexNet, ModelZoo::ResNet18]
 }
 
@@ -36,7 +36,7 @@ pub fn training_models() -> [ModelZoo; 3] {
 /// (a) throughput under the default configuration (2 decode threads/GPU for
 /// the CPU path, per-GPU LMDB readers) vs the upper boundary;
 /// (b) CPU cores needed to reach maximum throughput.
-pub fn fig2_motivation(cal: &Calibration) -> FigureReport {
+pub(crate) fn fig2_motivation(cal: &Calibration) -> FigureReport {
     let mut rep = FigureReport::new(
         "Figure 2",
         "AlexNet training motivation: default-config throughput and max-perf CPU cost",
@@ -324,7 +324,7 @@ pub use crate::inference::OVERLOAD_MULTIPLIERS;
 /// the paper: the ROADMAP's "heavy traffic" regime). GoogLeNet on the
 /// DLBooster backend, the paper's five clients as equal-weight tenants,
 /// deadline-aware shedding, 50 ms SLO.
-pub fn overload_goodput_sweep(cal: &Calibration) -> FigureReport {
+pub(crate) fn overload_goodput_sweep(cal: &Calibration) -> FigureReport {
     let slo = SimTime::from_millis(50);
     let cfg = ServingConfig::five_clients(32, slo, ShedPolicy::DeadlineAware);
     let points = InferenceSim::overload_sweep_grid(
@@ -349,7 +349,7 @@ pub fn overload_goodput_sweep(cal: &Calibration) -> FigureReport {
 /// DLBooster one block copy per batch, so DLBooster vs CPU-based on the
 /// cached MNIST workload isolates that difference (paper: small-piece
 /// copies cost ≈ 20 % of LeNet-5 throughput).
-pub fn ablation_batch_memory(cal: &Calibration) -> FigureReport {
+pub(crate) fn ablation_batch_memory(cal: &Calibration) -> FigureReport {
     let mut rep = FigureReport::new(
         "Ablation A1",
         "Batched pool memory vs per-datum copies (LeNet-5, batch 512)",
@@ -390,7 +390,7 @@ pub fn ablation_batch_memory(cal: &Calibration) -> FigureReport {
 /// Ablation A2 (§3.3): FPGA decoder width sweep. The paper chose 4-way
 /// Huffman / 2-way resize for load balance; sweeping the widths shows the
 /// bottleneck move and where the Arria-10 budget runs out.
-pub fn ablation_pipeline_width() -> FigureReport {
+pub(crate) fn ablation_pipeline_width() -> FigureReport {
     let mut rep = FigureReport::new(
         "Ablation A2",
         "FPGA decoder width sweep (ILSVRC-like images)",
@@ -424,7 +424,7 @@ pub fn ablation_pipeline_width() -> FigureReport {
 /// fused decoder in which every image pays its full stage sum with no
 /// cross-stage overlap (Huffman lanes still run in parallel across
 /// images).
-pub fn ablation_pipelining() -> FigureReport {
+pub(crate) fn ablation_pipelining() -> FigureReport {
     let mut rep = FigureReport::new(
         "Ablation A3",
         "Decoupled pipelined stages vs a fused decoder (batch 64)",
@@ -456,7 +456,7 @@ pub fn ablation_pipelining() -> FigureReport {
 /// keeps the FPGA busy during GPU iterations; sync serialises decode and
 /// compute, i.e. the ideal-backend iteration time plus one FPGA batch
 /// service per iteration.
-pub fn ablation_async_reader(cal: &Calibration) -> FigureReport {
+pub(crate) fn ablation_async_reader(cal: &Calibration) -> FigureReport {
     let mut rep = FigureReport::new(
         "Ablation A4",
         "Asynchronous FPGAReader (prefetch) vs synchronous submission (AlexNet, 1 GPU)",
@@ -492,7 +492,7 @@ pub fn ablation_async_reader(cal: &Calibration) -> FigureReport {
 
 /// Ablation A5 (§7 future work 2): host-bounce copy vs direct FPGA-to-GPU
 /// DMA (ResNet-50 / DLBooster, batch 16, 2,000 req/s).
-pub fn ablation_direct_gpu_dma(cal: &Calibration) -> FigureReport {
+pub(crate) fn ablation_direct_gpu_dma(cal: &Calibration) -> FigureReport {
     let mut rep = FigureReport::new(
         "Ablation A5",
         "Host-bounce copy vs direct FPGA-to-GPU DMA (paper §7 future work 2)",

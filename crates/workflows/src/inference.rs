@@ -164,7 +164,7 @@ pub struct ServingOutcome {
 
 impl ServingOutcome {
     /// Fraction of completions that met the SLO (1.0 when none completed).
-    pub fn slo_attainment(&self) -> f64 {
+    pub(crate) fn slo_attainment(&self) -> f64 {
         if self.completed == 0 {
             1.0
         } else {
@@ -191,12 +191,10 @@ pub struct OverloadPoint {
 pub const OVERLOAD_MULTIPLIERS: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 3.0];
 
 /// Parameter grid for overload sweeps: the offered-load multiplier axis
-/// plus the per-point run length. The same grid steers the single-node
-/// serving sweep ([`InferenceSim::overload_sweep_grid`]) and the cluster
-/// sweep (`ClusterSim::overload_sweep`), so experiments across the two
-/// layers stay on one axis.
+/// plus the per-point run length, steering the single-node serving sweep
+/// ([`InferenceSim::overload_sweep_grid`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepGrid {
+pub(crate) struct SweepGrid {
     /// Offered load as multiples of measured saturated capacity.
     pub multipliers: Vec<f64>,
     /// Batches to complete per sweep point.
@@ -219,20 +217,10 @@ impl Default for SweepGrid {
 
 impl SweepGrid {
     /// The canonical run length over a custom multiplier axis.
-    pub fn with_multipliers(multipliers: &[f64]) -> Self {
+    pub(crate) fn with_multipliers(multipliers: &[f64]) -> Self {
         Self {
             multipliers: multipliers.to_vec(),
             ..Self::default()
-        }
-    }
-
-    /// A shortened grid for tests and smoke benches: three points at half
-    /// the canonical run length.
-    pub fn quick() -> Self {
-        Self {
-            multipliers: vec![1.0, 2.0, 3.0],
-            batches: 150,
-            warmup: 25,
         }
     }
 }
@@ -351,7 +339,7 @@ pub struct InferenceSim {
 
 impl InferenceSim {
     /// Builds the model.
-    pub fn new(cal: Calibration, params: InferenceParams) -> Self {
+    pub(crate) fn new(cal: Calibration, params: InferenceParams) -> Self {
         assert!(params.batch_size >= 1 && params.batches > params.warmup);
         let mut timing =
             GpuTimingModel::new(&cal.infer_gpu, &params.model.model(), Precision::Fp16);
@@ -954,7 +942,7 @@ impl InferenceSim {
     /// the multiplier axis *and* the per-point run length come from
     /// `grid`, so callers can trade sweep resolution against runtime
     /// without forking the driver.
-    pub fn overload_sweep_grid(
+    pub(crate) fn overload_sweep_grid(
         cal: &Calibration,
         model: ModelZoo,
         backend: BackendKind,
@@ -1187,8 +1175,6 @@ mod tests {
         let custom = SweepGrid::with_multipliers(&[1.0, 4.0]);
         assert_eq!(custom.multipliers, vec![1.0, 4.0]);
         assert_eq!((custom.batches, custom.warmup), (300, 50));
-        let quick = SweepGrid::quick();
-        assert!(quick.batches < grid.batches && quick.batches > quick.warmup);
     }
 
     #[test]

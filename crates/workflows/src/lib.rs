@@ -20,8 +20,6 @@
 //!   alongside measured ones; the `figures` binary prints every one.
 //! * [`economics`] — the cost model of §5.4.
 //! * [`report`] — plain-text table rendering and JSON export.
-//! * [`chaos`] — beyond-paper degraded-mode runs: seeded FPGA wedges with
-//!   failover to the CPU backend, reported as a batch-budget-split figure.
 //! * [`cluster`] — beyond-paper scale-out: N simulated preprocessing nodes
 //!   behind the `dlb-cluster` shard router (consistent-hash placement,
 //!   per-tenant quotas, deadline-budget hedging, mid-run chaos kills with
@@ -30,7 +28,6 @@
 //!   snapshots: per-stage service load and the pipeline bottleneck.
 
 pub mod calibration;
-pub mod chaos;
 pub mod cluster;
 pub mod economics;
 pub mod figures;
@@ -40,12 +37,11 @@ pub mod trace;
 pub mod training;
 
 pub use calibration::{BackendKind, Calibration, Workload};
-pub use chaos::{degraded_mode_figure, ChaosOutcome, ChaosParams};
-pub use cluster::{cluster_degradation_figure, ClusterOutcome, ClusterParams, ClusterSim};
+
+pub use cluster::{ClusterOutcome, ClusterParams, ClusterSim};
 pub use inference::{
-    DriveMode, InferenceOutcome, InferenceParams, InferenceSim, OverloadPoint, ServingOutcome,
-    SweepGrid, OVERLOAD_MULTIPLIERS,
+    DriveMode, InferenceParams, InferenceSim, ServingOutcome, OVERLOAD_MULTIPLIERS,
 };
-pub use report::{goodput_vs_offered_load, FigureReport, Row, TelemetryReport};
+pub use report::{goodput_vs_offered_load, TelemetryReport};
 pub use trace::critical_path_figure;
-pub use training::{TrainingOutcome, TrainingSim};
+pub use training::TrainingSim;

@@ -12,7 +12,7 @@ pub struct Row {
 
 impl Row {
     /// Builds a row from anything displayable.
-    pub fn new<S: ToString>(cells: &[S]) -> Self {
+    pub(crate) fn new<S: ToString>(cells: &[S]) -> Self {
         Row {
             cells: cells.iter().map(|c| c.to_string()).collect(),
         }
@@ -36,7 +36,7 @@ pub struct FigureReport {
 
 impl FigureReport {
     /// Creates an empty report.
-    pub fn new(id: &str, title: &str, columns: &[&str]) -> Self {
+    pub(crate) fn new(id: &str, title: &str, columns: &[&str]) -> Self {
         Self {
             id: id.to_string(),
             title: title.to_string(),
@@ -47,7 +47,7 @@ impl FigureReport {
     }
 
     /// Appends a row; must match the column count.
-    pub fn push_row(&mut self, row: Row) {
+    pub(crate) fn push_row(&mut self, row: Row) {
         assert_eq!(
             row.cells.len(),
             self.columns.len(),
@@ -58,7 +58,7 @@ impl FigureReport {
     }
 
     /// Appends a commentary note.
-    pub fn note(&mut self, s: impl Into<String>) {
+    pub(crate) fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
     }
 
@@ -145,7 +145,8 @@ impl TelemetryReport {
     }
 
     /// Plain-text section: caption, per-stage lines, violations (if any).
-    pub fn render(&self) -> String {
+    #[cfg(test)]
+    fn render(&self) -> String {
         let mut out = format!("== {}: {} ==\n", self.id, self.title);
         out.push_str(&self.snapshot.to_text());
         for v in self.snapshot.invariant_violations() {
@@ -230,7 +231,7 @@ pub fn goodput_vs_offered_load(
 }
 
 /// Formats a throughput value compactly.
-pub fn fmt_rate(v: f64) -> String {
+pub(crate) fn fmt_rate(v: f64) -> String {
     if v >= 10_000.0 {
         format!("{:.1}k", v / 1000.0)
     } else {
@@ -239,12 +240,12 @@ pub fn fmt_rate(v: f64) -> String {
 }
 
 /// Formats a core count.
-pub fn fmt_cores(v: f64) -> String {
+pub(crate) fn fmt_cores(v: f64) -> String {
     format!("{v:.2}")
 }
 
 /// Formats a ratio like "1.35x".
-pub fn fmt_ratio(v: f64) -> String {
+pub(crate) fn fmt_ratio(v: f64) -> String {
     format!("{v:.2}x")
 }
 

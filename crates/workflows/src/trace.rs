@@ -53,26 +53,24 @@ pub fn critical_path_figure(report: &CriticalPathReport) -> FigureReport {
 mod tests {
     use super::*;
     use dlb_trace::{stages, SpanKind, Tracer};
+    use std::time::Duration;
 
     #[test]
     fn figure_names_the_binding_stage() {
         let t = Tracer::new();
+        let t0 = t.now();
+        let at = |ns: u64| t0 + Duration::from_nanos(ns);
         for i in 0..5u64 {
             let b = t.next_batch_id();
-            t.span_ns(
+            let (start, mid, end) = (i * 100, i * 100 + 15, i * 100 + 95);
+            t.span(
                 b,
                 stages::QUEUE_DELIVER,
                 SpanKind::Queue,
-                i * 100,
-                i * 100 + 15,
+                at(start),
+                at(mid),
             );
-            t.span_ns(
-                b,
-                stages::CPU_DECODE,
-                SpanKind::Service,
-                i * 100 + 15,
-                i * 100 + 95,
-            );
+            t.span(b, stages::CPU_DECODE, SpanKind::Service, at(mid), at(end));
         }
         let rep = critical_path_figure(&t.snapshot().critical_path());
         assert_eq!(rep.rows.len(), 1, "one service stage: {:?}", rep.rows);

@@ -155,7 +155,7 @@ pub struct TrainingSim {
 
 impl TrainingSim {
     /// Builds the model.
-    pub fn new(cal: Calibration, params: TrainingParams) -> Self {
+    pub(crate) fn new(cal: Calibration, params: TrainingParams) -> Self {
         assert!(params.n_gpus >= 1 && params.batch_size >= 1);
         assert!(params.warmup < params.iterations);
         let precision = Precision::Fp32; // training experiments are fp32
